@@ -12,11 +12,6 @@ from .adapters import (
     AdapterState,
     effective_weight,
     forward,
-    init_dora,
-    init_dude,
-    init_full,
-    init_lora,
-    init_pissa,
     initialize,
     kaiming_uniform,
     merge,
@@ -29,7 +24,6 @@ from .linalg import (
     TruncatedSvd,
     column_norms,
     frobenius_norm,
-    matmul,
     svd,
     truncate_svd,
 )

@@ -10,8 +10,9 @@ Supported methods over a d x k base weight:
   dude_a  dude variant: singular values folded entirely into a (b = u_r)
   dude_b  dude variant: singular values folded entirely into b (a = v_r.T)
 
-Every initializer leaves the effective weight equal to the original weight,
-so attaching an adapter never changes the layer's output before training.
+initialize builds every method from the _INIT table below and leaves the
+effective weight equal to the original weight, so attaching an adapter never
+changes the layer's output before training.
 """
 
 from __future__ import annotations
@@ -24,16 +25,9 @@ from .linalg import as_matrix, column_norms, svd, truncate_svd
 
 __all__ = [
     "METHODS",
-    "MAGNITUDE_METHODS",
-    "SVD_INIT_METHODS",
     "AdapterConfig",
     "AdapterState",
     "kaiming_uniform",
-    "init_full",
-    "init_lora",
-    "init_dora",
-    "init_pissa",
-    "init_dude",
     "initialize",
     "effective_weight",
     "forward",
@@ -43,8 +37,20 @@ __all__ = [
 ]
 
 METHODS = ("full", "lora", "dora", "pissa", "dude", "dude_a", "dude_b")
-MAGNITUDE_METHODS = frozenset({"dora", "dude", "dude_a", "dude_b"})
-SVD_INIT_METHODS = frozenset({"pissa", "dude", "dude_a", "dude_b"})
+
+# How initialize builds each method but full: (b_power, magnitude).
+# b_power None: b = 0, a Kaiming-uniform, base = w0. Otherwise the top-r SVD
+# of w0 is split as b = u_r * sigma_r**b_power, a = sigma_r**(1 - b_power) *
+# v_r.T, base = w0 - scaling * b @ a. magnitude: m = column norms of w0, with
+# zero columns set to norm_epsilon.
+_INIT = {
+    "lora": (None, False),
+    "dora": (None, True),
+    "pissa": (0.5, False),
+    "dude": (0.5, True),
+    "dude_a": (0.0, True),
+    "dude_b": (1.0, True),
+}
 
 
 @dataclass
@@ -70,8 +76,8 @@ class AdapterConfig:
 class AdapterState:
     """One adapted linear layer.
 
-    base is d x k: the frozen original weight for lora/dora, the frozen
-    spectral residual for pissa/dude*, or the trainable weight for full.
+    base is d x k: the frozen original weight for lora/dora, the frozen residual
+    w0 - scaling * b @ a for pissa/dude*, or the trainable weight for full.
     b (d x r) and a (r x k) are the low-rank factors; m (length k) is the
     per-column magnitude vector, present only for dora/dude*.
     """
@@ -93,110 +99,37 @@ def kaiming_uniform(rows: int, cols: int, fan_in: int, seed: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(rows, cols))
 
 
-def _check_rank(cfg: AdapterConfig, d: int, k: int) -> None:
+def initialize(w0, cfg: AdapterConfig) -> AdapterState:
+    """Attach a cfg.method adapter to w0 following the _INIT table. The
+    effective weight equals w0, up to the norm_epsilon guard of the
+    magnitude methods; the base is read-only except for full."""
+    w0 = as_matrix(w0, "w0")
+    d, k = w0.shape
+    if cfg.method == "full":
+        # The factors are inert zero placeholders; the whole base trains.
+        return AdapterState("full", w0.copy(), np.zeros((d, 1)), np.zeros((1, k)), None, cfg)
     if cfg.rank > min(d, k):
         raise ValueError(
             f"rank {cfg.rank} out of range for a {d}x{k} layer (max {min(d, k)})"
         )
-
-
-def _check_method(cfg: AdapterConfig, *expected: str) -> None:
-    if cfg.method not in expected:
-        raise ValueError(f"config is for {cfg.method!r}, expected one of {expected}")
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
-def _guarded_column_norms(w0: np.ndarray, epsilon: float) -> np.ndarray:
-    m = column_norms(w0)
-    m[m == 0.0] = epsilon
-    return m
-
-
-def init_full(w0, cfg: AdapterConfig) -> AdapterState:
-    _check_method(cfg, "full")
-    w0 = as_matrix(w0, "w0")
-    d, k = w0.shape
-    # The factors are inert zero placeholders; the whole base trains.
-    return AdapterState("full", w0.copy(), np.zeros((d, 1)), np.zeros((1, k)), None, cfg)
-
-
-def init_lora(w0, cfg: AdapterConfig) -> AdapterState:
-    _check_method(cfg, "lora")
-    w0 = as_matrix(w0, "w0")
-    d, k = w0.shape
-    _check_rank(cfg, d, k)
-    b = np.zeros((d, cfg.rank))
-    a = kaiming_uniform(cfg.rank, k, fan_in=k, seed=cfg.seed)
-    return AdapterState("lora", _freeze(w0.copy()), b, a, None, cfg)
-
-
-def init_dora(w0, cfg: AdapterConfig) -> AdapterState:
-    _check_method(cfg, "dora")
-    w0 = as_matrix(w0, "w0")
-    d, k = w0.shape
-    _check_rank(cfg, d, k)
-    b = np.zeros((d, cfg.rank))
-    a = kaiming_uniform(cfg.rank, k, fan_in=k, seed=cfg.seed)
-    m = _guarded_column_norms(w0, cfg.norm_epsilon)
-    return AdapterState("dora", _freeze(w0.copy()), b, a, m, cfg)
-
-
-def _svd_factors(w0: np.ndarray, cfg: AdapterConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    t = truncate_svd(svd(w0), cfg.rank)
-    return t.u_r, t.sigma_r, t.v_r
-
-
-def init_pissa(w0, cfg: AdapterConfig) -> AdapterState:
-    _check_method(cfg, "pissa")
-    w0 = as_matrix(w0, "w0")
-    _check_rank(cfg, *w0.shape)
-    u_r, sigma_r, v_r = _svd_factors(w0, cfg)
-    root = np.sqrt(sigma_r)
-    b = u_r * root
-    # ascontiguousarray: trainable arrays must be C-contiguous so that flat
-    # views (optimizers, perturbation loops) alias the real storage.
-    a = np.ascontiguousarray(root[:, None] * v_r.T)
-    return AdapterState("pissa", _freeze(w0 - b @ a), b, a, None, cfg)
-
-
-def init_dude(w0, cfg: AdapterConfig) -> AdapterState:
-    """SVD-initialized magnitude/direction adapter; cfg.method picks the
-    split of the singular values between the two factors."""
-    _check_method(cfg, "dude", "dude_a", "dude_b")
-    w0 = as_matrix(w0, "w0")
-    _check_rank(cfg, *w0.shape)
-    u_r, sigma_r, v_r = _svd_factors(w0, cfg)
-    if cfg.method == "dude":
-        root = np.sqrt(sigma_r)
-        b = u_r * root
-        a = np.ascontiguousarray(root[:, None] * v_r.T)
-    elif cfg.method == "dude_a":
-        b = u_r.copy()
-        a = np.ascontiguousarray(sigma_r[:, None] * v_r.T)
-    elif cfg.method == "dude_b":
-        b = u_r * sigma_r
-        a = np.ascontiguousarray(v_r.T)
-    m = _guarded_column_norms(w0, cfg.norm_epsilon)
-    return AdapterState(cfg.method, _freeze(w0 - b @ a), b, a, m, cfg)
-
-
-_INITIALIZERS = {
-    "full": init_full,
-    "lora": init_lora,
-    "dora": init_dora,
-    "pissa": init_pissa,
-    "dude": init_dude,
-    "dude_a": init_dude,
-    "dude_b": init_dude,
-}
-
-
-def initialize(w0, cfg: AdapterConfig) -> AdapterState:
-    return _INITIALIZERS[cfg.method](w0, cfg)
+    b_power, has_magnitude = _INIT[cfg.method]
+    if b_power is None:
+        b = np.zeros((d, cfg.rank))
+        a = kaiming_uniform(cfg.rank, k, fan_in=k, seed=cfg.seed)
+        base = w0.copy()
+    else:
+        t = truncate_svd(svd(w0), cfg.rank)
+        b = t.u_r * t.sigma_r ** b_power
+        # ascontiguousarray: trainable arrays must be C-contiguous so that flat
+        # views (optimizers, perturbation loops) alias the real storage.
+        a = np.ascontiguousarray((t.sigma_r ** (1.0 - b_power))[:, None] * t.v_r.T)
+        base = w0 - cfg.scaling * (b @ a)
+    base.setflags(write=False)
+    m = None
+    if has_magnitude:
+        m = column_norms(w0)
+        m[m == 0.0] = cfg.norm_epsilon
+    return AdapterState(cfg.method, base, b, a, m, cfg)
 
 
 def effective_weight(state: AdapterState) -> np.ndarray:

@@ -82,6 +82,9 @@ def _check_number(cfg: dict, name: str, minimum: float, strict: bool = False) ->
     value = cfg[name]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field '{name}' must be a number, got {value!r}")
+    # json.loads accepts Infinity, NaN and integers beyond the float range.
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"field '{name}' must be finite, got {value!r}")
     if (strict and not value > minimum) or (not strict and not value >= minimum):
         op = ">" if strict else ">="
         raise ConfigError(f"field '{name}' must be {op} {minimum}, got {value!r}")
@@ -182,6 +185,10 @@ def run_experiment(config_path: str | Path, overrides: dict | None = None) -> Ru
     cfg = validate_config(raw)
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
+    # A stale summary from an earlier run must not outlive a failing rerun,
+    # or compare would report it as current.
+    summary_path = out_dir / "summary.json"
+    summary_path.unlink(missing_ok=True)
 
     metrics_paths = []
     run_entries = []
@@ -210,7 +217,6 @@ def run_experiment(config_path: str | Path, overrides: dict | None = None) -> Ru
         run_entries.append(entry)
         print(f"seed {seed}: final_loss={summary.final_loss:.6g} -> {path}")
 
-    summary_path = out_dir / "summary.json"
     payload = {
         "format_version": FORMAT_VERSION,
         "method": cfg["method"],

@@ -105,7 +105,7 @@ def backward(state: AdapterState, x, gy) -> GradientSet:
 def finite_diff_grads(state: AdapterState, x, gy, epsilon_rule=None) -> GradientSet:
     """Central-difference gradients of L = <gy, forward(state, x)>.
 
-    Each trainable scalar theta is displaced by +-h with
+    Each trainable scalar theta, and each entry of x, is displaced by +-h with
     h = epsilon_rule(theta), default 1e-5 * (1 + |theta|). All perturbations
     happen on a private copy, so the caller's state stays bit-identical.
     """
@@ -114,42 +114,28 @@ def finite_diff_grads(state: AdapterState, x, gy, epsilon_rule=None) -> Gradient
     x = np.asarray(x, dtype=np.float64)
     gy = np.asarray(gy, dtype=np.float64)
     work = copy_state(state)
-
-    def loss() -> float:
-        return float(gy @ forward(work, x))
+    xs = x.copy()
 
     grads: dict[str, np.ndarray] = {}
-    for name, arr in trainable_params(work):
+    for name, arr in trainable_params(work) + [("x", xs)]:
         flat = arr.reshape(-1)
         gflat = np.zeros(flat.size)
         for idx in range(flat.size):
             theta = flat[idx]
             h = epsilon_rule(theta)
             flat[idx] = theta + h
-            lp = loss()
+            lp = float(gy @ forward(work, xs))
             flat[idx] = theta - h
-            lm = loss()
+            lm = float(gy @ forward(work, xs))
             flat[idx] = theta
             gflat[idx] = (lp - lm) / (2.0 * h)
         grads[name] = gflat.reshape(arr.shape)
-
-    xs = x.copy()
-    dx = np.zeros(xs.size)
-    for idx in range(xs.size):
-        xi = xs[idx]
-        h = epsilon_rule(xi)
-        xs[idx] = xi + h
-        lp = float(gy @ forward(work, xs))
-        xs[idx] = xi - h
-        lm = float(gy @ forward(work, xs))
-        xs[idx] = xi
-        dx[idx] = (lp - lm) / (2.0 * h)
 
     return GradientSet(
         db=grads.get("b"),
         da=grads.get("a"),
         dm=grads.get("m"),
-        dx=dx,
+        dx=grads["x"],
         dbase=grads.get("base"),
     )
 

@@ -19,7 +19,6 @@ __all__ = [
     "SvdFactors",
     "TruncatedSvd",
     "as_matrix",
-    "matmul",
     "column_norms",
     "frobenius_norm",
     "svd",
@@ -45,14 +44,6 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
-
-
-def matmul(a, b) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def column_norms(w) -> np.ndarray:
@@ -98,10 +89,16 @@ def svd(w) -> SvdFactors:
     """
     w = as_matrix(w)
     d, k = w.shape
+    # Jacobi's Gram entries square w's entries and under- or overflow far inside
+    # the float64 range, so iterate on w / 2**e with max|w / 2**e| in [0.5, 1):
+    # a power-of-two scaling is exact, so u and v keep their bits at any scale.
+    _, e = np.frexp(np.abs(w).max())
+    w = np.ldexp(w, -e)
     if d >= k:
         u, sigma, v = _jacobi_tall(w)
     else:
         v, sigma, u = _jacobi_tall(w.T)
+    sigma = np.ldexp(sigma, e)
     for i in range(sigma.size):
         col = u[:, i]
         if col[np.argmax(np.abs(col))] < 0.0:

@@ -376,15 +376,6 @@ def training_stream(task: Task, seed: int) -> np.random.Generator:
     return _substream(task.seed, _STREAM_TRAIN, seed)
 
 
-def _grad_arrays(state: AdapterState, gs: GradientSet) -> list[np.ndarray]:
-    if state.method == "full":
-        return [gs.dbase]
-    arrs = [gs.db, gs.da]
-    if state.m is not None:
-        arrs.append(gs.dm)
-    return arrs
-
-
 def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
     """Run cfg.steps optimization steps, mutating the model's trainables.
 
@@ -404,10 +395,11 @@ def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
             loss, grads = loss_and_grads(model, batch)
         except NumericError as e:
             raise NumericError(f"numeric failure at step {step}: {e}") from e
+        # Gradient "d<name>" of each trainable, in the order of params.
         grad_arrays = [
-            arr
+            getattr(gs, "d" + name)
             for layer, gs in zip(model.layers, grads)
-            for arr in _grad_arrays(layer.state, gs)
+            for name, _ in trainable_params(layer.state)
         ]
         grad_norm = float(np.sqrt(sum((g * g).sum() for g in grad_arrays)))
         if cfg.scheduler == "cosine":

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peftlab.adapters import (
     METHODS,
@@ -10,10 +12,6 @@ from peftlab.adapters import (
     copy_state,
     effective_weight,
     forward,
-    init_dora,
-    init_dude,
-    init_lora,
-    init_pissa,
     initialize,
     kaiming_uniform,
     merge,
@@ -69,21 +67,21 @@ def test_lora_init_is_exact_identity():
 
 def test_dora_init_magnitudes_are_column_norms():
     w0 = np.diag([3.0, 2.0])
-    state = init_dora(w0, AdapterConfig("dora", 1, seed=0))
+    state = initialize(w0, AdapterConfig("dora", 1, seed=0))
     assert np.allclose(state.m, [3.0, 2.0])
     assert rel_frob(effective_weight(state), w0) <= 1e-10
 
 
 def test_dora_zero_column_gets_epsilon_guard():
     w0 = np.array([[1.0, 0.0], [2.0, 0.0]])
-    state = init_dora(w0, AdapterConfig("dora", 1, seed=0))
+    state = initialize(w0, AdapterConfig("dora", 1, seed=0))
     assert state.m[1] == state.config.norm_epsilon
     assert np.all(state.m > 0.0)
     assert np.allclose(effective_weight(state)[:, 1], 0.0)
 
 
 def test_pissa_init_diagonal_by_hand():
-    state = init_pissa(np.diag([3.0, 2.0]), AdapterConfig("pissa", 1, seed=0))
+    state = initialize(np.diag([3.0, 2.0]), AdapterConfig("pissa", 1, seed=0))
     root3 = math.sqrt(3.0)
     assert np.allclose(state.b.ravel(), [root3, 0.0])
     assert np.allclose(state.a.ravel(), [root3, 0.0])
@@ -92,7 +90,7 @@ def test_pissa_init_diagonal_by_hand():
 
 def test_pissa_residual_norm_is_dropped_singular_value():
     w0 = np.array([[1.0, 2.0], [3.0, 4.0]])
-    state = init_pissa(w0, AdapterConfig("pissa", 1, seed=0))
+    state = initialize(w0, AdapterConfig("pissa", 1, seed=0))
     sigma2 = math.sqrt(15.0 - math.sqrt(221.0))
     assert frobenius_norm(state.base) == pytest.approx(sigma2, rel=1e-10)
     assert rel_frob(state.base + state.b @ state.a, w0) <= 1e-10
@@ -101,7 +99,7 @@ def test_pissa_residual_norm_is_dropped_singular_value():
 def test_dude_init_diagonal_by_hand():
     w0 = np.diag([3.0, 2.0])
     root3 = math.sqrt(3.0)
-    state = init_dude(w0, AdapterConfig("dude", 1, seed=0))
+    state = initialize(w0, AdapterConfig("dude", 1, seed=0))
     assert np.allclose(state.b.ravel(), [root3, 0.0])
     assert np.allclose(state.a.ravel(), [root3, 0.0])
     assert np.allclose(state.base, np.diag([0.0, 2.0]))
@@ -111,8 +109,8 @@ def test_dude_init_diagonal_by_hand():
 
 def test_dude_variants_split_singular_values_differently():
     w0 = np.diag([3.0, 2.0])
-    va = init_dude(w0, AdapterConfig("dude_a", 1, seed=0))
-    vb = init_dude(w0, AdapterConfig("dude_b", 1, seed=0))
+    va = initialize(w0, AdapterConfig("dude_a", 1, seed=0))
+    vb = initialize(w0, AdapterConfig("dude_b", 1, seed=0))
     assert np.allclose(va.b.ravel(), [1.0, 0.0])
     assert np.allclose(va.a.ravel(), [3.0, 0.0])
     assert np.allclose(vb.b.ravel(), [3.0, 0.0])
@@ -124,7 +122,7 @@ def test_dude_variants_share_the_update_matrix():
     w0 = rng.standard_normal((9, 6))
     products = []
     for method in ("dude", "dude_a", "dude_b"):
-        state = init_dude(w0, AdapterConfig(method, 3, seed=0))
+        state = initialize(w0, AdapterConfig(method, 3, seed=0))
         products.append(state.b @ state.a)
     assert rel_frob(products[1], products[0]) <= 1e-10
     assert rel_frob(products[2], products[0]) <= 1e-10
@@ -147,10 +145,50 @@ def test_init_equivalence_all_methods_random():
                 assert np.all(state.m > 0.0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(1, 16),
+    k=st.integers(1, 16),
+    data=st.data(),
+    scaling=st.floats(0.0, 4.0, exclude_min=True),
+    log_scale=st.floats(-100.0, 100.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_initialize_properties(d, k, data, scaling, log_scale, seed):
+    r = data.draw(st.integers(1, min(d, k)), label="rank")
+    w0 = np.random.default_rng(seed).standard_normal((d, k)) * 10.0 ** log_scale
+    norms = np.linalg.norm(w0, axis=0)
+
+    def rel(x, y):
+        # Max-abs, not Frobenius: squares of 1e-100 entries shrunk by the
+        # epsilon guard underflow.
+        return np.abs(x - y).max() / np.abs(y).max()
+
+    updates = {}
+    for method in METHODS:
+        state = initialize(w0, AdapterConfig(method, r, scaling=scaling, seed=seed))
+        expected = w0
+        if state.m is not None:
+            assert np.all(state.m > 0.0), method
+            # norm_epsilon in the denominator of the normalization scales
+            # column j by ||w0_j|| / (||w0_j|| + norm_epsilon).
+            expected = w0 * (norms / (norms + state.config.norm_epsilon))
+        assert rel(effective_weight(state), expected) <= 1e-10, method
+        if method in ("pissa", "dude", "dude_a", "dude_b"):
+            assert rel(state.base + scaling * (state.b @ state.a), w0) <= 1e-10, method
+        if method.startswith("dude"):
+            updates[method] = state.b @ state.a
+        assert state.base.flags.writeable == (method == "full"), method
+        for name, arr in trainable_params(state):
+            assert arr.flags["C_CONTIGUOUS"], (method, name)
+    for method in ("dude_a", "dude_b"):
+        assert rel(updates[method], updates["dude"]) <= 1e-10, method
+
+
 def test_rank_out_of_range_rejected():
     w0 = np.zeros((4, 3))
     with pytest.raises(ValueError, match="rank 4 out of range"):
-        init_lora(w0, AdapterConfig("lora", 4, seed=0))
+        initialize(w0, AdapterConfig("lora", 4, seed=0))
 
 
 def test_config_rejects_unknown_method_and_bad_fields():
@@ -160,14 +198,6 @@ def test_config_rejects_unknown_method_and_bad_fields():
         AdapterConfig("lora", 0)
     with pytest.raises(ValueError, match="scaling"):
         AdapterConfig("lora", 2, scaling=0.0)
-
-
-def test_initializers_reject_mismatched_configs():
-    w0 = np.eye(3)
-    with pytest.raises(ValueError, match="expected"):
-        init_lora(w0, AdapterConfig("dora", 1))
-    with pytest.raises(ValueError, match="expected"):
-        init_dude(w0, AdapterConfig("pissa", 1))
 
 
 def test_base_is_frozen_for_adapters_but_not_full():
@@ -203,7 +233,7 @@ def test_magnitude_linearity_is_exact():
 
 
 def test_lora_rank_one_ones():
-    state = init_lora(np.zeros((3, 4)), AdapterConfig("lora", 1, seed=0))
+    state = initialize(np.zeros((3, 4)), AdapterConfig("lora", 1, seed=0))
     state.b[:] = 1.0
     state.a[:] = 1.0
     assert np.array_equal(effective_weight(state), np.ones((3, 4)))

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import peftlab
 from peftlab.cli import (
     ConfigError,
     compare,
@@ -148,6 +151,34 @@ def test_run_numeric_failure_exits_2_naming_step(tmp_path, capsys):
         code = main(["run", "--config", str(path)])
     assert code == 2
     assert "step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, argv, field", [
+    ({"sigma": math.inf}, [], "sigma"),
+    ({"scaling": math.inf}, [], "scaling"),
+    ({"lr": math.inf}, [], "lr"),
+    ({}, ["--lr", "inf"], "lr"),
+    ({"sigma": 10**400}, [], "sigma"),
+], ids=["sigma", "scaling", "lr", "lr-flag", "sigma-huge-int"])
+def test_run_non_finite_number_exits_1_naming_field(tmp_path, capsys, overrides, argv, field):
+    # json.dumps writes math.inf as Infinity, which json.loads accepts back;
+    # 10**400 stays an int there and overflows float conversion.
+    path = write_config(tmp_path, **overrides)
+    assert main(["run", "--config", str(path), *argv]) == 1
+    assert f"'{field}'" in capsys.readouterr().err
+
+
+def test_failed_rerun_leaves_no_summary_for_compare(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, method="lora"))]) == 0
+    assert (out / "summary.json").is_file()
+    path = write_config(tmp_path, name="rerun.json", lr=1e300, optimizer="sgd",
+                        scheduler="constant", seeds=[42])
+    with np.errstate(all="ignore"):
+        assert main(["run", "--config", str(path)]) == 2
+    capsys.readouterr()
+    assert main(["compare", str(out), "--out", str(tmp_path / "c.csv")]) == 1
+    assert "missing summary file" in capsys.readouterr().err
 
 
 def test_run_overrides_take_precedence(tmp_path):
@@ -313,10 +344,14 @@ def test_read_matrix_rejects_nan_text(tmp_path):
 # module entry point
 
 def test_python_dash_m_entry_point():
+    # Run the same package this process imported, installed or not.
+    src = str(Path(peftlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "peftlab", "gradcheck", "--method", "pissa",
          "--d", "4", "--k", "4", "--rank", "2", "--seed", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "PASS" in proc.stdout

@@ -8,7 +8,6 @@ from peftlab.linalg import (
     as_matrix,
     column_norms,
     frobenius_norm,
-    matmul,
     svd,
     truncate_svd,
 )
@@ -16,34 +15,6 @@ from peftlab.linalg import (
 
 def reconstruct(f: SvdFactors) -> np.ndarray:
     return (f.u * f.sigma) @ f.v.T
-
-
-# ---------------------------------------------------------------------------
-# matmul
-
-def test_matmul_identity_passthrough():
-    x = np.arange(6.0).reshape(2, 3)
-    assert np.array_equal(matmul(np.eye(2), x), x)
-
-
-def test_matmul_row_sums():
-    out = matmul([[1.0, 2.0], [3.0, 4.0]], [[1.0], [1.0]])
-    assert np.array_equal(out, [[3.0], [7.0]])
-
-
-def test_matmul_associativity():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((4, 3))
-    b = rng.standard_normal((3, 5))
-    c = rng.standard_normal((5, 2))
-    left = matmul(matmul(a, b), c)
-    right = matmul(a, matmul(b, c))
-    assert np.abs(left - right).max() <= 1e-12
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ValueError, match=r"\(2, 3\) x \(2, 2\)"):
-        matmul(np.zeros((2, 3)), np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +122,25 @@ def test_svd_deterministic_bitwise():
     assert f1.u.tobytes() == f2.u.tobytes()
     assert f1.sigma.tobytes() == f2.sigma.tobytes()
     assert f1.v.tobytes() == f2.v.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e100, 1e200])
+def test_svd_reconstructs_across_the_float_range(scale):
+    w = np.random.default_rng(17).standard_normal((7, 5)) * scale
+    f = svd(w)
+    assert np.abs(reconstruct(f) - w).max() <= 1e-12 * np.abs(w).max()
+    assert np.abs(f.u.T @ f.u - np.eye(5)).max() <= 1e-12
+    assert np.abs(f.v.T @ f.v - np.eye(5)).max() <= 1e-12
+
+
+def test_svd_power_of_two_scaling_is_exact():
+    w = np.random.default_rng(19).standard_normal((4, 6))
+    f = svd(w)
+    for e in (-700, 700):
+        g = svd(np.ldexp(w, e))
+        assert g.u.tobytes() == f.u.tobytes()
+        assert g.v.tobytes() == f.v.tobytes()
+        assert g.sigma.tobytes() == np.ldexp(f.sigma, e).tobytes()
 
 
 def test_svd_nonconvergence_reports_offdiagonal_residual(monkeypatch):
