@@ -19,6 +19,7 @@ from .adapters import (
 )
 from .grad import GradCheckReport, GradientSet, backward, finite_diff_grads, grad_check
 from .linalg import (
+    ConfigError,
     NumericError,
     SvdFactors,
     TruncatedSvd,

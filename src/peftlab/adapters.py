@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .linalg import _check_choice, _check_int, _check_number
 from .linalg import as_matrix, column_norms, svd, truncate_svd
 
 __all__ = [
@@ -62,14 +63,11 @@ class AdapterConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if not self.scaling > 0.0:
-            raise ValueError(f"scaling must be positive, got {self.scaling}")
-        if self.norm_epsilon < 0.0:
-            raise ValueError(f"norm_epsilon must be >= 0, got {self.norm_epsilon}")
+        _check_choice("method", self.method, METHODS)
+        _check_int("rank", self.rank, 1)  # also for full, which ignores it
+        _check_number("scaling", self.scaling, 0.0, strict=True)
+        _check_number("norm_epsilon", self.norm_epsilon, 0.0)
+        _check_int("seed", self.seed, 0)
 
 
 @dataclass
@@ -92,8 +90,7 @@ class AdapterState:
 
 def kaiming_uniform(rows: int, cols: int, fan_in: int, seed: int) -> np.ndarray:
     """I.i.d. uniform on [-1/sqrt(fan_in), +1/sqrt(fan_in)], seeded."""
-    if fan_in < 1:
-        raise ValueError(f"fan_in must be >= 1, got {fan_in}")
+    _check_int("fan_in", fan_in, 1)
     bound = 1.0 / np.sqrt(fan_in)
     rng = np.random.default_rng(seed)
     return rng.uniform(-bound, bound, size=(rows, cols))
@@ -108,10 +105,7 @@ def initialize(w0, cfg: AdapterConfig) -> AdapterState:
     if cfg.method == "full":
         # The factors are inert zero placeholders; the whole base trains.
         return AdapterState("full", w0.copy(), np.zeros((d, 1)), np.zeros((1, k)), None, cfg)
-    if cfg.rank > min(d, k):
-        raise ValueError(
-            f"rank {cfg.rank} out of range for a {d}x{k} layer (max {min(d, k)})"
-        )
+    _check_int("rank", cfg.rank, 1, min(d, k))
     b_power, has_magnitude = _INIT[cfg.method]
     if b_power is None:
         b = np.zeros((d, cfg.rank))

@@ -11,17 +11,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .adapters import METHODS, AdapterConfig, initialize
+from .adapters import AdapterConfig, initialize
 from .grad import grad_check
-from .linalg import NumericError, as_matrix, frobenius_norm, svd, truncate_svd
+from .linalg import ConfigError, NumericError, _check_int, _check_number
+from .linalg import as_matrix, frobenius_norm, svd, truncate_svd
 from .trainer import (
     DEFAULT_SEEDS,
-    TASK_KINDS,
     MetricsRecord,
     TrainConfig,
     make_model,
@@ -34,10 +34,6 @@ __all__ = ["ConfigError", "RunArtifact", "run_experiment", "compare", "main"]
 
 FORMAT_VERSION = 1
 METRICS_HEADER = "step,loss,grad_norm,lr,eval"
-
-
-class ConfigError(ValueError):
-    """Invalid configuration or input file; maps to exit code 1."""
 
 
 def _fmt(x: float) -> str:
@@ -68,33 +64,6 @@ _CONFIG_DEFAULTS = {
 _REQUIRED_FIELDS = ("task", "method", "out_dir")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_int(cfg: dict, name: str, minimum: int) -> None:
-    value = cfg[name]
-    if not _is_int(value) or value < minimum:
-        raise ConfigError(f"field '{name}' must be an integer >= {minimum}, got {value!r}")
-
-
-def _check_number(cfg: dict, name: str, minimum: float, strict: bool = False) -> None:
-    value = cfg[name]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"field '{name}' must be a number, got {value!r}")
-    # json.loads accepts Infinity, NaN and integers beyond the float range.
-    if not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"field '{name}' must be finite, got {value!r}")
-    if (strict and not value > minimum) or (not strict and not value >= minimum):
-        op = ">" if strict else ">="
-        raise ConfigError(f"field '{name}' must be {op} {minimum}, got {value!r}")
-
-
-def _check_choice(cfg: dict, name: str, choices) -> None:
-    if cfg[name] not in choices:
-        raise ConfigError(f"field '{name}' must be one of {tuple(choices)}, got {cfg[name]!r}")
-
-
 def load_config(path: str | Path) -> dict:
     path = Path(path)
     if not path.is_file():
@@ -109,7 +78,9 @@ def load_config(path: str | Path) -> dict:
 
 
 def validate_config(raw: dict) -> dict:
-    """Fill defaults and range-check every field; unknown keys are rejected."""
+    """Reject unknown and missing keys, fill defaults, and check the seeds and
+    out_dir. Every other field is checked by the library constructor that
+    takes it: TrainConfig, make_task, AdapterConfig or initialize."""
     known = set(_CONFIG_DEFAULTS) | set(_REQUIRED_FIELDS) | {"seed"}
     for key in raw:
         if key not in known:
@@ -123,38 +94,14 @@ def validate_config(raw: dict) -> dict:
         if "seeds" in raw:
             raise ConfigError("field 'seed' conflicts with 'seeds'; give one")
         seed = cfg.pop("seed")
-        if not _is_int(seed) or seed < 0:
-            raise ConfigError(f"field 'seed' must be an integer >= 0, got {seed!r}")
+        _check_int("seed", seed, 0)
         cfg["seeds"] = [seed]
-
-    _check_choice(cfg, "task", TASK_KINDS)
-    _check_choice(cfg, "method", METHODS)
-    _check_choice(cfg, "scheduler", ("cosine", "constant"))
-    _check_choice(cfg, "optimizer", ("sgd", "adam"))
-    _check_int(cfg, "d", 1)
-    _check_int(cfg, "k", 1)
-    _check_int(cfg, "steps", 1)
-    _check_int(cfg, "batch", 1)
-    _check_int(cfg, "eval_every", 1)
-    _check_int(cfg, "rank", 1)
-    _check_int(cfg, "r_true", 0)
-    _check_number(cfg, "sigma", 0.0)
-    _check_number(cfg, "scaling", 0.0, strict=True)
-    if cfg["lr"] is not None:
-        _check_number(cfg, "lr", 0.0)
-    if not (isinstance(cfg["warmup_frac"], (int, float))
-            and not isinstance(cfg["warmup_frac"], bool)
-            and 0.0 <= cfg["warmup_frac"] < 1.0):
-        raise ConfigError(f"field 'warmup_frac' must be in [0, 1), got {cfg['warmup_frac']!r}")
-    limit = min(cfg["d"], cfg["k"])
-    if cfg["r_true"] > limit:
-        raise ConfigError(f"field 'r_true' must be <= min(d, k) = {limit}, got {cfg['r_true']}")
-    if cfg["method"] != "full" and cfg["rank"] > limit:
-        raise ConfigError(f"field 'rank' must be <= min(d, k) = {limit}, got {cfg['rank']}")
+    # Every seed is checked here, before the first one trains.
     seeds = cfg["seeds"]
-    if (not isinstance(seeds, list) or not seeds
-            or not all(_is_int(s) and s >= 0 for s in seeds)):
-        raise ConfigError(f"field 'seeds' must be a non-empty list of integers >= 0, got {seeds!r}")
+    if not isinstance(seeds, list) or not seeds:
+        raise ConfigError(f"field 'seeds' must be a non-empty list of integers, got {seeds!r}")
+    for seed in seeds:
+        _check_int("seeds", seed, 0)
     if not isinstance(cfg["out_dir"], str) or not cfg["out_dir"]:
         raise ConfigError(f"field 'out_dir' must be a non-empty string, got {cfg['out_dir']!r}")
     return cfg
@@ -183,12 +130,17 @@ def run_experiment(config_path: str | Path, overrides: dict | None = None) -> Ru
             raw.pop("seeds", None)  # a seed override replaces the whole suite
         raw.update(overrides)
     cfg = validate_config(raw)
+    tc = TrainConfig(
+        steps=cfg["steps"],
+        batch_size=cfg["batch"],
+        base_lr=cfg["lr"],
+        optimizer=cfg["optimizer"],
+        scheduler=cfg["scheduler"],
+        warmup_frac=cfg["warmup_frac"],
+        eval_every=cfg["eval_every"],
+    )
     out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # A stale summary from an earlier run must not outlive a failing rerun,
-    # or compare would report it as current.
     summary_path = out_dir / "summary.json"
-    summary_path.unlink(missing_ok=True)
 
     metrics_paths = []
     run_entries = []
@@ -196,17 +148,12 @@ def run_experiment(config_path: str | Path, overrides: dict | None = None) -> Ru
         task = make_task(cfg["task"], cfg["d"], cfg["k"], cfg["r_true"],
                          cfg["sigma"], seed=seed)
         model = make_model(task, cfg["method"], cfg["rank"], cfg["scaling"], seed=seed)
-        tc = TrainConfig(
-            steps=cfg["steps"],
-            batch_size=cfg["batch"],
-            base_lr=cfg["lr"],
-            optimizer=cfg["optimizer"],
-            scheduler=cfg["scheduler"],
-            warmup_frac=cfg["warmup_frac"],
-            eval_every=cfg["eval_every"],
-            seed=seed,
-        )
-        records = train(model, task, tc)
+        # The library has now accepted every config value, so a bad one leaves
+        # out_dir untouched. A stale summary from an earlier run must not
+        # outlive a failing rerun, or compare would report it as current.
+        out_dir.mkdir(parents=True, exist_ok=True)
+        summary_path.unlink(missing_ok=True)
+        records = train(model, task, replace(tc, seed=seed))
         path = out_dir / f"metrics_{seed}.csv"
         write_metrics_csv(path, records)
         metrics_paths.append(path)
@@ -242,9 +189,17 @@ def _load_summary_runs(dir_path: Path) -> list[dict]:
     runs = data.get("runs") if isinstance(data, dict) else None
     if not isinstance(runs, list) or not runs:
         raise ConfigError(f"corrupt summary file {path}: missing 'runs' list")
+    version = data.get("format_version")
+    if isinstance(version, bool) or version != FORMAT_VERSION:
+        raise ConfigError(f"summary file {path} has format_version {version!r}, "
+                          f"expected {FORMAT_VERSION}")
     for entry in runs:
         if not isinstance(entry, dict) or "method" not in entry or "final_loss" not in entry:
             raise ConfigError(f"corrupt summary file {path}: run entry lacks method/final_loss")
+        try:
+            _check_number("final_loss", entry["final_loss"])
+        except ConfigError as e:
+            raise ConfigError(f"corrupt summary file {path}: {e}") from None
     return runs
 
 
@@ -303,10 +258,7 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
             rows.append(vals)
     if not rows:
         raise ConfigError(f"matrix file is empty: {path}")
-    try:
-        return as_matrix(rows, name=str(path))
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    return as_matrix(rows, name=str(path))
 
 
 def _write_matrix_csv(path: Path, w: np.ndarray) -> None:
@@ -342,16 +294,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    if args.d < 1 or args.k < 1:
-        raise ConfigError(f"dims must be positive, got d={args.d}, k={args.k}")
-    if args.method not in METHODS:
-        raise ConfigError(f"field 'method' must be one of {METHODS}, got {args.method!r}")
     rng = np.random.default_rng(args.seed)
     w0 = rng.standard_normal((args.d, args.k)) / np.sqrt(args.k)
-    try:
-        state = initialize(w0, AdapterConfig(args.method, args.rank, seed=args.seed))
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    state = initialize(w0, AdapterConfig(args.method, args.rank, seed=args.seed))
     report = grad_check(state, seed=args.seed + 1)
     for name, err in sorted(report.errors.items()):
         print(f"{name}: max relative error {err:.3e}")
@@ -362,11 +307,7 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_svd(args) -> int:
     w = read_matrix_csv(args.in_path)
-    factors = svd(w)
-    try:
-        t = truncate_svd(factors, args.rank)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    t = truncate_svd(svd(w), args.rank)
     prefix = Path(args.out_prefix)
     if prefix.parent != Path("."):
         prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -433,6 +374,6 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

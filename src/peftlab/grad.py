@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapters import AdapterState, copy_state, effective_weight, forward, trainable_params
-from .linalg import NumericError
+from .linalg import NumericError, _check_number
 
 __all__ = [
     "GradientSet",
@@ -171,8 +171,7 @@ def compare_gradient_sets(analytic: GradientSet, fd: GradientSet, tolerance: flo
 def grad_check(state: AdapterState, seed: int = 0, tolerance: float = 1e-5) -> GradCheckReport:
     """Compare backward against the finite-difference oracle on a seeded
     random (x, gy) pair. Mismatch yields passed=False, not an exception."""
-    if not tolerance > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    _check_number("tolerance", tolerance, 0.0, strict=True)
     d, k = state.base.shape
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(k)

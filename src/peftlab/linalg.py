@@ -10,11 +10,13 @@ sizes this package targets (tens of rows/columns).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
+    "ConfigError",
     "NumericError",
     "SvdFactors",
     "TruncatedSvd",
@@ -30,19 +32,58 @@ MAX_SWEEPS = 100
 JACOBI_TOL = 1e-12
 
 
+# Integer config values end up as array shapes, loop counts and seeds.
+_INT_MAX = int(np.iinfo(np.int64).max)
+
+
+class ConfigError(ValueError):
+    """Invalid configuration or input, named in the message; CLI exit code 1."""
+
+
 class NumericError(RuntimeError):
     """An iterative routine failed to converge or produced non-finite values."""
+
+
+# Config value checks, shared by every constructor that takes the values. An
+# error names the field in quotes as a run config spells it.
+
+def _check_int(name: str, value, minimum: int, maximum: int = _INT_MAX) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"field '{name}' must be an integer, got {value!r}")
+    if not minimum <= value <= maximum:
+        bound = f">= {minimum}" if value < minimum else f"<= {maximum}"
+        raise ConfigError(f"field '{name}' must be {bound}, got {value!r}")
+
+
+def _check_number(name: str, value, minimum: float | None = None, strict: bool = False,
+                  below: float | None = None) -> None:
+    """A finite real number, > minimum if strict else >= minimum, and < below."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"field '{name}' must be a number, got {value!r}")
+    # json.loads accepts Infinity, NaN and integers beyond the float range.
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"field '{name}' must be finite, got {value!r}")
+    if minimum is not None and (value <= minimum if strict else value < minimum):
+        raise ConfigError(f"field '{name}' must be {'>' if strict else '>='} {minimum}, "
+                          f"got {value!r}")
+    if below is not None and not value < below:
+        raise ConfigError(f"field '{name}' must be < {below}, got {value!r}")
+
+
+def _check_choice(name: str, value, choices) -> None:
+    if value not in choices:
+        raise ConfigError(f"field '{name}' must be one of {tuple(choices)}, got {value!r}")
 
 
 def as_matrix(data, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D float64 array, rejecting empty dims and non-finite entries."""
     a = np.asarray(data, dtype=np.float64)
     if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
+        raise ConfigError(f"{name} must be 2-D, got shape {a.shape}")
     if a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError(f"{name} must have positive dimensions, got {a.shape}")
+        raise ConfigError(f"{name} must have positive dimensions, got {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ConfigError(f"{name} contains non-finite entries")
     return a
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .adapters import AdapterConfig, AdapterState, effective_weight, initialize, trainable_params
 from .grad import GradientSet, param_grads
-from .linalg import NumericError, svd, truncate_svd
+from .linalg import NumericError, _check_choice, _check_int, _check_number, svd, truncate_svd
 
 __all__ = [
     "DEFAULT_SEEDS",
@@ -53,6 +53,7 @@ DEFAULT_SEEDS = (42, 78, 512, 1234, 3407)
 EVAL_SIZE = 256
 
 TASK_KINDS = ("teacher_student", "cluster_classify")
+OPTIMIZERS = ("sgd", "adam")
 
 # Substream tags hung off the task seed; keeping them distinct guarantees the
 # eval set is disjoint from the training stream.
@@ -112,14 +113,12 @@ def make_task(kind: str, d: int, k: int, r_true: int = 0, sigma: float = 0.0,
     cluster_classify: d Gaussian clusters in R^k with unit-scale random
     centers spread by a factor 3; sigma is the within-cluster deviation.
     """
-    if kind not in TASK_KINDS:
-        raise ValueError(f"task kind must be one of {TASK_KINDS}, got {kind!r}")
-    if d < 1 or k < 1:
-        raise ValueError(f"dims must be positive, got d={d}, k={k}")
-    if not 0 <= r_true <= min(d, k):
-        raise ValueError(f"r_true {r_true} out of range 0..{min(d, k)}")
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    _check_choice("task", kind, TASK_KINDS)
+    _check_int("d", d, 1)
+    _check_int("k", k, 1)
+    _check_int("r_true", r_true, 0, min(d, k))
+    _check_number("sigma", sigma, 0.0)
+    _check_int("seed", seed, 0)
     rng = _substream(seed, _STREAM_SETUP)
     if kind == "teacher_student":
         w0 = rng.standard_normal((d, k)) / np.sqrt(k)
@@ -153,8 +152,7 @@ class Model:
     def __post_init__(self):
         if not self.layers:
             raise ValueError("model needs at least one layer")
-        if self.loss not in ("mse", "cross_entropy"):
-            raise ValueError(f"loss must be mse or cross_entropy, got {self.loss!r}")
+        _check_choice("loss", self.loss, ("mse", "cross_entropy"))
         methods = {layer.state.method for layer in self.layers}
         if len(methods) > 1:
             raise ValueError(f"all layers must share one method, got {sorted(methods)}")
@@ -297,8 +295,7 @@ class OptState:
     v: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"optimizer must be sgd or adam, got {self.optimizer!r}")
+        _check_choice("optimizer", self.optimizer, OPTIMIZERS)
 
 
 def optimizer_step(params: list[np.ndarray], grads: list[np.ndarray],
@@ -339,25 +336,19 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"optimizer must be sgd or adam, got {self.optimizer!r}")
-        if self.scheduler not in ("cosine", "constant"):
-            raise ValueError(f"scheduler must be cosine or constant, got {self.scheduler!r}")
-        if not 0.0 <= self.warmup_frac < 1.0:
-            raise ValueError(f"warmup_frac must be in [0, 1), got {self.warmup_frac}")
-        if self.eval_every < 1:
-            raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # Errors name each field as a run config spells it.
+        _check_int("steps", self.steps, 1)
+        _check_int("batch", self.batch_size, 1)
+        if self.base_lr is not None:
+            _check_number("lr", self.base_lr, 0.0)
+        _check_choice("optimizer", self.optimizer, OPTIMIZERS)
+        _check_choice("scheduler", self.scheduler, ("cosine", "constant"))
+        _check_number("warmup_frac", self.warmup_frac, 0.0, below=1.0)
+        _check_int("eval_every", self.eval_every, 1)
+        _check_int("seed", self.seed, 0)
 
     def resolved_lr(self) -> float:
         if self.base_lr is not None:
-            if not self.base_lr >= 0.0:
-                raise ValueError(f"lr must be >= 0, got {self.base_lr}")
             return self.base_lr
         return 1e-3 if self.optimizer == "adam" else 1e-2
 

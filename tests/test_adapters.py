@@ -187,7 +187,7 @@ def test_initialize_properties(d, k, data, scaling, log_scale, seed):
 
 def test_rank_out_of_range_rejected():
     w0 = np.zeros((4, 3))
-    with pytest.raises(ValueError, match="rank 4 out of range"):
+    with pytest.raises(ValueError, match="'rank' must be <= 3, got 4"):
         initialize(w0, AdapterConfig("lora", 4, seed=0))
 
 

@@ -2,8 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from peftlab.adapters import METHODS, AdapterConfig, initialize
+from peftlab.adapters import METHODS, AdapterConfig, forward, initialize, merge
 from peftlab.grad import (
     backward,
     compare_gradient_sets,
@@ -196,3 +198,32 @@ def test_grad_check_with_nondefault_scaling():
         state = initialize(w0, AdapterConfig(method, 2, scaling=0.5, seed=1))
         state.b += 0.2 * rng.standard_normal(state.b.shape)
         assert grad_check(state, seed=3).passed, method
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    method=st.sampled_from(METHODS),
+    d=st.integers(1, 8),
+    k=st.integers(1, 8),
+    data=st.data(),
+    scaling=st.floats(0.25, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gradient_and_merge_properties(method, d, k, data, scaling, seed):
+    # Unit-scale layers at every rank, with the trainables moved off their init.
+    r = data.draw(st.integers(1, min(d, k)), label="rank")
+    state, x, gy = random_case(method, d, k, r, seed, scaling=scaling)
+    report = grad_check(state, seed=seed)
+    assert report.passed, report.errors
+    if state.m is not None:
+        v = state.base + scaling * (state.b @ state.a)
+        g = np.outer(gy, x)
+        h = direction_gradient(state, g)
+        inner = np.abs((v * h).sum(axis=0))
+        # Relative to the projected vector (m_j / n_j) g_j, not to h_j: at
+        # d = 1 the exact h_j is zero and the computed one is rounding noise
+        # parallel to v_j.
+        norms = np.linalg.norm(v, axis=0)
+        scale = np.abs(state.m) / (norms + state.config.norm_epsilon) * np.linalg.norm(g, axis=0)
+        assert np.all(inner <= np.maximum(1e-10 * norms * scale, 1e-30))
+    assert np.allclose(merge(state) @ x, forward(state, x), rtol=1e-12, atol=1e-12)

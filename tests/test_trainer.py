@@ -70,13 +70,13 @@ def test_eval_set_disjoint_from_training_stream():
 
 
 def test_make_task_validation():
-    with pytest.raises(ValueError, match="kind"):
+    with pytest.raises(ValueError, match="'task'"):
         make_task("mnist", 4, 4)
-    with pytest.raises(ValueError, match="r_true"):
+    with pytest.raises(ValueError, match="'r_true'"):
         make_task("teacher_student", 4, 4, r_true=5)
-    with pytest.raises(ValueError, match="sigma"):
+    with pytest.raises(ValueError, match="'sigma'"):
         make_task("teacher_student", 4, 4, sigma=-1.0)
-    with pytest.raises(ValueError, match="dims"):
+    with pytest.raises(ValueError, match="'d'"):
         make_task("teacher_student", 0, 4)
 
 
