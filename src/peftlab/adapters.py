@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import _check_choice, _check_int, _check_number
+from .linalg import ConfigError, SvdFactors, _check_choice, _check_int, _check_number
 from .linalg import as_matrix, column_norms, svd, truncate_svd
 
 __all__ = [
@@ -96,12 +96,23 @@ def kaiming_uniform(rows: int, cols: int, fan_in: int, seed: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(rows, cols))
 
 
-def initialize(w0, cfg: AdapterConfig) -> AdapterState:
+def initialize(w0, cfg: AdapterConfig, *, factors: SvdFactors | None = None) -> AdapterState:
     """Attach a cfg.method adapter to w0 following the _INIT table. The
     effective weight equals w0, up to the norm_epsilon guard of the
-    magnitude methods; the base is read-only except for full."""
+    magnitude methods; the base is read-only except for full.
+
+    factors, if given, must be svd(w0): the SVD-initialized methods use it
+    instead of factoring w0 again, with identical results, and the other
+    methods ignore it. Its shapes are checked against w0; its values are not.
+    """
     w0 = as_matrix(w0, "w0")
     d, k = w0.shape
+    if factors is not None:
+        p = min(d, k)
+        got = (factors.u.shape, factors.sigma.shape, factors.v.shape)
+        if got != ((d, p), (p,), (k, p)):
+            raise ConfigError(f"factors (u, sigma, v) of shapes {got} do not match "
+                              f"w0 of shape {w0.shape}")
     if cfg.method == "full":
         # The factors are inert zero placeholders; the whole base trains.
         return AdapterState("full", w0.copy(), np.zeros((d, 1)), np.zeros((1, k)), None, cfg)
@@ -112,7 +123,7 @@ def initialize(w0, cfg: AdapterConfig) -> AdapterState:
         a = kaiming_uniform(cfg.rank, k, fan_in=k, seed=cfg.seed)
         base = w0.copy()
     else:
-        t = truncate_svd(svd(w0), cfg.rank)
+        t = truncate_svd(factors if factors is not None else svd(w0), cfg.rank)
         b = t.u_r * t.sigma_r ** b_power
         # ascontiguousarray: trainable arrays must be C-contiguous so that flat
         # views (optimizers, perturbation loops) alias the real storage.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -102,9 +103,24 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError(f"field 'seeds' must be a non-empty list of integers, got {seeds!r}")
     for seed in seeds:
         _check_int("seeds", seed, 0)
+    # A repeated seed would overwrite its metrics file and count twice in compare.
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"field 'seeds' must not repeat a seed, got {seeds!r}")
     if not isinstance(cfg["out_dir"], str) or not cfg["out_dir"]:
         raise ConfigError(f"field 'out_dir' must be a non-empty string, got {cfg['out_dir']!r}")
     return cfg
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write text to path through a temporary file in the same directory and
+    os.replace, so path holds its old or its new contents, never a part."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_metrics_csv(path: Path, records: list[MetricsRecord]) -> None:
@@ -112,7 +128,7 @@ def write_metrics_csv(path: Path, records: list[MetricsRecord]) -> None:
     for r in records:
         ev = _fmt(r.eval) if r.eval is not None else ""
         lines.append(f"{r.step},{_fmt(r.loss)},{_fmt(r.grad_norm)},{_fmt(r.lr)},{ev}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 @dataclass
@@ -170,8 +186,7 @@ def run_experiment(config_path: str | Path, overrides: dict | None = None) -> Ru
         "config": cfg,
         "runs": run_entries,
     }
-    summary_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                            encoding="utf-8")
+    _write_atomic(summary_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return RunArtifact(metrics_paths, summary_path, cfg)
 
 
@@ -226,7 +241,7 @@ def compare(run_dirs: list[str | Path], out_path: str | Path) -> list[dict]:
             f"{row['method']},{_fmt(row['mean_final_loss'])},{_fmt(row['std_final_loss'])},"
             f"{_fmt(row['best_final_loss'])},{_fmt(row['worst_final_loss'])},{row['n_seeds']}"
         )
-    Path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_atomic(Path(out_path), "\n".join(lines) + "\n")
     return rows
 
 
@@ -263,7 +278,7 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
 
 def _write_matrix_csv(path: Path, w: np.ndarray) -> None:
     lines = [",".join(_fmt(v) for v in row) for row in w]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +327,10 @@ def _cmd_svd(args) -> int:
     if prefix.parent != Path("."):
         prefix.parent.mkdir(parents=True, exist_ok=True)
     _write_matrix_csv(Path(f"{prefix}_U.csv"), t.u_r)
-    Path(f"{prefix}_sigma.csv").write_text(
-        "\n".join(_fmt(s) for s in t.sigma_r) + "\n", encoding="utf-8")
+    _write_atomic(Path(f"{prefix}_sigma.csv"), "\n".join(_fmt(s) for s in t.sigma_r) + "\n")
     _write_matrix_csv(Path(f"{prefix}_V.csv"), t.v_r)
     residual = frobenius_norm(w - (t.u_r * t.sigma_r) @ t.v_r.T)
-    Path(f"{prefix}_residual.txt").write_text(_fmt(residual) + "\n", encoding="utf-8")
+    _write_atomic(Path(f"{prefix}_residual.txt"), _fmt(residual) + "\n")
     print(f"rank-{args.rank} residual: {_fmt(residual)}")
     return 0
 

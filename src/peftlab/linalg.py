@@ -149,17 +149,34 @@ def svd(w) -> SvdFactors:
 
 
 def _jacobi_tall(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-sided Jacobi on a tall matrix (rows >= cols): returns (u, sigma, v)."""
-    m = w.copy()
-    n_cols = m.shape[1]
-    v = np.eye(n_cols)
+    """One-sided Jacobi on a tall matrix (rows >= cols): returns (u, sigma, v).
+
+    m (rows x n) and v (n x n) are stacked in one C-order array, so a single
+    set of elementwise ops rotates both, while a column of m keeps the stride
+    n * 8 bytes of a plain rows x n array: every dot product takes the same
+    BLAS path, and every factor bit depends only on w. The diagonal Gram
+    entries are cached and recomputed, with the same dot, only for the two
+    columns a rotation changes.
+    """
+    rows, n_cols = w.shape
+    mv = np.empty((rows + n_cols, n_cols))
+    mv[:rows] = w
+    mv[rows:] = np.eye(n_cols)
+    m = mv[:rows]
+    m_cols = [m[:, i] for i in range(n_cols)]
+    mv_cols = [mv[:, i] for i in range(n_cols)]
+    gram = [float(col.dot(col)) for col in m_cols]
+    s_old = np.empty(rows + n_cols)
+    s_cj = np.empty(rows + n_cols)
     for _ in range(MAX_SWEEPS):
         rotated = False
         for i in range(n_cols - 1):
+            mi = m_cols[i]
             for j in range(i + 1, n_cols):
-                gii = float(m[:, i] @ m[:, i])
-                gjj = float(m[:, j] @ m[:, j])
-                gij = float(m[:, i] @ m[:, j])
+                mj = m_cols[j]
+                gii = gram[i]
+                gjj = gram[j]
+                gij = float(mi.dot(mj))
                 if abs(gij) <= JACOBI_TOL * math.sqrt(gii * gjj):
                     continue
                 rotated = True
@@ -169,12 +186,18 @@ def _jacobi_tall(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = c * t
-                mi = m[:, i].copy()
-                m[:, i] = c * mi - s * m[:, j]
-                m[:, j] = s * mi + c * m[:, j]
-                vi = v[:, i].copy()
-                v[:, i] = c * vi - s * v[:, j]
-                v[:, j] = s * vi + c * v[:, j]
+                # col_i, col_j = c*old - s*col_j, s*old + c*col_j, where old
+                # is col_i before the update; each product rounds on its own.
+                col_i = mv_cols[i]
+                col_j = mv_cols[j]
+                np.multiply(col_i, s, out=s_old)
+                np.multiply(col_i, c, out=col_i)
+                np.multiply(col_j, s, out=s_cj)
+                np.subtract(col_i, s_cj, out=col_i)
+                np.multiply(col_j, c, out=col_j)
+                np.add(s_old, col_j, out=col_j)
+                gram[i] = float(mi.dot(mi))
+                gram[j] = float(mj.dot(mj))
         if not rotated:
             break
     else:
@@ -183,6 +206,7 @@ def _jacobi_tall(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"{MAX_SWEEPS} sweeps; worst off-diagonal ratio {_worst_offdiag(m):.3e}"
         )
 
+    v = mv[rows:]
     norms = np.linalg.norm(m, axis=0)
     order = np.argsort(-norms, kind="stable")
     sigma = norms[order]

@@ -23,7 +23,8 @@ import numpy as np
 
 from .adapters import AdapterConfig, AdapterState, effective_weight, initialize, trainable_params
 from .grad import GradientSet, param_grads
-from .linalg import NumericError, _check_choice, _check_int, _check_number, svd, truncate_svd
+from .linalg import NumericError, SvdFactors, _check_choice, _check_int, _check_number
+from .linalg import svd, truncate_svd
 
 __all__ = [
     "DEFAULT_SEEDS",
@@ -69,7 +70,11 @@ def _substream(*entropy: int) -> np.random.Generator:
 
 @dataclass
 class Task:
-    """A seeded synthetic data source with a fixed held-out eval set."""
+    """A seeded synthetic data source with a fixed held-out eval set.
+
+    w0_factors is svd(w0) when make_task factored w0 (teacher_student with
+    r_true > 0); make_model hands it to initialize, so a run factors w0 once.
+    """
 
     kind: str
     d: int
@@ -83,6 +88,7 @@ class Task:
     centers: np.ndarray | None = None
     eval_x: np.ndarray = field(default=None, repr=False)
     eval_t: np.ndarray = field(default=None, repr=False)
+    w0_factors: SvdFactors | None = field(default=None, repr=False)
 
     def sample_batch(self, rng: np.random.Generator, n: int):
         """Draw n samples; returns (x, t) with x of shape k x n."""
@@ -123,12 +129,14 @@ def make_task(kind: str, d: int, k: int, r_true: int = 0, sigma: float = 0.0,
     if kind == "teacher_student":
         w0 = rng.standard_normal((d, k)) / np.sqrt(k)
         w_target = w0.copy()
+        factors = None
         if r_true > 0:
-            top = truncate_svd(svd(w0), r_true)
+            factors = svd(w0)
+            top = truncate_svd(factors, r_true)
             strengths = rng.uniform(0.5, 1.5, size=r_true)
             w_target = w0 + (top.u_r * strengths) @ top.v_r.T
         task = Task(kind, d, k, r_true, sigma, seed, loss="mse",
-                    w0=w0, w_target=w_target)
+                    w0=w0, w_target=w_target, w0_factors=factors)
     else:
         centers = 3.0 * rng.standard_normal((k, d))
         task = Task(kind, d, k, r_true, sigma, seed, loss="cross_entropy",
@@ -175,7 +183,7 @@ def make_model(task: Task, method: str, rank: int, scaling: float = 1.0,
     teacher-student task, a two-layer ReLU net on the cluster task."""
     if task.kind == "teacher_student":
         cfg = AdapterConfig(method, rank, scaling=scaling, seed=_layer_seed(seed, 0))
-        return Model([Layer(initialize(task.w0, cfg))], loss="mse")
+        return Model([Layer(initialize(task.w0, cfg, factors=task.w0_factors))], loss="mse")
     rng = _substream(task.seed, _STREAM_MODEL)
     hidden = task.k
     w_hidden = rng.standard_normal((hidden, task.k)) / np.sqrt(task.k)

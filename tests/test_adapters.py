@@ -17,7 +17,7 @@ from peftlab.adapters import (
     merge,
     trainable_params,
 )
-from peftlab.linalg import frobenius_norm
+from peftlab.linalg import ConfigError, SvdFactors, frobenius_norm, svd
 
 ADAPTER_METHODS = tuple(m for m in METHODS if m != "full")
 
@@ -189,6 +189,35 @@ def test_rank_out_of_range_rejected():
     w0 = np.zeros((4, 3))
     with pytest.raises(ValueError, match="'rank' must be <= 3, got 4"):
         initialize(w0, AdapterConfig("lora", 4, seed=0))
+
+
+@pytest.mark.parametrize("d, k", [(7, 4), (4, 7), (5, 5)])
+def test_initialize_with_given_factors_is_bit_identical(d, k):
+    w0 = np.random.default_rng(d * 10 + k).standard_normal((d, k))
+    factors = svd(w0)
+    for method in METHODS:
+        cfg = AdapterConfig(method, 2, scaling=0.5, seed=3)
+        want = initialize(w0, cfg)
+        got = initialize(w0, cfg, factors=factors)
+        for field in ("base", "b", "a", "m"):
+            a, b = getattr(got, field), getattr(want, field)
+            if b is None:
+                assert a is None, (method, field)
+            else:
+                assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), (method, field)
+    # initialize reads the factors and leaves them as they were.
+    again = svd(w0)
+    for name in ("u", "sigma", "v"):
+        assert getattr(factors, name).tobytes() == getattr(again, name).tobytes()
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_initialize_rejects_factors_of_another_shape(method):
+    w0 = np.random.default_rng(0).standard_normal((5, 3))
+    f = svd(w0)
+    for bad in (svd(w0.T), svd(w0[:4]), SvdFactors(f.u, f.sigma[:2], f.v)):
+        with pytest.raises(ConfigError, match="do not match w0 of shape"):
+            initialize(w0, AdapterConfig(method, 2, seed=0), factors=bad)
 
 
 def test_config_rejects_unknown_method_and_bad_fields():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import peftlab
+from peftlab import adapters, cli, linalg, trainer
 from peftlab.cli import (
     ConfigError,
     compare,
@@ -17,6 +18,7 @@ from peftlab.cli import (
     run_experiment,
     validate_config,
 )
+from peftlab.linalg import svd
 
 BASE_CONFIG = {
     "task": "teacher_student",
@@ -164,7 +166,9 @@ def test_run_non_finite_number_exits_1_naming_field(tmp_path, capsys, overrides,
     ({"d": 2.5}, "d"),
     ({"rank": 9}, "rank"),
     ({"seeds": [42, -1]}, "seeds"),
-], ids=["AdapterConfig", "TrainConfig", "make_task", "initialize", "validate_config"])
+    ({"seeds": [42, 78, 42]}, "seeds"),
+], ids=["AdapterConfig", "TrainConfig", "make_task", "initialize", "validate_config",
+        "repeated-seed"])
 def test_run_bad_value_exits_1_before_any_output(tmp_path, capsys, overrides, field):
     # Each value is checked by the library constructor that takes it; the run
     # must still fail before it trains or writes anything.
@@ -172,6 +176,25 @@ def test_run_bad_value_exits_1_before_any_output(tmp_path, capsys, overrides, fi
     assert main(["run", "--config", str(path)]) == 1
     assert f"'{field}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("method, r_true, calls", [
+    (m, r, 1) for m in ("pissa", "dude", "dude_a", "dude_b") for r in (0, 2)
+] + [("lora", 2, 1), ("lora", 0, 0), ("full", 0, 0)])
+def test_run_factors_w0_at_most_once(tmp_path, monkeypatch, method, r_true, calls):
+    # make_task factors w0 for the teacher (r_true > 0) and make_model hands
+    # the factors on; without a teacher, only an SVD-initialized method factors.
+    seen = []
+
+    def counting_svd(w):
+        seen.append(w)
+        return svd(w)
+
+    for module in (linalg, trainer, adapters, cli):
+        monkeypatch.setattr(module, "svd", counting_svd)
+    path = write_config(tmp_path, method=method, r_true=r_true, seeds=[42], steps=2)
+    run_experiment(path)
+    assert len(seen) == calls
 
 
 def test_failed_rerun_leaves_no_summary_for_compare(tmp_path, capsys):
@@ -185,6 +208,49 @@ def test_failed_rerun_leaves_no_summary_for_compare(tmp_path, capsys):
     capsys.readouterr()
     assert main(["compare", str(out), "--out", str(tmp_path / "c.csv")]) == 1
     assert "missing summary file" in capsys.readouterr().err
+
+
+def test_interrupted_artifact_writes_keep_the_previous_files(tmp_path, monkeypatch):
+    # Every artifact goes to a temporary file that os.replace moves into
+    # place; when the write or the move fails, the old file stays whole.
+    def fail_replace(src, dst):
+        raise OSError("disk full")
+
+    path = write_config(tmp_path, seeds=[42])
+    assert main(["run", "--config", str(path)]) == 0
+    out = tmp_path / "out"
+    compare_path = tmp_path / "c.csv"
+    assert main(["compare", str(out), "--out", str(compare_path)]) == 0
+    artifacts = [out / "metrics_42.csv", out / "summary.json", compare_path]
+    before = {p: p.read_bytes() for p in artifacts}
+
+    monkeypatch.setattr(os, "replace", fail_replace)
+    assert main(["compare", str(out), "--out", str(compare_path)]) == 1
+    with pytest.raises(OSError, match="disk full"):
+        cli.write_metrics_csv(out / "metrics_42.csv", [])
+    monkeypatch.undo()
+    # A lone surrogate cannot be encoded: the write itself raises partway.
+    with pytest.raises(UnicodeEncodeError):
+        cli._write_atomic(out / "summary.json", '{"runs": []}\ud800')
+    assert {p: p.read_bytes() for p in artifacts} == before
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_interrupted_summary_write_keeps_no_stale_summary(tmp_path, monkeypatch):
+    path = write_config(tmp_path, seeds=[42])
+    assert main(["run", "--config", str(path)]) == 0
+    real_replace = os.replace
+
+    def fail_on_summary(src, dst):
+        if Path(dst).name == "summary.json":
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_on_summary)
+    assert main(["run", "--config", str(path)]) == 1
+    # The rerun removed the old summary before training; the failed write
+    # left neither a new one nor a temporary file.
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["metrics_42.csv"]
 
 
 def test_run_overrides_take_precedence(tmp_path):

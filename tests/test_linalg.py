@@ -1,9 +1,16 @@
+import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from peftlab import linalg
 from peftlab.linalg import (
+    JACOBI_TOL,
+    NumericError,
     SvdFactors,
     as_matrix,
     column_norms,
@@ -11,6 +18,7 @@ from peftlab.linalg import (
     svd,
     truncate_svd,
 )
+from peftlab.trainer import make_task
 
 
 def reconstruct(f: SvdFactors) -> np.ndarray:
@@ -152,6 +160,105 @@ def test_svd_nonconvergence_reports_offdiagonal_residual(monkeypatch):
     w = np.random.default_rng(2).standard_normal((6, 6))
     with pytest.raises(linalg.NumericError, match="off-diagonal ratio"):
         linalg.svd(w)
+
+
+# The straightforward Jacobi loop the optimized linalg._jacobi_tall must match
+# bit for bit: every Gram entry recomputed before each pair, m and v rotated
+# as separate arrays.
+def _reference_jacobi_tall(w):
+    m = w.copy()
+    n_cols = m.shape[1]
+    v = np.eye(n_cols)
+    for _ in range(linalg.MAX_SWEEPS):
+        rotated = False
+        for i in range(n_cols - 1):
+            for j in range(i + 1, n_cols):
+                gii = float(m[:, i] @ m[:, i])
+                gjj = float(m[:, j] @ m[:, j])
+                gij = float(m[:, i] @ m[:, j])
+                if abs(gij) <= JACOBI_TOL * math.sqrt(gii * gjj):
+                    continue
+                rotated = True
+                tau = (gjj - gii) / (2.0 * gij)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = c * t
+                mi = m[:, i].copy()
+                m[:, i] = c * mi - s * m[:, j]
+                m[:, j] = s * mi + c * m[:, j]
+                vi = v[:, i].copy()
+                v[:, i] = c * vi - s * v[:, j]
+                v[:, j] = s * vi + c * v[:, j]
+        if not rotated:
+            break
+    else:
+        raise NumericError(
+            "svd did not converge within "
+            f"{linalg.MAX_SWEEPS} sweeps; worst off-diagonal ratio "
+            f"{linalg._worst_offdiag(m):.3e}"
+        )
+    norms = np.linalg.norm(m, axis=0)
+    order = np.argsort(-norms, kind="stable")
+    sigma = norms[order]
+    v = v[:, order]
+    u = np.zeros_like(m)
+    for idx, col in enumerate(order):
+        if sigma[idx] > 0.0:
+            u[:, idx] = m[:, col] / sigma[idx]
+        else:
+            u[:, idx] = linalg._orthonormal_completion(u)
+    return u, sigma, v
+
+
+def _svd_or_error(w):
+    """svd(w), or the message of the NumericError it raised."""
+    try:
+        return svd(w)
+    except NumericError as e:
+        return str(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 24),
+    k=st.integers(1, 24),
+    log_scale=st.floats(-100.0, 100.0),
+    seed=st.integers(0, 2**32 - 1),
+    zero_col=st.booleans(),
+    repeat_col=st.booleans(),
+)
+def test_svd_bits_match_reference_loop(d, k, log_scale, seed, zero_col, repeat_col):
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((d, k)) * 10.0 ** log_scale
+    if zero_col:
+        w[:, rng.integers(k)] = 0.0
+    if repeat_col:
+        w[:, rng.integers(k)] = w[:, rng.integers(k)]
+    got = _svd_or_error(w)
+    with mock.patch.object(linalg, "_jacobi_tall", _reference_jacobi_tall):
+        want = _svd_or_error(w)
+    if isinstance(want, str):
+        assert got == want
+        return
+    for name in ("u", "sigma", "v"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.shape, a.strides, a.tobytes()) == (b.shape, b.strides, b.tobytes()), name
+
+
+# sha256 of u, sigma and v bytes of the teacher-student base weights, as the
+# reference loop above factors them with the float64 BLAS dot of numpy's
+# bundled OpenBLAS on x86-64.
+SVD_DIGESTS = {
+    16: "2bbfa68b9381f6b994257ccec3cde4d985d2ba12a16203e40a665f21092244f6",
+    64: "daf427369851f333e0739335299f3c604b060b2c6be39e0a40a4350109a5c5f2",
+}
+
+
+@pytest.mark.parametrize("d", sorted(SVD_DIGESTS))
+def test_svd_digest_of_task_weight_is_pinned(d):
+    f = svd(make_task("teacher_student", d, d, 2, 0.01, 42).w0)
+    digest = hashlib.sha256(f.u.tobytes() + f.sigma.tobytes() + f.v.tobytes()).hexdigest()
+    assert digest == SVD_DIGESTS[d]
 
 
 def test_svd_zero_matrix_has_orthonormal_factors():
