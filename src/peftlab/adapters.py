@@ -146,11 +146,30 @@ def effective_weight(state: AdapterState) -> np.ndarray:
     """
     if state.method == "full":
         return state.base.copy()
-    v = state.base + state.config.scaling * (state.b @ state.a)
-    if state.m is None:
+    return _weight(state.base, state.b, state.a, state.m, state.config)
+
+
+# The effective-weight formula of every method but full. Any argument may carry
+# a leading stack axis (b: ... x d x r, a: ... x r x k, m and n: ... x k), and
+# the result then holds one d x k weight per stacked entry, each with the bits
+# of the unstacked call: the finite-difference oracle evaluates perturbations
+# this way.
+
+def _weight(base, b, a, m, cfg: AdapterConfig) -> np.ndarray:
+    v = base + cfg.scaling * (b @ a)
+    if m is None:
         return v
-    n = np.linalg.norm(v, axis=0) + state.config.norm_epsilon
-    return v * (state.m / n)
+    return _rescale(v, m, _guarded_norms(v, cfg))
+
+
+def _guarded_norms(v, cfg: AdapterConfig) -> np.ndarray:
+    """n_j = ||v_j|| + norm_epsilon for every column j of v."""
+    return np.linalg.norm(v, axis=-2) + cfg.norm_epsilon
+
+
+def _rescale(v, m, n) -> np.ndarray:
+    """Column j of v times m_j / n_j."""
+    return v * (m / n)[..., None, :]
 
 
 def forward(state: AdapterState, x) -> np.ndarray:

@@ -309,6 +309,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    _check_int("d", args.d, 1)
+    _check_int("k", args.k, 1)
+    _check_int("seed", args.seed, 0)
     rng = np.random.default_rng(args.seed)
     w0 = rng.standard_normal((args.d, args.k)) / np.sqrt(args.k)
     state = initialize(w0, AdapterConfig(args.method, args.rank, seed=args.seed))
@@ -322,6 +325,7 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_svd(args) -> int:
     w = read_matrix_csv(args.in_path)
+    _check_int("rank", args.rank, 1, min(w.shape))
     t = truncate_svd(svd(w), args.rank)
     prefix = Path(args.out_prefix)
     if prefix.parent != Path("."):

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import AdapterState, copy_state, effective_weight, forward, trainable_params
+from .adapters import AdapterState, _guarded_norms, _rescale, _weight, effective_weight
+from .adapters import forward, trainable_params
 from .linalg import NumericError, _check_number
 
 __all__ = [
@@ -37,6 +38,8 @@ __all__ = [
 ]
 
 FD_BASE_STEP = 1e-5
+# Bytes of stacked weights the finite-difference oracle evaluates at once.
+_FD_CHUNK_BYTES = 128 * 1024
 
 
 @dataclass
@@ -106,31 +109,16 @@ def finite_diff_grads(state: AdapterState, x, gy, epsilon_rule=None) -> Gradient
     """Central-difference gradients of L = <gy, forward(state, x)>.
 
     Each trainable scalar theta, and each entry of x, is displaced by +-h with
-    h = epsilon_rule(theta), default 1e-5 * (1 + |theta|). All perturbations
-    happen on a private copy, so the caller's state stays bit-identical.
+    h = epsilon_rule(theta), default 1e-5 * (1 + |theta|). The displaced
+    copies of one array are evaluated in stacked chunks of at most 128 KiB of
+    weights, each loss still as gy @ (W_j @ x_j), so every gradient has the
+    bits of one forward per displaced scalar. The caller's state and x are
+    only read.
     """
-    if epsilon_rule is None:
-        epsilon_rule = lambda t: FD_BASE_STEP * (1.0 + abs(t))
     x = np.asarray(x, dtype=np.float64)
     gy = np.asarray(gy, dtype=np.float64)
-    work = copy_state(state)
-    xs = x.copy()
-
-    grads: dict[str, np.ndarray] = {}
-    for name, arr in trainable_params(work) + [("x", xs)]:
-        flat = arr.reshape(-1)
-        gflat = np.zeros(flat.size)
-        for idx in range(flat.size):
-            theta = flat[idx]
-            h = epsilon_rule(theta)
-            flat[idx] = theta + h
-            lp = float(gy @ forward(work, xs))
-            flat[idx] = theta - h
-            lm = float(gy @ forward(work, xs))
-            flat[idx] = theta
-            gflat[idx] = (lp - lm) / (2.0 * h)
-        grads[name] = gflat.reshape(arr.shape)
-
+    grads = {name: _central_differences(state, name, arr, x, gy, epsilon_rule)
+             for name, arr in trainable_params(state) + [("x", x)]}
     return GradientSet(
         db=grads.get("b"),
         da=grads.get("a"),
@@ -138,6 +126,60 @@ def finite_diff_grads(state: AdapterState, x, gy, epsilon_rule=None) -> Gradient
         dx=grads["x"],
         dbase=grads.get("base"),
     )
+
+
+def _central_differences(state: AdapterState, name: str, arr: np.ndarray, x: np.ndarray,
+                          gy: np.ndarray, epsilon_rule) -> np.ndarray:
+    """Central-difference gradient of L with respect to arr, the array called
+    name (a trainable of state, or x)."""
+    flat = arr.reshape(-1)
+    if epsilon_rule is None:
+        h = FD_BASE_STEP * (1.0 + np.abs(flat))
+    else:
+        h = np.array([epsilon_rule(theta) for theta in flat], dtype=np.float64)
+    # Displacements j = 2i, 2i + 1 set scalar i to theta_i + h_i and
+    # theta_i - h_i; row j % n of a stack of n copies holds displacement j.
+    values = np.stack([flat + h, flat - h], axis=1).reshape(-1)
+    undo = np.repeat(flat, 2)
+    d, k = state.base.shape
+    n = min(max(1, _FD_CHUNK_BYTES // (8 * d * k)), values.size)
+    stack = np.repeat(flat[None], n, axis=0)
+    buf = stack.reshape(-1)
+    at = np.arange(values.size) % n * flat.size + np.arange(values.size) // 2
+    stacked = stack.reshape((n,) + arr.shape)
+    outputs = _displaced_outputs(state, name, x)
+    losses = np.empty(values.size)
+    for start in range(0, values.size, n):
+        stop = min(start + n, values.size)
+        buf[at[start:stop]] = values[start:stop]
+        # A single perturbation goes through the plain 2-D path, which is
+        # faster than a stack of one.
+        ys = outputs(stacked[: stop - start]) if n > 1 else outputs(stacked[0])[None]
+        # ndarray.dot of two 1-D arrays is the same ddot as gy @ y; a
+        # matrix-vector product ys @ gy would sum in another order.
+        losses[start:stop] = np.fromiter(map(gy.dot, ys), np.float64, stop - start)
+        buf[at[start:stop]] = undo[start:stop]
+    return ((losses[0::2] - losses[1::2]) / (2.0 * h)).reshape(arr.shape)
+
+
+def _displaced_outputs(state: AdapterState, name: str, x: np.ndarray):
+    """f(p) = W_j @ x_j where the array called name (a trainable, or x) is
+    replaced by p, or by each entry of p along a leading stack axis. The x
+    displacements reuse the unperturbed weight, the m ones the unperturbed
+    direction v and its norms n."""
+    cfg = state.config
+    if name == "x":
+        w = effective_weight(state)
+        return lambda p: (w @ p[..., None])[..., 0]
+    if name == "base":
+        return lambda p: p @ x
+    if name == "b":
+        return lambda p: _weight(state.base, p, state.a, state.m, cfg) @ x
+    if name == "a":
+        return lambda p: _weight(state.base, state.b, p, state.m, cfg) @ x
+    v = _weight(state.base, state.b, state.a, None, cfg)
+    n = _guarded_norms(v, cfg)
+    return lambda p: _rescale(v, p, n) @ x
 
 
 @dataclass

@@ -177,7 +177,10 @@ def _jacobi_tall(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 gii = gram[i]
                 gjj = gram[j]
                 gij = float(mi.dot(mj))
-                if abs(gij) <= JACOBI_TOL * math.sqrt(gii * gjj):
+                # A column whose Gram entry underflows to 0.0 is converged: its
+                # gij can stay subnormal, so the relative test below would never
+                # hold and the same pair would rotate every sweep.
+                if gii == 0.0 or gjj == 0.0 or abs(gij) <= JACOBI_TOL * math.sqrt(gii * gjj):
                     continue
                 rotated = True
                 # Rotation angle from t^2 + 2*tau*t - 1 = 0; the smaller

@@ -361,9 +361,13 @@ def test_gradcheck_all_methods_pass():
 def test_gradcheck_invalid_dims_exit_1(capsys):
     assert main(["gradcheck", "--method", "dude", "--d", "0", "--k", "4",
                  "--rank", "2"]) == 1
-    assert "positive dimensions, got (0, 4)" in capsys.readouterr().err
+    assert "field 'd' must be >= 1, got 0" in capsys.readouterr().err
     assert main(["gradcheck", "--method", "dude", "--d", "4", "--k", "-1",
                  "--rank", "2"]) == 1
+    assert "field 'k' must be >= 1, got -1" in capsys.readouterr().err
+    assert main(["gradcheck", "--method", "dude", "--d", "4", "--k", "4",
+                 "--rank", "2", "--seed", "-1"]) == 1
+    assert "field 'seed' must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_gradcheck_bad_method_exit_1():
@@ -418,10 +422,14 @@ def test_svd_ragged_rows_exit_1(tmp_path, capsys):
     assert "ragged" in capsys.readouterr().err
 
 
-def test_svd_rank_out_of_range_exit_1(tmp_path):
+def test_svd_rank_out_of_range_exit_1(tmp_path, capsys):
     src = tmp_path / "m.csv"
     src.write_text("1,2\n3,4\n")
     assert main(["svd", "--in", str(src), "--rank", "3", "--out", str(tmp_path / "f")]) == 1
+    assert "field 'rank' must be <= 2, got 3" in capsys.readouterr().err
+    assert main(["svd", "--in", str(src), "--rank", "0", "--out", str(tmp_path / "f")]) == 1
+    assert "field 'rank' must be >= 1, got 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [src]
 
 
 def test_read_matrix_rejects_nan_text(tmp_path):

@@ -1,11 +1,21 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from peftlab.adapters import METHODS, AdapterConfig, forward, initialize, merge
+from peftlab import grad
+from peftlab.adapters import (
+    METHODS,
+    AdapterConfig,
+    copy_state,
+    forward,
+    initialize,
+    merge,
+    trainable_params,
+)
 from peftlab.grad import (
     backward,
     compare_gradient_sets,
@@ -126,6 +136,79 @@ def test_fd_restores_state_bit_exact():
     snapshots = [state.base.tobytes(), state.b.tobytes(), state.a.tobytes(), state.m.tobytes()]
     finite_diff_grads(state, x, gy)
     assert [state.base.tobytes(), state.b.tobytes(), state.a.tobytes(), state.m.tobytes()] == snapshots
+
+
+# The per-scalar loop grad.finite_diff_grads must match bit for bit: one
+# forward per displaced scalar, on a private copy of the state.
+def _reference_finite_diff_grads(state, x, gy, epsilon_rule=None):
+    if epsilon_rule is None:
+        epsilon_rule = lambda t: grad.FD_BASE_STEP * (1.0 + abs(t))
+    work = copy_state(state)
+    xs = np.asarray(x, dtype=np.float64).copy()
+    gy = np.asarray(gy, dtype=np.float64)
+    grads = {}
+    for name, arr in trainable_params(work) + [("x", xs)]:
+        flat = arr.reshape(-1)
+        gflat = np.zeros(flat.size)
+        for idx in range(flat.size):
+            theta = flat[idx]
+            h = epsilon_rule(theta)
+            flat[idx] = theta + h
+            lp = float(gy @ forward(work, xs))
+            flat[idx] = theta - h
+            lm = float(gy @ forward(work, xs))
+            flat[idx] = theta
+            gflat[idx] = (lp - lm) / (2.0 * h)
+        grads[name] = gflat.reshape(arr.shape)
+    return grads
+
+
+def _state_snapshot(state, *arrays):
+    return [(a.tobytes(), a.shape, a.flags.writeable)
+            for a in (state.base, state.b, state.a, state.m, *arrays) if a is not None]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    method=st.sampled_from(METHODS),
+    d=st.integers(1, 24),
+    k=st.integers(1, 24),
+    rank=st.integers(1, 24),
+    scaling=st.floats(0.25, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+    custom_rule=st.booleans(),
+)
+# 64 x 256 weights fill the whole chunk budget: one perturbation per chunk.
+@example(method="dora", d=64, k=256, rank=8, scaling=1.0, seed=5, custom_rule=False)
+def test_fd_bits_match_reference_loop(method, d, k, rank, scaling, seed, custom_rule):
+    r = 1 + (rank - 1) % min(d, k)
+    state, x, gy = random_case(method, d, k, r, seed, scaling=scaling)
+    rule = (lambda t: 3e-6 + 1e-6 * abs(t)) if custom_rule else None
+    before = _state_snapshot(state, x, gy)
+    got = finite_diff_grads(state, x, gy, epsilon_rule=rule)
+    assert _state_snapshot(state, x, gy) == before
+    want = _reference_finite_diff_grads(state, x, gy, epsilon_rule=rule)
+    for name in ("b", "a", "m", "x", "base"):
+        g = getattr(got, "d" + name)
+        if name not in want:
+            assert g is None, name
+            continue
+        w = want[name]
+        assert (g.shape, g.strides, g.tobytes()) == (w.shape, w.strides, w.tobytes()), name
+
+
+@pytest.mark.parametrize("method, d, k, r", [("dora", 64, 256, 8), ("dude", 12, 12, 12)])
+def test_fd_peak_memory_is_bounded_by_the_chunk_budget(method, d, k, r):
+    # Stacked perturbations and their temporaries stay within a few chunk
+    # budgets, plus the one unperturbed weight the x displacements reuse.
+    state, x, gy = random_case(method, d, k, r, seed=2)
+    tracemalloc.start()
+    try:
+        finite_diff_grads(state, x, gy)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * grad._FD_CHUNK_BYTES + 8 * d * k
 
 
 def test_input_gradient_matches_fd():

@@ -237,6 +237,12 @@ def test_svd_bits_match_reference_loop(d, k, log_scale, seed, zero_col, repeat_c
     got = _svd_or_error(w)
     with mock.patch.object(linalg, "_jacobi_tall", _reference_jacobi_tall):
         want = _svd_or_error(w)
+    if isinstance(want, str) and "did not converge" in want:
+        # The reference loop keeps rotating a pair whose Gram entry is 0.0
+        # (square matrices with two equal rows); svd counts it as converged.
+        assert not isinstance(got, str), got
+        assert frobenius_norm(reconstruct(got) - w) <= 1e-10 * frobenius_norm(w)
+        return
     if isinstance(want, str):
         assert got == want
         return
@@ -259,6 +265,22 @@ def test_svd_digest_of_task_weight_is_pinned(d):
     f = svd(make_task("teacher_student", d, d, 2, 0.01, 42).w0)
     digest = hashlib.sha256(f.u.tobytes() + f.sigma.tobytes() + f.v.tobytes()).hexdigest()
     assert digest == SVD_DIGESTS[d]
+
+
+@pytest.mark.parametrize("n", range(3, 25))
+def test_svd_square_matrix_with_two_equal_rows_converges(n):
+    # A near-null column's Gram entry reaches exactly 0.0 while its inner
+    # product with another column stays subnormal.
+    rng = np.random.default_rng(n)
+    w = rng.standard_normal((n, n))
+    i, j = rng.choice(n, 2, replace=False)
+    w[i] = w[j]
+    for m in (w, w.T):
+        f = svd(m)
+        assert frobenius_norm(reconstruct(f) - m) <= 1e-13 * frobenius_norm(m)
+        assert np.abs(f.u.T @ f.u - np.eye(n)).max() <= 1e-10
+        assert np.abs(f.v.T @ f.v - np.eye(n)).max() <= 1e-10
+        assert f.sigma[-1] <= 1e-13 * f.sigma[0]
 
 
 def test_svd_zero_matrix_has_orthonormal_factors():
