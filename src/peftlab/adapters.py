@@ -17,7 +17,7 @@ changes the layer's output before training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,11 +30,11 @@ __all__ = [
     "AdapterState",
     "kaiming_uniform",
     "initialize",
+    "step_cache",
     "effective_weight",
     "forward",
     "merge",
     "trainable_params",
-    "copy_state",
 ]
 
 METHODS = ("full", "lora", "dora", "pissa", "dude", "dude_a", "dude_b")
@@ -137,16 +137,24 @@ def initialize(w0, cfg: AdapterConfig, *, factors: SvdFactors | None = None) -> 
     return AdapterState(cfg.method, base, b, a, m, cfg)
 
 
-def effective_weight(state: AdapterState) -> np.ndarray:
-    """Collapsed d x k weight the layer currently realizes.
+def step_cache(state: AdapterState):
+    """The `cache` (v, ||v_j||) of effective_weight and param_grads until a trainable
+    changes: v = base + scaling * b @ a (a copy of base for full); norms None without m."""
+    if state.method == "full":
+        return state.base.copy(), None
+    v = _weight(state.base, state.b, state.a, None, state.config)
+    return v, None if state.m is None else _norms(v)
+
+
+def effective_weight(state: AdapterState, cache=None) -> np.ndarray:
+    """Collapsed d x k weight the layer realizes, from the cache if given.
 
     full: base. lora/pissa: base + scaling * b @ a. dora/dude*: each column
     of base + scaling * b @ a is normalized and rescaled by its magnitude,
     with norm_epsilon added to the denominator so zero columns stay defined.
     """
-    if state.method == "full":
-        return state.base.copy()
-    return _weight(state.base, state.b, state.a, state.m, state.config)
+    v, norms = cache or step_cache(state)
+    return v if norms is None else _rescale(v, state.m, norms + state.config.norm_epsilon)
 
 
 # The effective-weight formula of every method but full. Any argument may carry
@@ -159,12 +167,12 @@ def _weight(base, b, a, m, cfg: AdapterConfig) -> np.ndarray:
     v = base + cfg.scaling * (b @ a)
     if m is None:
         return v
-    return _rescale(v, m, _guarded_norms(v, cfg))
+    return _rescale(v, m, _norms(v) + cfg.norm_epsilon)
 
 
-def _guarded_norms(v, cfg: AdapterConfig) -> np.ndarray:
-    """n_j = ||v_j|| + norm_epsilon for every column j of v."""
-    return np.linalg.norm(v, axis=-2) + cfg.norm_epsilon
+def _norms(v) -> np.ndarray:
+    """||v_j|| for every column j of v, as numpy.linalg.norm sums it."""
+    return np.sqrt(np.add.reduce(v * v, axis=-2))
 
 
 def _rescale(v, m, n) -> np.ndarray:
@@ -193,14 +201,3 @@ def trainable_params(state: AdapterState) -> list[tuple[str, np.ndarray]]:
     if state.m is not None:
         params.append(("m", state.m))
     return params
-
-
-def copy_state(state: AdapterState) -> AdapterState:
-    """Independent, fully writable copy (used by perturbation-based checks)."""
-    return replace(
-        state,
-        base=state.base.copy(),
-        b=state.b.copy(),
-        a=state.a.copy(),
-        m=None if state.m is None else state.m.copy(),
-    )

@@ -1,9 +1,10 @@
-"""Analytic backward passes for every adapter method, plus a central-difference
-oracle and a gradient-check harness that compares the two.
+"""Analytic backward passes (one per-layer VJP, _vjp, shared with
+trainer.loss_and_grads), a central-difference oracle and a gradient checker.
 
 For the magnitude/direction methods the backward pass differentiates through
 the column norms (no frozen-norm shortcut): with v_j the j-th column of
-base + scaling * b @ a and n_j = ||v_j|| + eps,
+base + scaling * b @ a and n_j = ||v_j|| + eps, both computed once per step
+and passed on as the cache of adapters.step_cache,
 
     dm_j = <g_j, v_j> / n_j
     h_j  = (m_j / n_j) * (g_j - v_j <v_j, g_j> / ||v_j||^2)
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import AdapterState, _guarded_norms, _rescale, _weight, effective_weight
-from .adapters import forward, trainable_params
+from .adapters import AdapterState, _rescale, _weight, effective_weight
+from .adapters import forward, step_cache, trainable_params
 from .linalg import NumericError, _check_number
 
 __all__ = [
@@ -55,14 +56,13 @@ class GradientSet:
     dbase: np.ndarray | None = None
 
 
-def direction_gradient(state: AdapterState, g: np.ndarray) -> np.ndarray:
+def direction_gradient(state: AdapterState, g: np.ndarray, cache=None) -> np.ndarray:
     """h = dL/dv for a magnitude/direction state, given g = dL/dW'.
 
     Column-wise: h_j = (m_j / n_j) * (g_j - v_j <v_j, g_j> / ||v_j||^2),
     the scaled projection of g_j onto the orthogonal complement of v_j.
     """
-    v = state.base + state.config.scaling * (state.b @ state.a)
-    norms = np.linalg.norm(v, axis=0)
+    v, norms = cache or step_cache(state)
     n = norms + state.config.norm_epsilon
     proj = (v * g).sum(axis=0)
     # A zero column contributes nothing to the projector (v_j is zero);
@@ -71,7 +71,7 @@ def direction_gradient(state: AdapterState, g: np.ndarray) -> np.ndarray:
     return (state.m / n) * (g - v * (proj / denom))
 
 
-def param_grads(state: AdapterState, g: np.ndarray):
+def param_grads(state: AdapterState, g: np.ndarray, cache=None):
     """Map g = dL/dW' (possibly accumulated over a batch) to parameter grads.
 
     Returns (db, da, dm, dbase); the map is linear in g, so summing g over
@@ -82,11 +82,17 @@ def param_grads(state: AdapterState, g: np.ndarray):
     s = state.config.scaling
     if state.m is None:
         return s * (g @ state.a.T), s * (state.b.T @ g), None, None
-    v = state.base + s * (state.b @ state.a)
-    n = np.linalg.norm(v, axis=0) + state.config.norm_epsilon
-    dm = (v * g).sum(axis=0) / n
-    h = direction_gradient(state, g)
+    v, norms = cache = cache or step_cache(state)
+    dm = (v * g).sum(axis=0) / (norms + state.config.norm_epsilon)
+    h = direction_gradient(state, g, cache)
     return s * (h @ state.a.T), s * (state.b.T @ h), dm, None
+
+
+def _vjp(state: AdapterState, w: np.ndarray, cache, x: np.ndarray, gz: np.ndarray) -> GradientSet:
+    """Gradients of z = w @ x, w = effective_weight(state, cache), given gz = dL/dz."""
+    g = gz @ x.T if x.ndim == 2 else np.outer(gz, x)
+    db, da, dm, dbase = param_grads(state, g, cache)
+    return GradientSet(db, da, dm, w.T @ gz, dbase)
 
 
 def backward(state: AdapterState, x, gy) -> GradientSet:
@@ -99,10 +105,8 @@ def backward(state: AdapterState, x, gy) -> GradientSet:
         raise ValueError(f"input length mismatch: expected {k}, got {x.shape}")
     if gy.shape != (d,):
         raise ValueError(f"output-grad length mismatch: expected {d}, got {gy.shape}")
-    g = np.outer(gy, x)
-    db, da, dm, dbase = param_grads(state, g)
-    dx = effective_weight(state).T @ gy
-    return GradientSet(db, da, dm, dx, dbase)
+    cache = step_cache(state)
+    return _vjp(state, effective_weight(state, cache), cache, x, gy)
 
 
 def finite_diff_grads(state: AdapterState, x, gy, epsilon_rule=None) -> GradientSet:
@@ -177,9 +181,8 @@ def _displaced_outputs(state: AdapterState, name: str, x: np.ndarray):
         return lambda p: _weight(state.base, p, state.a, state.m, cfg) @ x
     if name == "a":
         return lambda p: _weight(state.base, state.b, p, state.m, cfg) @ x
-    v = _weight(state.base, state.b, state.a, None, cfg)
-    n = _guarded_norms(v, cfg)
-    return lambda p: _rescale(v, p, n) @ x
+    v, norms = step_cache(state)
+    return lambda p: _rescale(v, p, norms + cfg.norm_epsilon) @ x
 
 
 @dataclass

@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapters import AdapterConfig, AdapterState, effective_weight, initialize, trainable_params
-from .grad import GradientSet, param_grads
+from .adapters import AdapterConfig, AdapterState, effective_weight, initialize, step_cache
+from .adapters import trainable_params
+from .grad import GradientSet, _vjp
 from .linalg import NumericError, SvdFactors, _check_choice, _check_int, _check_number
 from .linalg import svd, truncate_svd
 
@@ -228,36 +229,30 @@ def loss_and_grads(model: Model, batch) -> tuple[float, list[GradientSet]]:
 
     The backward pass accumulates dL/dW' over the batch per layer (the
     parameter-gradient map is linear in it), chains input gradients through
-    ReLUs (subgradient 0 at exactly 0), and returns mean gradients so the
-    learning rate is comparable across batch sizes.
+    ReLUs (subgradient 0 at exactly 0; relu(z) > 0 exactly where z > 0), and
+    returns mean gradients so the learning rate is comparable across batch sizes.
     """
     x, t = batch
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] < 1:
         raise ValueError(f"batch must be a k x n block with n >= 1, got shape {x.shape}")
-    weights = [effective_weight(layer.state) for layer in model.layers]
-    inputs = []
-    pre = []
-    cur = x
-    for layer, w in zip(model.layers, weights):
-        inputs.append(cur)
-        z = w @ cur
-        pre.append(z)
-        cur = np.maximum(z, 0.0) if layer.relu else z
+    caches, weights, acts = [], [], [x]
+    for layer in model.layers:
+        caches.append(step_cache(layer.state))
+        weights.append(effective_weight(layer.state, caches[-1]))
+        z = weights[-1] @ acts[-1]
+        acts.append(np.maximum(z, 0.0) if layer.relu else z)
     if model.loss == "mse":
-        loss, gy = _mse_loss_gy(cur, np.asarray(t, dtype=np.float64))
+        loss, gy = _mse_loss_gy(acts[-1], np.asarray(t, dtype=np.float64))
     else:
-        loss, gy = _xent_loss_gy(cur, np.asarray(t))
+        loss, gy = _xent_loss_gy(acts[-1], np.asarray(t))
     if not math.isfinite(loss):
         raise NumericError("non-finite loss")
     grads: list[GradientSet] = [None] * len(model.layers)
     for idx in reversed(range(len(model.layers))):
-        gz = gy * (pre[idx] > 0.0) if model.layers[idx].relu else gy
-        g = gz @ inputs[idx].T
-        db, da, dm, dbase = param_grads(model.layers[idx].state, g)
-        dx = weights[idx].T @ gz
-        grads[idx] = GradientSet(db, da, dm, dx, dbase)
-        gy = dx
+        gz = gy * (acts[idx + 1] > 0.0) if model.layers[idx].relu else gy
+        grads[idx] = _vjp(model.layers[idx].state, weights[idx], caches[idx], acts[idx], gz)
+        gy = grads[idx].dx
     return loss, grads
 
 
@@ -376,7 +371,7 @@ def training_stream(task: Task, seed: int) -> np.random.Generator:
 
 
 def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
-    """Run cfg.steps optimization steps, mutating the model's trainables.
+    """Run cfg.steps optimization steps on trainables rebound to views of one buffer.
 
     Every step records the pre-update batch loss, the global L2 norm over
     all trainable gradients, and the learning rate used; the held-out eval
@@ -384,7 +379,15 @@ def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
     NumericError naming the step if the loss stops being finite.
     """
     rng = training_stream(task, cfg.seed)
-    params = [arr for layer in model.layers for _, arr in trainable_params(layer.state)]
+    named = [(i, name, arr) for i, layer in enumerate(model.layers)
+             for name, arr in trainable_params(layer.state)]
+    flat = np.concatenate([arr.reshape(-1) for *_, arr in named])
+    gflat = np.empty_like(flat)
+    cuts = np.cumsum([arr.size for *_, arr in named])[:-1]
+    grad_views = []
+    for (i, name, arr), view, gview in zip(named, np.split(flat, cuts), np.split(gflat, cuts)):
+        setattr(model.layers[i].state, name, view.reshape(arr.shape))
+        grad_views.append((i, "d" + name, gview.reshape(arr.shape)))
     opt = OptState(cfg.optimizer)
     base_lr = cfg.resolved_lr()
     records: list[MetricsRecord] = []
@@ -394,18 +397,15 @@ def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
             loss, grads = loss_and_grads(model, batch)
         except NumericError as e:
             raise NumericError(f"numeric failure at step {step}: {e}") from e
-        # Gradient "d<name>" of each trainable, in the order of params.
-        grad_arrays = [
-            getattr(gs, "d" + name)
-            for layer, gs in zip(model.layers, grads)
-            for name, _ in trainable_params(layer.state)
-        ]
-        grad_norm = float(np.sqrt(sum((g * g).sum() for g in grad_arrays)))
+        for i, key, view in grad_views:
+            view[...] = getattr(grads[i], key)
+        # Summed array by array: one sum over gflat would round differently.
+        grad_norm = float(np.sqrt(sum((g * g).sum() for *_, g in grad_views)))
         if cfg.scheduler == "cosine":
             lr = cosine_lr(step - 1, cfg.steps, cfg.warmup_frac, base_lr)
         else:
             lr = base_lr
-        optimizer_step(params, grad_arrays, opt, lr)
+        optimizer_step([flat], [gflat], opt, lr)
         score = evaluate(model, task) if step % cfg.eval_every == 0 else None
         records.append(MetricsRecord(step, loss, grad_norm, lr, score))
     return records

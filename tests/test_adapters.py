@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from peftlab.adapters import (
     METHODS,
     AdapterConfig,
-    copy_state,
     effective_weight,
     forward,
     initialize,
@@ -322,17 +321,6 @@ def test_merged_column_norms_equal_magnitudes():
         state.m[:] = np.abs(state.m) + 0.1  # keep magnitudes positive
         norms = np.linalg.norm(merge(state), axis=0)
         assert np.abs(norms - state.m).max() <= 1e-9
-
-
-def test_copy_state_is_independent():
-    _, state = random_state("dude", 4, 4, 2, seed=1)
-    b_before = state.b.copy()
-    base_before = state.base.copy()
-    dup = copy_state(state)
-    dup.b += 1.0
-    dup.base[0, 0] += 1.0  # writable on the copy
-    assert np.array_equal(state.b, b_before)
-    assert np.array_equal(state.base, base_before)
 
 
 def test_trainable_arrays_are_c_contiguous():

@@ -10,10 +10,11 @@ from peftlab import grad
 from peftlab.adapters import (
     METHODS,
     AdapterConfig,
-    copy_state,
+    effective_weight,
     forward,
     initialize,
     merge,
+    step_cache,
     trainable_params,
 )
 from peftlab.grad import (
@@ -22,6 +23,7 @@ from peftlab.grad import (
     direction_gradient,
     finite_diff_grads,
     grad_check,
+    param_grads,
 )
 
 
@@ -65,6 +67,27 @@ def test_direction_gradient_orthogonal_to_columns():
             inner = abs(float(v[:, j] @ h[:, j]))
             bound = 1e-10 * np.linalg.norm(v[:, j]) * np.linalg.norm(h[:, j])
             assert inner <= max(bound, 1e-30)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("d, k, r", [(6, 4, 2), (3, 7, 3), (5, 5, 5)])
+def test_cached_step_gives_the_uncached_bytes(method, d, k, r):
+    state, _, _ = random_case(method, d, k, r, seed=d * k + r)
+    if state.method != "full":
+        # Column 0 of v = base + s * b @ a is exactly zero: the guarded path.
+        base = state.base.copy()
+        base[:, 0] = -(state.config.scaling * (state.b @ state.a))[:, 0]
+        state = dataclasses.replace(state, base=base)
+    g = np.random.default_rng(r).standard_normal((d, k))
+    cache = step_cache(state)
+
+    def bits(arrays):
+        return [None if a is None else (a.shape, a.tobytes()) for a in arrays]
+
+    assert bits([effective_weight(state, cache)]) == bits([effective_weight(state)])
+    assert bits(param_grads(state, g, cache)) == bits(param_grads(state, g))
+    if state.m is not None:
+        assert bits([direction_gradient(state, g, cache)]) == bits([direction_gradient(state, g)])
 
 
 def test_doubling_magnitude_exactly_doubles_factor_grads():
@@ -138,12 +161,17 @@ def test_fd_restores_state_bit_exact():
     assert [state.base.tobytes(), state.b.tobytes(), state.a.tobytes(), state.m.tobytes()] == snapshots
 
 
+def _writable_copy(state):
+    return dataclasses.replace(state, base=state.base.copy(), b=state.b.copy(), a=state.a.copy(),
+                               m=None if state.m is None else state.m.copy())
+
+
 # The per-scalar loop grad.finite_diff_grads must match bit for bit: one
 # forward per displaced scalar, on a private copy of the state.
 def _reference_finite_diff_grads(state, x, gy, epsilon_rule=None):
     if epsilon_rule is None:
         epsilon_rule = lambda t: grad.FD_BASE_STEP * (1.0 + abs(t))
-    work = copy_state(state)
+    work = _writable_copy(state)
     xs = np.asarray(x, dtype=np.float64).copy()
     gy = np.asarray(gy, dtype=np.float64)
     grads = {}

@@ -1,13 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from peftlab.adapters import AdapterConfig, effective_weight, initialize, trainable_params
+from peftlab.adapters import METHODS, AdapterConfig, effective_weight, initialize, trainable_params
 from peftlab.linalg import NumericError, svd
 from peftlab.trainer import (
     DEFAULT_SEEDS,
     Layer,
+    MetricsRecord,
     Model,
     OptState,
     TrainConfig,
@@ -337,6 +341,190 @@ def test_convergence_trend_dude_vs_lora_three_seeds():
             losses.append(train(model, task, cfg)[-1].loss)
         finals[method] = float(np.mean(losses))
     assert finals["dude"] <= finals["lora"]
+
+
+# ---------------------------------------------------------------------------
+# bit-identity oracle: the uncached step and the per-array optimizer
+
+# One training step as it was before the step cache and the flat buffer, kept
+# as the oracle train must match bit for bit: the forward, param_grads and
+# direction_gradient each compute v = base + s * b @ a and its column norms,
+# and the optimizer updates one trainable array at a time.
+
+def _ref_weight(state):
+    if state.method == "full":
+        return state.base.copy()
+    v = state.base + state.config.scaling * (state.b @ state.a)
+    if state.m is None:
+        return v
+    n = np.linalg.norm(v, axis=-2) + state.config.norm_epsilon
+    return v * (state.m / n)[..., None, :]
+
+
+def _ref_direction_gradient(state, g):
+    v = state.base + state.config.scaling * (state.b @ state.a)
+    norms = np.linalg.norm(v, axis=0)
+    n = norms + state.config.norm_epsilon
+    proj = (v * g).sum(axis=0)
+    denom = np.where(norms > 0.0, norms * norms, 1.0)
+    return (state.m / n) * (g - v * (proj / denom))
+
+
+def _ref_param_grads(state, g):
+    """Gradients in trainable_params order."""
+    if state.method == "full":
+        return [g.copy()]
+    s = state.config.scaling
+    if state.m is None:
+        return [s * (g @ state.a.T), s * (state.b.T @ g)]
+    v = state.base + s * (state.b @ state.a)
+    n = np.linalg.norm(v, axis=0) + state.config.norm_epsilon
+    dm = (v * g).sum(axis=0) / n
+    h = _ref_direction_gradient(state, g)
+    return [s * (h @ state.a.T), s * (state.b.T @ h), dm]
+
+
+def _ref_loss_and_grads(model, x, t):
+    weights = [_ref_weight(layer.state) for layer in model.layers]
+    inputs, pre, cur = [], [], x
+    for layer, w in zip(model.layers, weights):
+        inputs.append(cur)
+        z = w @ cur
+        pre.append(z)
+        cur = np.maximum(z, 0.0) if layer.relu else z
+    n = cur.shape[1]
+    if model.loss == "mse":
+        r = cur - t
+        loss, gy = float((r * r).sum()) / n, (2.0 / n) * r
+    else:
+        z = cur - cur.max(axis=0, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=0, keepdims=True))
+        loss = -float(logp[t, np.arange(n)].sum()) / n
+        gy = np.exp(logp)
+        gy[t, np.arange(n)] -= 1.0
+        gy = gy / n
+    grads = [None] * len(model.layers)
+    for idx in reversed(range(len(model.layers))):
+        gz = gy * (pre[idx] > 0.0) if model.layers[idx].relu else gy
+        grads[idx] = _ref_param_grads(model.layers[idx].state, gz @ inputs[idx].T)
+        gy = weights[idx].T @ gz
+    return loss, [g for layer_grads in grads for g in layer_grads]
+
+
+def _ref_evaluate(model, task):
+    y = task.eval_x
+    for layer in model.layers:
+        y = _ref_weight(layer.state) @ y
+        if layer.relu:
+            y = np.maximum(y, 0.0)
+    if task.loss == "mse":
+        r = y - task.eval_t
+        return float((r * r).sum()) / y.shape[1]
+    return float((y.argmax(axis=0) == task.eval_t).mean())
+
+
+def _reference_train(model, task, cfg):
+    """train's records, from the oracle step and a per-array Adam/SGD."""
+    rng = training_stream(task, cfg.seed)
+    params = [arr for layer in model.layers for _, arr in trainable_params(layer.state)]
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    base_lr = cfg.resolved_lr()
+    records = []
+    for step in range(1, cfg.steps + 1):
+        x, t = task.sample_batch(rng, cfg.batch_size)
+        loss, grads = _ref_loss_and_grads(model, x, t)
+        grad_norm = float(np.sqrt(sum((g * g).sum() for g in grads)))
+        if cfg.scheduler == "cosine":
+            lr = cosine_lr(step - 1, cfg.steps, cfg.warmup_frac, base_lr)
+        else:
+            lr = base_lr
+        for p, g, (m, v) in zip(params, grads, moments):
+            if cfg.optimizer == "sgd":
+                p -= lr * g
+                continue
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * (g * g)
+            p -= lr * (m / (1.0 - beta1 ** step)) / (np.sqrt(v / (1.0 - beta2 ** step)) + eps)
+        score = _ref_evaluate(model, task) if step % cfg.eval_every == 0 else None
+        records.append(MetricsRecord(step, loss, grad_norm, lr, score))
+    return records
+
+
+def _record_bits(records):
+    return [(r.step,) + tuple(None if f is None else float(f).hex()
+                              for f in (r.loss, r.grad_norm, r.lr, r.eval)) for r in records]
+
+
+def _trainable_bits(model):
+    return [(name, arr.shape, arr.tobytes())
+            for layer in model.layers for name, arr in trainable_params(layer.state)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    method=st.sampled_from(METHODS),
+    kind=st.sampled_from(["teacher_student", "cluster_classify"]),
+    optimizer=st.sampled_from(["adam", "sgd"]),
+    scheduler=st.sampled_from(["cosine", "constant"]),
+    d=st.integers(1, 6),
+    k=st.integers(1, 6),
+    r_true=st.integers(0, 6),
+    rank=st.integers(1, 6),
+    scaling=st.floats(0.25, 4.0),
+    lr=st.sampled_from([None, 2e-3, 3e-2]),
+    sigma=st.sampled_from([0.0, 0.1]),
+    steps=st.integers(1, 12),
+    batch=st.integers(1, 5),
+    eval_every=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+    second_run_steps=st.integers(0, 4),
+)
+# The trend16 benchmark configuration, one of its five default seeds.
+@example(method="dude", kind="teacher_student", optimizer="adam", scheduler="cosine",
+         d=16, k=16, r_true=2, rank=2, scaling=1.0, lr=2e-3, sigma=0.01, steps=600, batch=8,
+         eval_every=50, seed=42, second_run_steps=0)
+def test_train_bits_match_reference(method, kind, optimizer, scheduler, d, k, r_true, rank,
+                                    scaling, lr, sigma, steps, batch, eval_every, seed,
+                                    second_run_steps):
+    r_true = r_true % (min(d, k) + 1) if kind == "teacher_student" else 0
+    rank = 1 + (rank - 1) % min(d, k)
+    task = make_task(kind, d, k, r_true=r_true, sigma=sigma, seed=seed)
+    model = make_model(task, method, rank, scaling=scaling, seed=seed)
+    oracle = make_model(task, method, rank, scaling=scaling, seed=seed)
+    runs = [TrainConfig(steps=steps, batch_size=batch, base_lr=lr, optimizer=optimizer,
+                        scheduler=scheduler, eval_every=eval_every, seed=seed)]
+    if second_run_steps:
+        # A second train call on the same model continues from the first.
+        runs.append(dataclasses.replace(runs[0], steps=second_run_steps, seed=seed + 1))
+    for cfg in runs:
+        got = train(model, task, cfg)
+        want = _reference_train(oracle, task, cfg)
+        assert _record_bits(got) == _record_bits(want)
+        assert _trainable_bits(model) == _trainable_bits(oracle)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_train_leaves_writeable_trainables_and_read_only_bases(method):
+    # Two layers, and train called twice: every trainable stays a writeable
+    # C-contiguous array after the rebinding, and every frozen base keeps its
+    # init bits and its read-only flag.
+    task = make_task("cluster_classify", 3, 5, sigma=0.5, seed=1)
+    model = make_model(task, method, rank=2, seed=1)
+    bases = [(layer.state.base.tobytes(), layer.state.base.flags.writeable)
+             for layer in model.layers]
+    assert all(writeable == (method == "full") for _, writeable in bases)
+    for seed in (1, 2):
+        records = train(model, task, TrainConfig(steps=5, batch_size=4, base_lr=1e-2, seed=seed))
+        assert len(records) == 5
+        for layer, (bits, writeable) in zip(model.layers, bases):
+            for name, arr in trainable_params(layer.state):
+                assert arr.flags.c_contiguous and arr.flags.writeable, (method, name)
+            if method != "full":
+                assert layer.state.base.tobytes() == bits
+                assert not layer.state.base.flags.writeable
 
 
 # ---------------------------------------------------------------------------
