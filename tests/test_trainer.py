@@ -346,10 +346,10 @@ def test_convergence_trend_dude_vs_lora_three_seeds():
 # ---------------------------------------------------------------------------
 # bit-identity oracle: the uncached step and the per-array optimizer
 
-# One training step as it was before the step cache and the flat buffer, kept
-# as the oracle train must match bit for bit: the forward, param_grads and
-# direction_gradient each compute v = base + s * b @ a and its column norms,
-# and the optimizer updates one trainable array at a time.
+# A training step without the step cache or the flat buffer, kept as the
+# oracle train must match bit for bit: the forward, the magnitude gradient and
+# the direction gradient each compute v = base + s * b @ a and its column
+# norms, and the optimizer updates one trainable array at a time.
 
 def _ref_weight(state):
     if state.method == "full":
