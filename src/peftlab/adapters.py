@@ -30,6 +30,7 @@ __all__ = [
     "AdapterState",
     "kaiming_uniform",
     "initialize",
+    "StepCache",
     "step_cache",
     "effective_weight",
     "forward",
@@ -137,24 +138,63 @@ def initialize(w0, cfg: AdapterConfig, *, factors: SvdFactors | None = None) -> 
     return AdapterState(cfg.method, base, b, a, m, cfg)
 
 
-def step_cache(state: AdapterState):
-    """The `cache` (v, ||v_j||) of effective_weight and param_grads until a trainable
-    changes: v = base + scaling * b @ a (a copy of base for full); norms None without m."""
+@dataclass
+class StepCache:
+    """The per-layer workspace of one step, refreshed in place by step_cache.
+
+    v = base + scaling * b @ a (a copy of base for full). With a magnitude m
+    also norms = ||v_j||, n = norms + norm_epsilon, mn = m / n, w, the
+    effective weight's buffer, and scratch, the d x k buffer of the magnitude
+    gradients' intermediates; these are None otherwise, and v is then the
+    effective weight. The backward pass writes dL/dW' over the effective
+    weight once it has no further use for it.
+    """
+
+    v: np.ndarray
+    norms: np.ndarray | None = None
+    n: np.ndarray | None = None
+    mn: np.ndarray | None = None
+    w: np.ndarray | None = None
+    scratch: np.ndarray | None = None
+
+
+def step_cache(state: AdapterState, cache: StepCache | None = None) -> StepCache:
+    """Refresh cache (a new one if None) from the state's current trainables
+    and return it. Every array is written in place, so a cache reused across
+    steps allocates nothing; a new one shares no memory with any other."""
+    if cache is None:
+        d, k = state.base.shape
+        cache = StepCache(np.empty((d, k)))
+        if state.m is not None:
+            cache.norms, cache.n, cache.mn = np.empty(k), np.empty(k), np.empty(k)
+            cache.w, cache.scratch = np.empty((d, k)), np.empty((d, k))
+    v = cache.v
     if state.method == "full":
-        return state.base.copy(), None
-    v = _weight(state.base, state.b, state.a, None, state.config)
-    return v, None if state.m is None else _norms(v)
+        np.copyto(v, state.base)
+        return cache
+    # base + s * (b @ a) with the same bits: both operations commute, and
+    # multiplying by 1.0 is exact.
+    np.matmul(state.b, state.a, out=v)
+    if state.config.scaling != 1.0:
+        v *= state.config.scaling
+    v += state.base
+    if state.m is not None:
+        np.sqrt(np.add.reduce(np.multiply(v, v, out=cache.scratch), axis=0, out=cache.norms),
+                out=cache.norms)
+        np.add(cache.norms, state.config.norm_epsilon, out=cache.n)
+        np.divide(state.m, cache.n, out=cache.mn)
+    return cache
 
 
-def effective_weight(state: AdapterState, cache=None) -> np.ndarray:
-    """Collapsed d x k weight the layer realizes, from the cache if given.
+def effective_weight(state: AdapterState, cache: StepCache | None = None) -> np.ndarray:
+    """Collapsed d x k weight the layer realizes, written into the cache if given.
 
     full: base. lora/pissa: base + scaling * b @ a. dora/dude*: each column
     of base + scaling * b @ a is normalized and rescaled by its magnitude,
     with norm_epsilon added to the denominator so zero columns stay defined.
     """
-    v, norms = cache or step_cache(state)
-    return v if norms is None else _rescale(v, state.m, norms + state.config.norm_epsilon)
+    cache = step_cache(state) if cache is None else cache
+    return cache.v if cache.mn is None else np.multiply(cache.v, cache.mn, out=cache.w)
 
 
 # The effective-weight formula of every method but full. Any argument may carry

@@ -3,8 +3,7 @@ trainer.loss_and_grads), a central-difference oracle and a gradient checker.
 
 For the magnitude/direction methods the backward pass differentiates through
 the column norms (no frozen-norm shortcut): with v_j the j-th column of
-base + scaling * b @ a and n_j = ||v_j|| + eps, both computed once per step
-and passed on as the cache of adapters.step_cache,
+base + scaling * b @ a and n_j = ||v_j|| + eps,
 
     dm_j = <g_j, v_j> / n_j
     h_j  = (m_j / n_j) * (g_j - v_j <v_j, g_j> / ||v_j||^2)
@@ -15,6 +14,16 @@ the outer 1/n_j scale, keeping h within O(eps) of the guarded forward's true
 derivative while preserving the exact-projection property.
 
 The factor gradients are db = scaling * h @ a.T and da = scaling * b.T @ h.
+
+Each layer-step has one workspace, the StepCache of adapters.step_cache: v,
+||v_j||, n_j and m_j / n_j are computed once when it is refreshed, and every
+d x k intermediate is written into its buffers (g over the effective weight,
+once the input gradient is computed, and h into the scratch buffer).
+<v_j, g_j> is computed once, by param_grads, and passed to
+direction_gradient. train
+reuses one workspace per layer across steps, so its steps allocate no d x k
+array and its metrics keep the bits of the allocating step; without a
+workspace, every call here uses a new one.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import AdapterState, _rescale, _weight, effective_weight
+from .adapters import AdapterState, StepCache, _rescale, _weight, effective_weight
 from .adapters import forward, step_cache, trainable_params
 from .linalg import NumericError, _check_number
 
@@ -45,54 +54,67 @@ _FD_CHUNK_BYTES = 128 * 1024
 
 @dataclass
 class GradientSet:
-    """Gradients for one adapted layer; fields are None exactly when the
-    method lacks the parameter (db/da/dm absent for full, dm absent unless
-    the method carries a magnitude vector, dbase present only for full)."""
+    """Gradients for one adapted layer; db/da/dm/dbase are None exactly when
+    the method lacks the parameter (db/da/dm absent for full, dm absent unless
+    the method carries a magnitude vector, dbase present only for full). dx is
+    None for the first layer of trainer.loss_and_grads, which has no input to
+    pass it to; backward always returns it."""
 
     db: np.ndarray | None
     da: np.ndarray | None
     dm: np.ndarray | None
-    dx: np.ndarray
+    dx: np.ndarray | None
     dbase: np.ndarray | None = None
 
 
-def direction_gradient(state: AdapterState, g: np.ndarray, cache=None) -> np.ndarray:
+def direction_gradient(state: AdapterState, g: np.ndarray, cache: StepCache | None = None,
+                       proj: np.ndarray | None = None) -> np.ndarray:
     """h = dL/dv for a magnitude/direction state, given g = dL/dW'.
 
     Column-wise: h_j = (m_j / n_j) * (g_j - v_j <v_j, g_j> / ||v_j||^2),
     the scaled projection of g_j onto the orthogonal complement of v_j.
+    proj, if given, must be the column sums of v * g. The result is the
+    cache's scratch buffer.
     """
-    v, norms = cache or step_cache(state)
-    n = norms + state.config.norm_epsilon
-    proj = (v * g).sum(axis=0)
+    cache = step_cache(state) if cache is None else cache
+    v, norms, h = cache.v, cache.norms, cache.scratch
+    if proj is None:
+        proj = np.add.reduce(np.multiply(v, g, out=h), axis=0)
     # A zero column contributes nothing to the projector (v_j is zero);
     # guard the denominator so it does not poison the whole column with NaN.
     denom = np.where(norms > 0.0, norms * norms, 1.0)
-    return (state.m / n) * (g - v * (proj / denom))
+    np.multiply(v, proj / denom, out=h)
+    np.subtract(g, h, out=h)
+    return np.multiply(h, cache.mn, out=h)
 
 
-def param_grads(state: AdapterState, g: np.ndarray, cache=None):
+def param_grads(state: AdapterState, g: np.ndarray, cache: StepCache | None = None):
     """Map g = dL/dW' (possibly accumulated over a batch) to parameter grads.
 
-    Returns (db, da, dm, dbase); the map is linear in g, so summing g over
-    samples before calling is equivalent to summing per-sample results.
+    Returns (db, da, dm, dbase); dbase, for full only, is g itself. The map
+    is linear in g, so summing g over samples before calling is equivalent
+    to summing per-sample results.
     """
     if state.method == "full":
-        return None, None, None, g.copy()
+        return None, None, None, g
     s = state.config.scaling
     if state.m is None:
         return s * (g @ state.a.T), s * (state.b.T @ g), None, None
-    v, norms = cache = cache or step_cache(state)
-    dm = (v * g).sum(axis=0) / (norms + state.config.norm_epsilon)
-    h = direction_gradient(state, g, cache)
-    return s * (h @ state.a.T), s * (state.b.T @ h), dm, None
+    cache = step_cache(state) if cache is None else cache
+    # <v_j, g_j> once for dm and h.
+    proj = np.add.reduce(np.multiply(cache.v, g, out=cache.scratch), axis=0)
+    h = direction_gradient(state, g, cache, proj)
+    return s * (h @ state.a.T), s * (state.b.T @ h), proj / cache.n, None
 
 
-def _vjp(state: AdapterState, w: np.ndarray, cache, x: np.ndarray, gz: np.ndarray) -> GradientSet:
-    """Gradients of z = w @ x, w = effective_weight(state, cache), given gz = dL/dz."""
-    g = gz @ x.T if x.ndim == 2 else np.outer(gz, x)
+def _vjp(state: AdapterState, w: np.ndarray, cache: StepCache, x: np.ndarray, gz: np.ndarray,
+         input_grad: bool = True) -> GradientSet:
+    """Gradients of z = w @ x, w = effective_weight(state, cache), given gz = dL/dz;
+    dx is None unless input_grad. Once dx is computed, g = dL/dw overwrites w."""
+    dx = w.T @ gz if input_grad else None
+    g = np.matmul(gz, x.T, out=w) if x.ndim == 2 else np.outer(gz, x, out=w)
     db, da, dm, dbase = param_grads(state, g, cache)
-    return GradientSet(db, da, dm, w.T @ gz, dbase)
+    return GradientSet(db, da, dm, dx, dbase)
 
 
 def backward(state: AdapterState, x, gy) -> GradientSet:
@@ -181,8 +203,8 @@ def _displaced_outputs(state: AdapterState, name: str, x: np.ndarray):
         return lambda p: _weight(state.base, p, state.a, state.m, cfg) @ x
     if name == "a":
         return lambda p: _weight(state.base, state.b, p, state.m, cfg) @ x
-    v, norms = step_cache(state)
-    return lambda p: _rescale(v, p, norms + cfg.norm_epsilon) @ x
+    cache = step_cache(state)
+    return lambda p: _rescale(cache.v, p, cache.n) @ x
 
 
 @dataclass

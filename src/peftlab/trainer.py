@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapters import AdapterConfig, AdapterState, effective_weight, initialize, step_cache
-from .adapters import trainable_params
+from .adapters import AdapterConfig, AdapterState, StepCache, effective_weight, initialize
+from .adapters import step_cache, trainable_params
 from .grad import GradientSet, _vjp
 from .linalg import NumericError, SvdFactors, _check_choice, _check_int, _check_number
 from .linalg import svd, truncate_svd
@@ -224,22 +224,31 @@ def _xent_loss_gy(y: np.ndarray, labels: np.ndarray):
     return loss, gy / n
 
 
-def loss_and_grads(model: Model, batch) -> tuple[float, list[GradientSet]]:
+def loss_and_grads(model: Model, batch,
+                   caches: list[StepCache] | None = None) -> tuple[float, list[GradientSet]]:
     """Mean batch loss and per-layer gradients.
 
     The backward pass accumulates dL/dW' over the batch per layer (the
     parameter-gradient map is linear in it), chains input gradients through
     ReLUs (subgradient 0 at exactly 0; relu(z) > 0 exactly where z > 0), and
     returns mean gradients so the learning rate is comparable across batch sizes.
+    The first layer's dx is None: nothing reads it.
+
+    caches, one step_cache per layer, are refreshed in place and receive the
+    step's d x k intermediates; gradients may then be views of them, valid
+    until the next call with the same caches. Without them every call uses
+    new ones.
     """
     x, t = batch
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] < 1:
         raise ValueError(f"batch must be a k x n block with n >= 1, got shape {x.shape}")
-    caches, weights, acts = [], [], [x]
-    for layer in model.layers:
-        caches.append(step_cache(layer.state))
-        weights.append(effective_weight(layer.state, caches[-1]))
+    if caches is None:
+        caches = [None] * len(model.layers)
+    caches = [step_cache(layer.state, c) for layer, c in zip(model.layers, caches)]
+    weights, acts = [], [x]
+    for layer, cache in zip(model.layers, caches):
+        weights.append(effective_weight(layer.state, cache))
         z = weights[-1] @ acts[-1]
         acts.append(np.maximum(z, 0.0) if layer.relu else z)
     if model.loss == "mse":
@@ -251,7 +260,8 @@ def loss_and_grads(model: Model, batch) -> tuple[float, list[GradientSet]]:
     grads: list[GradientSet] = [None] * len(model.layers)
     for idx in reversed(range(len(model.layers))):
         gz = gy * (acts[idx + 1] > 0.0) if model.layers[idx].relu else gy
-        grads[idx] = _vjp(model.layers[idx].state, weights[idx], caches[idx], acts[idx], gz)
+        grads[idx] = _vjp(model.layers[idx].state, weights[idx], caches[idx], acts[idx], gz,
+                          input_grad=idx > 0)
         gy = grads[idx].dx
     return loss, grads
 
@@ -371,7 +381,8 @@ def training_stream(task: Task, seed: int) -> np.random.Generator:
 
 
 def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
-    """Run cfg.steps optimization steps on trainables rebound to views of one buffer.
+    """Run cfg.steps optimization steps on trainables rebound to views of one
+    buffer, with one step_cache per layer reused by every step.
 
     Every step records the pre-update batch loss, the global L2 norm over
     all trainable gradients, and the learning rate used; the held-out eval
@@ -388,13 +399,14 @@ def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
     for (i, name, arr), view, gview in zip(named, np.split(flat, cuts), np.split(gflat, cuts)):
         setattr(model.layers[i].state, name, view.reshape(arr.shape))
         grad_views.append((i, "d" + name, gview.reshape(arr.shape)))
+    caches = [step_cache(layer.state) for layer in model.layers]
     opt = OptState(cfg.optimizer)
     base_lr = cfg.resolved_lr()
     records: list[MetricsRecord] = []
     for step in range(1, cfg.steps + 1):
         batch = task.sample_batch(rng, cfg.batch_size)
         try:
-            loss, grads = loss_and_grads(model, batch)
+            loss, grads = loss_and_grads(model, batch, caches)
         except NumericError as e:
             raise NumericError(f"numeric failure at step {step}: {e}") from e
         for i, key, view in grad_views:

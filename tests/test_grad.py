@@ -58,14 +58,20 @@ def test_zero_output_gradient_gives_zero_grads():
 
 
 def test_direction_gradient_orthogonal_to_columns():
-    # h = dL/dv projects onto the orthogonal complement of each column.
-    for seed in range(10):
-        state, x, gy = random_case("dude", 6, 5, 2, seed=seed)
+    # h = dL/dv projects onto the orthogonal complement of each column. The
+    # bound is relative to (m_j / n_j) * ||g_j||, the scale of h_j's rounding
+    # error: at d = 1 the exact h_j is 0, so ||h_j|| is that error.
+    for seed in range(12):
+        d = 1 + seed % 6
+        state, x, gy = random_case("dude", d, 5, min(2, d), seed=seed)
+        g = np.outer(gy, x)
         v = state.base + state.config.scaling * (state.b @ state.a)
-        h = direction_gradient(state, np.outer(gy, x))
+        h = direction_gradient(state, g)
         for j in range(v.shape[1]):
             inner = abs(float(v[:, j] @ h[:, j]))
-            bound = 1e-10 * np.linalg.norm(v[:, j]) * np.linalg.norm(h[:, j])
+            n_j = np.linalg.norm(v[:, j]) + state.config.norm_epsilon
+            scale = abs(state.m[j]) / n_j * np.linalg.norm(g[:, j])
+            bound = 1e-10 * np.linalg.norm(v[:, j]) * scale
             assert inner <= max(bound, 1e-30)
 
 

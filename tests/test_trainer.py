@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,16 @@ def test_zero_batch_zero_targets_is_flat_for_lora():
     assert loss == 0.0
     assert np.array_equal(grads[0].db, np.zeros_like(grads[0].db))
     assert np.array_equal(grads[0].da, np.zeros_like(grads[0].da))
+
+
+def test_loss_and_grads_skips_the_first_layers_input_gradient():
+    # Nothing reads the first layer's dx; the second layer's dx feeds the first.
+    task = make_task("cluster_classify", 3, 5, sigma=0.5, seed=1)
+    model = make_model(task, "dora", rank=2, seed=1)
+    x, t = task.sample_batch(training_stream(task, 0), 4)
+    _, grads = loss_and_grads(model, (x, t))
+    assert grads[0].dx is None
+    assert grads[1].dx.shape == (5, 4)
 
 
 def test_cross_entropy_loss_nonnegative():
@@ -434,6 +445,8 @@ def _reference_train(model, task, cfg):
     for step in range(1, cfg.steps + 1):
         x, t = task.sample_batch(rng, cfg.batch_size)
         loss, grads = _ref_loss_and_grads(model, x, t)
+        if not math.isfinite(loss):
+            raise NumericError(f"numeric failure at step {step}: non-finite loss")
         grad_norm = float(np.sqrt(sum((g * g).sum() for g in grads)))
         if cfg.scheduler == "cosine":
             lr = cosine_lr(step - 1, cfg.steps, cfg.warmup_frac, base_lr)
@@ -486,6 +499,20 @@ def _trainable_bits(model):
 @example(method="dude", kind="teacher_student", optimizer="adam", scheduler="cosine",
          d=16, k=16, r_true=2, rank=2, scaling=1.0, lr=2e-3, sigma=0.01, steps=600, batch=8,
          eval_every=50, seed=42, second_run_steps=0)
+# The wide256 benchmark shape (two layers, 256 hidden units, rank 8, batch 32):
+# 256-wide BLAS calls and d x k arrays of 128 KiB and 512 KiB.
+@example(method="lora", kind="cluster_classify", optimizer="adam", scheduler="cosine",
+         d=64, k=256, r_true=0, rank=8, scaling=1.0, lr=2e-3, sigma=4.0, steps=20, batch=32,
+         eval_every=10, seed=42, second_run_steps=0)
+@example(method="dora", kind="cluster_classify", optimizer="adam", scheduler="cosine",
+         d=64, k=256, r_true=0, rank=8, scaling=1.0, lr=2e-3, sigma=4.0, steps=20, batch=32,
+         eval_every=10, seed=42, second_run_steps=3)
+@example(method="lora", kind="cluster_classify", optimizer="adam", scheduler="cosine",
+         d=64, k=256, r_true=0, rank=8, scaling=0.5, lr=2e-3, sigma=4.0, steps=20, batch=32,
+         eval_every=10, seed=78, second_run_steps=3)
+@example(method="dora", kind="cluster_classify", optimizer="adam", scheduler="cosine",
+         d=64, k=256, r_true=0, rank=8, scaling=0.5, lr=2e-3, sigma=4.0, steps=20, batch=32,
+         eval_every=10, seed=78, second_run_steps=0)
 def test_train_bits_match_reference(method, kind, optimizer, scheduler, d, k, r_true, rank,
                                     scaling, lr, sigma, steps, batch, eval_every, seed,
                                     second_run_steps):
@@ -500,10 +527,48 @@ def test_train_bits_match_reference(method, kind, optimizer, scheduler, d, k, r_
         # A second train call on the same model continues from the first.
         runs.append(dataclasses.replace(runs[0], steps=second_run_steps, seed=seed + 1))
     for cfg in runs:
-        got = train(model, task, cfg)
-        want = _reference_train(oracle, task, cfg)
-        assert _record_bits(got) == _record_bits(want)
+        # A diverging run must fail at the same step, with the same trainables.
+        got = _outcome(train, model, task, cfg)
+        want = _outcome(_reference_train, oracle, task, cfg)
+        assert got == want
         assert _trainable_bits(model) == _trainable_bits(oracle)
+        if isinstance(got, str):
+            break
+
+
+def _outcome(train_fn, model, task, cfg):
+    """The records' bits, or the message of the NumericError that stopped training."""
+    try:
+        return _record_bits(train_fn(model, task, cfg))
+    except NumericError as e:
+        return str(e)
+
+
+def test_train_step_allocates_less_than_one_weight():
+    # The wide256 benchmark shape with dora: 64 x 256 and 256 x 256 layers,
+    # rank 8, batch 32. After the first step, v, its norms, the effective
+    # weight, g = dL/dW' and the magnitude gradients' intermediates live in
+    # the per-layer caches, so a whole step peaks below one 256 x 256 float64
+    # array (512 KiB); allocating each of them per step peaks near 3 MiB.
+    task = make_task("cluster_classify", 64, 256, sigma=4.0, seed=42)
+    model = make_model(task, "dora", rank=8, seed=42)
+    draw, marks = task.sample_batch, []
+
+    def sample_batch(rng, n):
+        # Every step starts with one draw: close the previous step's window.
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return draw(rng, n)
+
+    task.sample_batch = sample_batch
+    tracemalloc.start()
+    try:
+        train(model, task, TrainConfig(steps=3, batch_size=32, base_lr=2e-3, seed=42))
+    finally:
+        tracemalloc.stop()
+    # marks[2] holds the peak since the draw of step 2, marks[1] the memory before it.
+    step2_peak = marks[2][1] - marks[1][0]
+    assert step2_peak < 256 * 256 * 8, step2_peak
 
 
 @pytest.mark.parametrize("method", METHODS)
