@@ -32,6 +32,7 @@ __all__ = [
     "initialize",
     "StepCache",
     "step_cache",
+    "layer_forward",
     "effective_weight",
     "forward",
     "merge",
@@ -142,19 +143,22 @@ def initialize(w0, cfg: AdapterConfig, *, factors: SvdFactors | None = None) -> 
 class StepCache:
     """The per-layer workspace of one step, refreshed in place by step_cache.
 
-    v = base + scaling * b @ a (a copy of base for full). With a magnitude m
-    also norms = ||v_j||, n = norms + norm_epsilon, mn = m / n, w, the
-    effective weight's buffer, and scratch, the d x k buffer of the magnitude
-    gradients' intermediates; these are None otherwise, and v is then the
-    effective weight. The backward pass writes dL/dW' over the effective
-    weight once it has no further use for it.
+    A step never forms the d x k effective weight W', its gradient
+    g = dL/dW' or the direction gradient h = dL/dv: layer_forward and
+    grad.param_grads work on the factors and the input block instead. What
+    remains per method:
+
+      lora/pissa  nothing; every product goes through b and a.
+      dora/dude*  v = base + scaling * b @ a, sq = ||v_j||^2,
+                  n = ||v_j|| + norm_epsilon, mn = m / n, and scratch, the
+                  d x k buffer v * v is summed in.
+      full        scratch, the d x k buffer that receives dL/dbase.
     """
 
-    v: np.ndarray
-    norms: np.ndarray | None = None
+    v: np.ndarray | None = None
+    sq: np.ndarray | None = None
     n: np.ndarray | None = None
     mn: np.ndarray | None = None
-    w: np.ndarray | None = None
     scratch: np.ndarray | None = None
 
 
@@ -163,38 +167,61 @@ def step_cache(state: AdapterState, cache: StepCache | None = None) -> StepCache
     and return it. Every array is written in place, so a cache reused across
     steps allocates nothing; a new one shares no memory with any other."""
     if cache is None:
-        d, k = state.base.shape
-        cache = StepCache(np.empty((d, k)))
+        cache = StepCache()
+        if state.method == "full" or state.m is not None:
+            cache.scratch = np.empty(state.base.shape)
         if state.m is not None:
-            cache.norms, cache.n, cache.mn = np.empty(k), np.empty(k), np.empty(k)
-            cache.w, cache.scratch = np.empty((d, k)), np.empty((d, k))
-    v = cache.v
-    if state.method == "full":
-        np.copyto(v, state.base)
+            k = state.base.shape[1]
+            cache.v = np.empty(state.base.shape)
+            cache.sq, cache.n, cache.mn = np.empty(k), np.empty(k), np.empty(k)
+    if state.m is None:
         return cache
-    # base + s * (b @ a) with the same bits: both operations commute, and
-    # multiplying by 1.0 is exact.
-    np.matmul(state.b, state.a, out=v)
-    if state.config.scaling != 1.0:
-        v *= state.config.scaling
+    # base + s * (b @ a) with the bits of _weight: both operations commute.
+    v = _scaled(np.matmul(state.b, state.a, out=cache.v), state.config.scaling)
     v += state.base
-    if state.m is not None:
-        np.sqrt(np.add.reduce(np.multiply(v, v, out=cache.scratch), axis=0, out=cache.norms),
-                out=cache.norms)
-        np.add(cache.norms, state.config.norm_epsilon, out=cache.n)
-        np.divide(state.m, cache.n, out=cache.mn)
+    # n with the bits of _norms(v) + norm_epsilon.
+    np.sqrt(np.add.reduce(np.multiply(v, v, out=cache.scratch), axis=0, out=cache.sq),
+            out=cache.n)
+    cache.n += state.config.norm_epsilon
+    np.divide(state.m, cache.n, out=cache.mn)
     return cache
 
 
-def effective_weight(state: AdapterState, cache: StepCache | None = None) -> np.ndarray:
-    """Collapsed d x k weight the layer realizes, written into the cache if given.
+def _scaled(arr: np.ndarray, s: float) -> np.ndarray:
+    """arr *= s in place and return arr; skipped at s == 1.0, where it is exact."""
+    if s != 1.0:
+        arr *= s
+    return arr
+
+
+def layer_forward(state: AdapterState, x: np.ndarray,
+                  cache: StepCache | None = None) -> np.ndarray:
+    """z = W' @ x for a k x n input block, without forming W'.
+
+    full: base @ x. lora/pissa: base @ x + scaling * b @ (a @ x).
+    dora/dude*: v @ (x * m / n), the magnitudes folded into the input's rows.
+    cache, if given, must be refreshed from the state's current trainables.
+    """
+    if state.method == "full":
+        return np.dot(state.base, x)
+    if state.m is None:
+        z = np.dot(state.base, x)
+        z += _scaled(np.dot(state.b, np.dot(state.a, x)), state.config.scaling)
+        return z
+    cache = step_cache(state) if cache is None else cache
+    return np.dot(cache.v, x * cache.mn[:, None])
+
+
+def effective_weight(state: AdapterState) -> np.ndarray:
+    """Collapsed d x k weight the layer realizes, as a new array.
 
     full: base. lora/pissa: base + scaling * b @ a. dora/dude*: each column
     of base + scaling * b @ a is normalized and rescaled by its magnitude,
     with norm_epsilon added to the denominator so zero columns stay defined.
     """
-    cache = step_cache(state) if cache is None else cache
-    return cache.v if cache.mn is None else np.multiply(cache.v, cache.mn, out=cache.w)
+    if state.method == "full":
+        return state.base.copy()
+    return _weight(state.base, state.b, state.a, state.m, state.config)
 
 
 # The effective-weight formula of every method but full. Any argument may carry

@@ -1,29 +1,41 @@
-"""Analytic backward passes (one per-layer VJP, _vjp, shared with
-trainer.loss_and_grads), a central-difference oracle and a gradient checker.
+"""Analytic backward passes (one per-layer VJP, param_grads, shared by
+backward and trainer.loss_and_grads), a central-difference oracle and a
+gradient checker.
 
-For the magnitude/direction methods the backward pass differentiates through
-the column norms (no frozen-norm shortcut): with v_j the j-th column of
-base + scaling * b @ a and n_j = ||v_j|| + eps,
+A layer computes z = W' x for an input block x (k x n), so dL/dW' is
+g = gz x^T with gz = dL/dz (d x n). The VJP takes g by these factors and
+never forms it, nor the effective weight W' or the direction gradient
+h = dL/dv. For lora/pissa, z = base x + s b (a x) with s the scaling, and
 
-    dm_j = <g_j, v_j> / n_j
-    h_j  = (m_j / n_j) * (g_j - v_j <v_j, g_j> / ||v_j||^2)
+    db = s gz (a x)^T      da = s (b^T gz) x^T      dx = base^T gz + s a^T (b^T gz).
 
-where g = dL/dW' and h = dL/dv. The projector uses the exact ||v_j||^2, so
-each h_j is orthogonal to v_j up to rounding; the epsilon guard shifts only
-the outer 1/n_j scale, keeping h within O(eps) of the guarded forward's true
-derivative while preserving the exact-projection property.
+For the magnitude/direction methods the backward pass differentiates
+through the column norms (no frozen-norm shortcut). With v_j the j-th column
+of base + s b a, n_j = ||v_j|| + eps and mn_j = m_j / n_j, the forward is
+z = v x_m with x_m = mn * x (row j of x scaled by mn_j), and
 
-The factor gradients are db = scaling * h @ a.T and da = scaling * b.T @ h.
+    h_j  = mn_j g_j - c_j v_j,   c_j = mn_j <v_j, g_j> / ||v_j||^2,
+    dm_j = <v_j, g_j> / n_j.
 
-Each layer-step has one workspace, the StepCache of adapters.step_cache: v,
-||v_j||, n_j and m_j / n_j are computed once when it is refreshed, and every
-d x k intermediate is written into its buffers (g over the effective weight,
-once the input gradient is computed, and h into the scratch buffer).
-<v_j, g_j> is computed once, by param_grads, and passed to
-direction_gradient. train
-reuses one workspace per layer across steps, so its steps allocate no d x k
-array and its metrics keep the bits of the allocating step; without a
-workspace, every call here uses a new one.
+With P = v^T gz (k x n), <v_j, g_j> = sum_n x_jn P_jn, so
+
+    db = s [gz (a x_m)^T - v (a c)^T]      (a c: column j of a times c_j)
+    da = s [(b^T gz) x_m^T - (b^T v) c]    (column j of b^T v times c_j)
+    dx = mn * P.
+
+direction_gradient returns the coefficients c; the projector divides by
+||v_j||^2 as the summed squares of v_j, so each h_j is orthogonal to v_j up
+to rounding. The epsilon guard shifts only the outer 1/n_j scale, keeping h
+within O(eps) of the guarded forward's true derivative while preserving the
+exact-projection property. A zero column (v_j = 0) has c_j = 0.
+
+A lora/pissa step costs GEMMs of O(r (d + k) n + d k n) operations and forms
+no d x k array. The magnitude methods add the d x k passes of
+adapters.step_cache that build v and its norms in the layer's StepCache, and
+the O(r d k) products b^T v and v (a c)^T; full's dbase = gz x^T goes into
+its StepCache's scratch buffer. train reuses one cache per layer across
+steps, so its steps allocate no d x k array; without a cache, every call
+here uses a new one.
 """
 
 from __future__ import annotations
@@ -32,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import AdapterState, StepCache, _rescale, _weight, effective_weight
+from .adapters import AdapterState, StepCache, _rescale, _scaled, _weight, effective_weight
 from .adapters import forward, step_cache, trainable_params
 from .linalg import NumericError, _check_number
 
@@ -67,54 +79,59 @@ class GradientSet:
     dbase: np.ndarray | None = None
 
 
-def direction_gradient(state: AdapterState, g: np.ndarray, cache: StepCache | None = None,
-                       proj: np.ndarray | None = None) -> np.ndarray:
-    """h = dL/dv for a magnitude/direction state, given g = dL/dW'.
+def direction_gradient(state: AdapterState, proj: np.ndarray,
+                       cache: StepCache | None = None) -> np.ndarray:
+    """Column coefficients c of h = dL/dv for a magnitude/direction state,
+    given proj_j = <v_j, g_j> for g = dL/dW'.
 
-    Column-wise: h_j = (m_j / n_j) * (g_j - v_j <v_j, g_j> / ||v_j||^2),
+    h_j = (m_j / n_j) * g_j - c_j * v_j with c_j = (m_j / n_j) * proj_j / ||v_j||^2:
     the scaled projection of g_j onto the orthogonal complement of v_j.
-    proj, if given, must be the column sums of v * g. The result is the
-    cache's scratch buffer.
     """
     cache = step_cache(state) if cache is None else cache
-    v, norms, h = cache.v, cache.norms, cache.scratch
-    if proj is None:
-        proj = np.add.reduce(np.multiply(v, g, out=h), axis=0)
+    sq = cache.sq
     # A zero column contributes nothing to the projector (v_j is zero);
-    # guard the denominator so it does not poison the whole column with NaN.
-    denom = np.where(norms > 0.0, norms * norms, 1.0)
-    np.multiply(v, proj / denom, out=h)
-    np.subtract(g, h, out=h)
-    return np.multiply(h, cache.mn, out=h)
+    # guard the denominator so it does not poison the whole column with NaN:
+    # sq + (sq == 0) is sq, or 1 where sq is 0.
+    return cache.mn * proj / (sq + (sq == 0.0))
 
 
-def param_grads(state: AdapterState, g: np.ndarray, cache: StepCache | None = None):
-    """Map g = dL/dW' (possibly accumulated over a batch) to parameter grads.
-
-    Returns (db, da, dm, dbase); dbase, for full only, is g itself. The map
-    is linear in g, so summing g over samples before calling is equivalent
-    to summing per-sample results.
+def param_grads(state: AdapterState, gz: np.ndarray, x: np.ndarray,
+                cache: StepCache | None = None, input_grad: bool = True) -> GradientSet:
+    """The per-layer VJP: gradients of L through z = layer_forward(state, x),
+    given the input block x (k x n) and gz = dL/dz (d x n), summed over the
+    n columns. dx is None unless input_grad. cache, if given, must be
+    refreshed from the state's current trainables; full's dbase is then its
+    scratch buffer, valid until the cache's next use.
     """
+    # np.dot rather than @: the same BLAS products with less per-call
+    # overhead, which dominates a step at small d and k. full's d x k outer
+    # product over the batch is the exception: np.matmul is faster there.
     if state.method == "full":
-        return None, None, None, g
-    s = state.config.scaling
+        cache = step_cache(state) if cache is None else cache
+        dx = np.dot(state.base.T, gz) if input_grad else None
+        return GradientSet(None, None, None, dx, np.matmul(gz, x.T, out=cache.scratch))
+    s, b, a = state.config.scaling, state.b, state.a
+    bg = np.dot(b.T, gz)
     if state.m is None:
-        return s * (g @ state.a.T), s * (state.b.T @ g), None, None
+        dx = None
+        if input_grad:
+            dx = np.dot(state.base.T, gz)
+            dx += _scaled(np.dot(a.T, bg), s)
+        db, da = np.dot(gz, np.dot(a, x).T), np.dot(bg, x.T)
+        return GradientSet(_scaled(db, s), _scaled(da, s), None, dx)
     cache = step_cache(state) if cache is None else cache
-    # <v_j, g_j> once for dm and h.
-    proj = np.add.reduce(np.multiply(cache.v, g, out=cache.scratch), axis=0)
-    h = direction_gradient(state, g, cache, proj)
-    return s * (h @ state.a.T), s * (state.b.T @ h), proj / cache.n, None
-
-
-def _vjp(state: AdapterState, w: np.ndarray, cache: StepCache, x: np.ndarray, gz: np.ndarray,
-         input_grad: bool = True) -> GradientSet:
-    """Gradients of z = w @ x, w = effective_weight(state, cache), given gz = dL/dz;
-    dx is None unless input_grad. Once dx is computed, g = dL/dw overwrites w."""
-    dx = w.T @ gz if input_grad else None
-    g = np.matmul(gz, x.T, out=w) if x.ndim == 2 else np.outer(gz, x, out=w)
-    db, da, dm, dbase = param_grads(state, g, cache)
-    return GradientSet(db, da, dm, dx, dbase)
+    v, mn = cache.v, cache.mn[:, None]
+    x_m = x * mn
+    p = np.dot(v.T, gz)
+    # proj_j = <v_j, g_j> once for dm and c.
+    proj = np.add.reduce(x * p, axis=1)
+    c = direction_gradient(state, proj, cache)
+    db = np.dot(gz, np.dot(a, x_m).T)
+    db -= np.dot(v, (a * c).T)
+    da = np.dot(bg, x_m.T)
+    da -= np.dot(b.T, v) * c
+    dx = np.multiply(p, mn, out=p) if input_grad else None
+    return GradientSet(_scaled(db, s), _scaled(da, s), proj / cache.n, dx)
 
 
 def backward(state: AdapterState, x, gy) -> GradientSet:
@@ -127,8 +144,9 @@ def backward(state: AdapterState, x, gy) -> GradientSet:
         raise ValueError(f"input length mismatch: expected {k}, got {x.shape}")
     if gy.shape != (d,):
         raise ValueError(f"output-grad length mismatch: expected {d}, got {gy.shape}")
-    cache = step_cache(state)
-    return _vjp(state, effective_weight(state, cache), cache, x, gy)
+    gs = param_grads(state, gy[:, None], x[:, None])
+    gs.dx = gs.dx[:, 0]
+    return gs
 
 
 def finite_diff_grads(state: AdapterState, x, gy, epsilon_rule=None) -> GradientSet:

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapters import AdapterConfig, AdapterState, StepCache, effective_weight, initialize
+from .adapters import AdapterConfig, AdapterState, StepCache, initialize, layer_forward
 from .adapters import step_cache, trainable_params
-from .grad import GradientSet, _vjp
+from .grad import GradientSet, param_grads
 from .linalg import NumericError, SvdFactors, _check_choice, _check_int, _check_number
 from .linalg import svd, truncate_svd
 
@@ -197,11 +197,13 @@ def make_model(task: Task, method: str, rank: int, scaling: float = 1.0,
     )
 
 
-def model_forward(model: Model, x: np.ndarray) -> np.ndarray:
-    """Apply every layer to a k x n input block."""
+def model_forward(model: Model, x: np.ndarray,
+                  caches: list[StepCache] | None = None) -> np.ndarray:
+    """Apply every layer to a k x n input block. caches, one step_cache per
+    layer, are refreshed in place; without them every call uses new ones."""
     cur = x
-    for layer in model.layers:
-        cur = effective_weight(layer.state) @ cur
+    for layer, cache in zip(model.layers, caches or [None] * len(model.layers)):
+        cur = layer_forward(layer.state, cur, step_cache(layer.state, cache))
         if layer.relu:
             cur = np.maximum(cur, 0.0)
     return cur
@@ -228,16 +230,15 @@ def loss_and_grads(model: Model, batch,
                    caches: list[StepCache] | None = None) -> tuple[float, list[GradientSet]]:
     """Mean batch loss and per-layer gradients.
 
-    The backward pass accumulates dL/dW' over the batch per layer (the
-    parameter-gradient map is linear in it), chains input gradients through
-    ReLUs (subgradient 0 at exactly 0; relu(z) > 0 exactly where z > 0), and
+    The backward pass sums each layer's gradients over the batch through the
+    factored VJP (grad.param_grads), chains input gradients through ReLUs
+    (subgradient 0 at exactly 0; relu(z) > 0 exactly where z > 0), and
     returns mean gradients so the learning rate is comparable across batch sizes.
     The first layer's dx is None: nothing reads it.
 
-    caches, one step_cache per layer, are refreshed in place and receive the
-    step's d x k intermediates; gradients may then be views of them, valid
-    until the next call with the same caches. Without them every call uses
-    new ones.
+    caches, one step_cache per layer, are refreshed in place; full's dbase is
+    then a view of its cache, valid until the next call with the same caches.
+    Without them every call uses new ones.
     """
     x, t = batch
     x = np.asarray(x, dtype=np.float64)
@@ -246,10 +247,9 @@ def loss_and_grads(model: Model, batch,
     if caches is None:
         caches = [None] * len(model.layers)
     caches = [step_cache(layer.state, c) for layer, c in zip(model.layers, caches)]
-    weights, acts = [], [x]
+    acts = [x]
     for layer, cache in zip(model.layers, caches):
-        weights.append(effective_weight(layer.state, cache))
-        z = weights[-1] @ acts[-1]
+        z = layer_forward(layer.state, acts[-1], cache)
         acts.append(np.maximum(z, 0.0) if layer.relu else z)
     if model.loss == "mse":
         loss, gy = _mse_loss_gy(acts[-1], np.asarray(t, dtype=np.float64))
@@ -260,16 +260,16 @@ def loss_and_grads(model: Model, batch,
     grads: list[GradientSet] = [None] * len(model.layers)
     for idx in reversed(range(len(model.layers))):
         gz = gy * (acts[idx + 1] > 0.0) if model.layers[idx].relu else gy
-        grads[idx] = _vjp(model.layers[idx].state, weights[idx], caches[idx], acts[idx], gz,
-                          input_grad=idx > 0)
+        grads[idx] = param_grads(model.layers[idx].state, gz, acts[idx], caches[idx],
+                                 input_grad=idx > 0)
         gy = grads[idx].dx
     return loss, grads
 
 
-def evaluate(model: Model, task: Task) -> float:
+def evaluate(model: Model, task: Task, caches: list[StepCache] | None = None) -> float:
     """Held-out score: mean squared error for regression (lower is better),
-    accuracy for classification (higher is better)."""
-    y = model_forward(model, task.eval_x)
+    accuracy for classification (higher is better). caches as for model_forward."""
+    y = model_forward(model, task.eval_x, caches)
     if task.loss == "mse":
         r = y - task.eval_t
         return float((r * r).sum()) / y.shape[1]
@@ -296,8 +296,9 @@ def cosine_lr(step: int, total_steps: int, warmup_frac: float, base_lr: float) -
 
 @dataclass
 class OptState:
-    """SGD or bias-corrected Adam; moment buffers are created lazily to
-    mirror the parameter shapes."""
+    """SGD or bias-corrected Adam; the moment buffers and the two scratch
+    buffers per parameter that hold every intermediate of an update are
+    created lazily to mirror the parameter shapes."""
 
     optimizer: str
     beta1: float = 0.9
@@ -306,6 +307,7 @@ class OptState:
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
+    scratch: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
     def __post_init__(self):
         _check_choice("optimizer", self.optimizer, OPTIMIZERS)
@@ -313,28 +315,36 @@ class OptState:
 
 def optimizer_step(params: list[np.ndarray], grads: list[np.ndarray],
                    opt: OptState, lr: float) -> None:
-    """One in-place update of every parameter array."""
+    """One in-place update of every parameter array; allocates nothing
+    after the first call."""
     if len(params) != len(grads):
         raise ValueError(f"got {len(params)} params but {len(grads)} grads")
     for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise ValueError(f"param/grad shape mismatch: {p.shape} vs {g.shape}")
+    if not opt.scratch:
+        opt.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
     if opt.optimizer == "adam" and not opt.m:
         opt.m = [np.zeros_like(p) for p in params]
         opt.v = [np.zeros_like(p) for p in params]
     opt.step += 1
     if opt.optimizer == "sgd":
-        for p, g in zip(params, grads):
-            p -= lr * g
+        for p, g, (t, _) in zip(params, grads, opt.scratch):
+            p -= np.multiply(g, lr, out=t)
         return
     bc1 = 1.0 - opt.beta1 ** opt.step
     bc2 = 1.0 - opt.beta2 ** opt.step
-    for p, g, m, v in zip(params, grads, opt.m, opt.v):
+    # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), element for element, with
+    # the moments m = beta1 * m + (1 - beta1) * g, v = beta2 * v + (1 - beta2) * g * g.
+    for p, g, m, v, (t, u) in zip(params, grads, opt.m, opt.v, opt.scratch):
         m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
+        m += np.multiply(g, 1.0 - opt.beta1, out=t)
         v *= opt.beta2
-        v += (1.0 - opt.beta2) * (g * g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+        v += np.multiply(np.multiply(g, g, out=t), 1.0 - opt.beta2, out=t)
+        np.multiply(np.divide(m, bc1, out=t), lr, out=t)
+        np.sqrt(np.divide(v, bc2, out=u), out=u)
+        u += opt.eps
+        p -= np.divide(t, u, out=t)
 
 
 @dataclass
@@ -394,7 +404,9 @@ def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
              for name, arr in trainable_params(layer.state)]
     flat = np.concatenate([arr.reshape(-1) for *_, arr in named])
     gflat = np.empty_like(flat)
+    gsq = np.empty_like(flat)
     cuts = np.cumsum([arr.size for *_, arr in named])[:-1]
+    gsq_segments = np.split(gsq, cuts)
     grad_views = []
     for (i, name, arr), view, gview in zip(named, np.split(flat, cuts), np.split(gflat, cuts)):
         setattr(model.layers[i].state, name, view.reshape(arr.shape))
@@ -411,14 +423,15 @@ def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
             raise NumericError(f"numeric failure at step {step}: {e}") from e
         for i, key, view in grad_views:
             view[...] = getattr(grads[i], key)
-        # Summed array by array: one sum over gflat would round differently.
-        grad_norm = float(np.sqrt(sum((g * g).sum() for *_, g in grad_views)))
+        # Summed trainable by trainable: one sum over gsq would round differently.
+        np.multiply(gflat, gflat, out=gsq)
+        grad_norm = float(np.sqrt(sum(np.add.reduce(seg) for seg in gsq_segments)))
         if cfg.scheduler == "cosine":
             lr = cosine_lr(step - 1, cfg.steps, cfg.warmup_frac, base_lr)
         else:
             lr = base_lr
         optimizer_step([flat], [gflat], opt, lr)
-        score = evaluate(model, task) if step % cfg.eval_every == 0 else None
+        score = evaluate(model, task, caches) if step % cfg.eval_every == 0 else None
         records.append(MetricsRecord(step, loss, grad_norm, lr, score))
     return records
 

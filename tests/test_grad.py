@@ -10,9 +10,9 @@ from peftlab import grad
 from peftlab.adapters import (
     METHODS,
     AdapterConfig,
-    effective_weight,
     forward,
     initialize,
+    layer_forward,
     merge,
     step_cache,
     trainable_params,
@@ -45,6 +45,14 @@ def max_rel(a, f):
     return float((np.abs(a - f) / scale).max())
 
 
+def direction_from_coefficients(state, v, g):
+    """h = dL/dv for g = dL/dW', built column by column from the coefficients
+    c that direction_gradient returns: h_j = (m_j / n_j) g_j - c_j v_j."""
+    n = np.linalg.norm(v, axis=0) + state.config.norm_epsilon
+    c = direction_gradient(state, (v * g).sum(axis=0))
+    return (state.m / n) * g - c * v
+
+
 # ---------------------------------------------------------------------------
 # analytic backward
 
@@ -66,7 +74,7 @@ def test_direction_gradient_orthogonal_to_columns():
         state, x, gy = random_case("dude", d, 5, min(2, d), seed=seed)
         g = np.outer(gy, x)
         v = state.base + state.config.scaling * (state.b @ state.a)
-        h = direction_gradient(state, g)
+        h = direction_from_coefficients(state, v, g)
         for j in range(v.shape[1]):
             inner = abs(float(v[:, j] @ h[:, j]))
             n_j = np.linalg.norm(v[:, j]) + state.config.norm_epsilon
@@ -75,25 +83,35 @@ def test_direction_gradient_orthogonal_to_columns():
             assert inner <= max(bound, 1e-30)
 
 
+def with_zero_column(state):
+    """The state with column 0 of v = base + s * b @ a exactly zero (the
+    guarded path); full's base gets a zero column instead."""
+    base = state.base.copy()
+    if state.method == "full":
+        base[:, 0] = 0.0
+    else:
+        base[:, 0] = -(state.config.scaling * (state.b @ state.a))[:, 0]
+    return dataclasses.replace(state, base=base)
+
+
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("d, k, r", [(6, 4, 2), (3, 7, 3), (5, 5, 5)])
 def test_cached_step_gives_the_uncached_bytes(method, d, k, r):
     state, _, _ = random_case(method, d, k, r, seed=d * k + r)
-    if state.method != "full":
-        # Column 0 of v = base + s * b @ a is exactly zero: the guarded path.
-        base = state.base.copy()
-        base[:, 0] = -(state.config.scaling * (state.b @ state.a))[:, 0]
-        state = dataclasses.replace(state, base=base)
-    g = np.random.default_rng(r).standard_normal((d, k))
+    state = with_zero_column(state)
+    rng = np.random.default_rng(r)
+    x, gz = rng.standard_normal((k, 3)), rng.standard_normal((d, 3))
     cache = step_cache(state)
 
-    def bits(arrays):
+    def bits(gs):
+        arrays = [gs] if isinstance(gs, np.ndarray) else [gs.db, gs.da, gs.dm, gs.dx, gs.dbase]
         return [None if a is None else (a.shape, a.tobytes()) for a in arrays]
 
-    assert bits([effective_weight(state, cache)]) == bits([effective_weight(state)])
-    assert bits(param_grads(state, g, cache)) == bits(param_grads(state, g))
+    assert bits(layer_forward(state, x, cache)) == bits(layer_forward(state, x))
+    assert bits(param_grads(state, gz, x, cache)) == bits(param_grads(state, gz, x))
     if state.m is not None:
-        assert bits([direction_gradient(state, g, cache)]) == bits([direction_gradient(state, g)])
+        proj = rng.standard_normal(k)
+        assert bits(direction_gradient(state, proj, cache)) == bits(direction_gradient(state, proj))
 
 
 def test_doubling_magnitude_exactly_doubles_factor_grads():
@@ -335,7 +353,7 @@ def test_gradient_and_merge_properties(method, d, k, data, scaling, seed):
     if state.m is not None:
         v = state.base + scaling * (state.b @ state.a)
         g = np.outer(gy, x)
-        h = direction_gradient(state, g)
+        h = direction_from_coefficients(state, v, g)
         inner = np.abs((v * h).sum(axis=0))
         # Relative to the projected vector (m_j / n_j) g_j, not to h_j: at
         # d = 1 the exact h_j is zero and the computed one is rounding noise
@@ -344,3 +362,101 @@ def test_gradient_and_merge_properties(method, d, k, data, scaling, seed):
         scale = np.abs(state.m) / (norms + state.config.norm_epsilon) * np.linalg.norm(g, axis=0)
         assert np.all(inner <= np.maximum(1e-10 * norms * scale, 1e-30))
     assert np.allclose(merge(state) @ x, forward(state, x), rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# factored VJP vs the dense formulas
+
+# The dense step the factored param_grads replaced, kept as an independent
+# oracle: it forms the effective weight W', g = dL/dW' = gz x^T and the
+# direction gradient h = dL/dv, and maps g to the parameter gradients.
+
+def _ref_weight(state):
+    if state.method == "full":
+        return state.base.copy()
+    v = state.base + state.config.scaling * (state.b @ state.a)
+    if state.m is None:
+        return v
+    n = np.linalg.norm(v, axis=-2) + state.config.norm_epsilon
+    return v * (state.m / n)[..., None, :]
+
+
+def _ref_direction_gradient(state, g):
+    v = state.base + state.config.scaling * (state.b @ state.a)
+    norms = np.linalg.norm(v, axis=0)
+    n = norms + state.config.norm_epsilon
+    proj = (v * g).sum(axis=0)
+    denom = np.where(norms > 0.0, norms * norms, 1.0)
+    return (state.m / n) * (g - v * (proj / denom))
+
+
+def _ref_param_grads(state, g):
+    """Gradients in trainable_params order."""
+    if state.method == "full":
+        return [g.copy()]
+    s = state.config.scaling
+    if state.m is None:
+        return [s * (g @ state.a.T), s * (state.b.T @ g)]
+    v = state.base + s * (state.b @ state.a)
+    n = np.linalg.norm(v, axis=0) + state.config.norm_epsilon
+    dm = (v * g).sum(axis=0) / n
+    h = _ref_direction_gradient(state, g)
+    return [s * (h @ state.a.T), s * (state.b.T @ h), dm]
+
+
+def _term_sizes(state, gz, x):
+    """For each gradient of _ref_param_grads, then dx, the size of the terms
+    its entries sum, from absolute values. Column g_j = gz x_j^T of dL/dW'
+    enters at the norm of sum_n |gz_n| |x_jn|, so the column sizes of h,
+    (m_j / n_j) * that norm, are the scale criterion 4 bounds h_j by."""
+    s = abs(state.config.scaling)
+    d, k = state.base.shape
+    g_abs = np.abs(gz) @ np.abs(x).T
+    col = np.linalg.norm(g_abs, axis=0)
+    if state.method == "full":
+        return [g_abs, np.abs(state.base).T @ np.abs(gz)]
+    v_abs = np.abs(state.base) + s * (np.abs(state.b) @ np.abs(state.a))
+    mn = np.ones(k)
+    if state.m is not None:
+        norms = np.linalg.norm(state.base + state.config.scaling * (state.b @ state.a), axis=0)
+        mn = np.abs(state.m) / (norms + state.config.norm_epsilon)
+    h_col = mn * col
+    sizes = [s * np.broadcast_to(np.abs(state.a) @ h_col, (d, state.a.shape[0])),
+             s * np.abs(state.b).sum(axis=0)[:, None] * h_col]
+    if state.m is not None:
+        sizes.append(norms * col / (norms + state.config.norm_epsilon))
+    return sizes + [mn[:, None] * (v_abs.T @ np.abs(gz))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    method=st.sampled_from(METHODS),
+    d=st.integers(1, 8),
+    k=st.integers(1, 8),
+    data=st.data(),
+    n=st.integers(1, 4),
+    scaling=st.floats(0.25, 4.0).filter(lambda s: s != 1.0),
+    zero_column=st.booleans(),
+    exponent=st.sampled_from([0, 100, -100]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factored_grads_match_the_dense_oracle(method, d, k, data, n, scaling, zero_column,
+                                               exponent, seed):
+    # One step of n samples at input scale 10^exponent. Each entry may differ
+    # from the dense formulas by rounding only: by at most 1e-13 of the size
+    # of the terms it sums.
+    r = data.draw(st.integers(1, min(d, k)), label="rank")
+    state, _, _ = random_case(method, d, k, r, seed, scaling=scaling)
+    if zero_column:
+        state = with_zero_column(state)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((k, n)) * 10.0 ** exponent
+    gz = rng.standard_normal((d, n))
+    gs = param_grads(state, gz, x)
+    got = [a for a in (gs.db, gs.da, gs.dm, gs.dbase) if a is not None] + [gs.dx]
+    want = _ref_param_grads(state, gz @ x.T) + [_ref_weight(state).T @ gz]
+    names = [name for name, _ in trainable_params(state)] + ["x"]
+    for name, g, w, size in zip(names, got, want, _term_sizes(state, gz, x), strict=True):
+        assert g.shape == w.shape
+        assert np.all(np.isfinite(g)) and np.all(np.isfinite(size))
+        assert np.all(np.abs(g - w) <= 1e-13 * size), (name, np.abs(g - w).max())

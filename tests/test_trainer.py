@@ -7,7 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from peftlab.adapters import METHODS, AdapterConfig, effective_weight, initialize, trainable_params
+from peftlab.adapters import (
+    METHODS,
+    AdapterConfig,
+    effective_weight,
+    initialize,
+    step_cache,
+    trainable_params,
+)
 from peftlab.linalg import NumericError, svd
 from peftlab.trainer import (
     DEFAULT_SEEDS,
@@ -21,6 +28,7 @@ from peftlab.trainer import (
     loss_and_grads,
     make_model,
     make_task,
+    model_forward,
     optimizer_step,
     summarize,
     train,
@@ -355,52 +363,55 @@ def test_convergence_trend_dude_vs_lora_three_seeds():
 
 
 # ---------------------------------------------------------------------------
-# bit-identity oracle: the uncached step and the per-array optimizer
+# bit-identity oracle: the step without workspaces and the per-array optimizer
 
 # A training step without the step cache or the flat buffer, kept as the
-# oracle train must match bit for bit: the forward, the magnitude gradient and
-# the direction gradient each compute v = base + s * b @ a and its column
-# norms, and the optimizer updates one trainable array at a time.
+# oracle train must match bit for bit. It follows the factored formulas of
+# grad.param_grads (see the grad module docstring) operation for operation;
+# the forward, the gradients and the eval each compute v = base + s * b @ a
+# and its column norms afresh, and the optimizer updates one trainable array
+# at a time with numpy's temporaries.
 
-def _ref_weight(state):
-    if state.method == "full":
-        return state.base.copy()
+def _ref_direction(state):
+    """v, ||v_j||^2, n = ||v_j|| + eps and m / n as a column."""
     v = state.base + state.config.scaling * (state.b @ state.a)
-    if state.m is None:
-        return v
-    n = np.linalg.norm(v, axis=-2) + state.config.norm_epsilon
-    return v * (state.m / n)[..., None, :]
+    sq = (v * v).sum(axis=0)
+    n = np.sqrt(sq) + state.config.norm_epsilon
+    return v, sq, n, (state.m / n)[:, None]
 
 
-def _ref_direction_gradient(state, g):
-    v = state.base + state.config.scaling * (state.b @ state.a)
-    norms = np.linalg.norm(v, axis=0)
-    n = norms + state.config.norm_epsilon
-    proj = (v * g).sum(axis=0)
-    denom = np.where(norms > 0.0, norms * norms, 1.0)
-    return (state.m / n) * (g - v * (proj / denom))
-
-
-def _ref_param_grads(state, g):
-    """Gradients in trainable_params order."""
+def _ref_forward(state, x):
     if state.method == "full":
-        return [g.copy()]
-    s = state.config.scaling
+        return state.base @ x
     if state.m is None:
-        return [s * (g @ state.a.T), s * (state.b.T @ g)]
-    v = state.base + s * (state.b @ state.a)
-    n = np.linalg.norm(v, axis=0) + state.config.norm_epsilon
-    dm = (v * g).sum(axis=0) / n
-    h = _ref_direction_gradient(state, g)
-    return [s * (h @ state.a.T), s * (state.b.T @ h), dm]
+        return state.base @ x + state.config.scaling * (state.b @ (state.a @ x))
+    v, _, _, mn = _ref_direction(state)
+    return v @ (x * mn)
+
+
+def _ref_param_grads(state, gz, x):
+    """Gradients in trainable_params order, and dx."""
+    s, b, a = state.config.scaling, state.b, state.a
+    if state.method == "full":
+        return [gz @ x.T], state.base.T @ gz
+    if state.m is None:
+        return ([s * (gz @ (a @ x).T), s * ((b.T @ gz) @ x.T)],
+                state.base.T @ gz + s * (a.T @ (b.T @ gz)))
+    v, sq, n, mn = _ref_direction(state)
+    x_m = x * mn
+    p = v.T @ gz
+    proj = (x * p).sum(axis=1)
+    c = mn[:, 0] * proj / np.where(sq > 0.0, sq, 1.0)
+    db = s * (gz @ (a @ x_m).T - v @ (a * c).T)
+    da = s * ((b.T @ gz) @ x_m.T - (b.T @ v) * c)
+    return [db, da, proj / n], p * mn
 
 
 def _ref_loss_and_grads(model, x, t):
-    weights = [_ref_weight(layer.state) for layer in model.layers]
     inputs, pre, cur = [], [], x
-    for layer, w in zip(model.layers, weights):
+    for layer in model.layers:
         inputs.append(cur)
-        z = w @ cur
+        z = _ref_forward(layer.state, cur)
         pre.append(z)
         cur = np.maximum(z, 0.0) if layer.relu else z
     n = cur.shape[1]
@@ -417,15 +428,14 @@ def _ref_loss_and_grads(model, x, t):
     grads = [None] * len(model.layers)
     for idx in reversed(range(len(model.layers))):
         gz = gy * (pre[idx] > 0.0) if model.layers[idx].relu else gy
-        grads[idx] = _ref_param_grads(model.layers[idx].state, gz @ inputs[idx].T)
-        gy = weights[idx].T @ gz
+        grads[idx], gy = _ref_param_grads(model.layers[idx].state, gz, inputs[idx])
     return loss, [g for layer_grads in grads for g in layer_grads]
 
 
 def _ref_evaluate(model, task):
     y = task.eval_x
     for layer in model.layers:
-        y = _ref_weight(layer.state) @ y
+        y = _ref_forward(layer.state, y)
         if layer.relu:
             y = np.maximum(y, 0.0)
     if task.loss == "mse":
@@ -544,14 +554,11 @@ def _outcome(train_fn, model, task, cfg):
         return str(e)
 
 
-def test_train_step_allocates_less_than_one_weight():
-    # The wide256 benchmark shape with dora: 64 x 256 and 256 x 256 layers,
-    # rank 8, batch 32. After the first step, v, its norms, the effective
-    # weight, g = dL/dW' and the magnitude gradients' intermediates live in
-    # the per-layer caches, so a whole step peaks below one 256 x 256 float64
-    # array (512 KiB); allocating each of them per step peaks near 3 MiB.
+def _step2_peak(method):
+    """tracemalloc peak of step 2 of a train run at the wide256 benchmark
+    shape: 64 x 256 and 256 x 256 layers, rank 8, batch 32."""
     task = make_task("cluster_classify", 64, 256, sigma=4.0, seed=42)
-    model = make_model(task, "dora", rank=8, seed=42)
+    model = make_model(task, method, rank=8, seed=42)
     draw, marks = task.sample_batch, []
 
     def sample_batch(rng, n):
@@ -567,8 +574,58 @@ def test_train_step_allocates_less_than_one_weight():
     finally:
         tracemalloc.stop()
     # marks[2] holds the peak since the draw of step 2, marks[1] the memory before it.
-    step2_peak = marks[2][1] - marks[1][0]
-    assert step2_peak < 256 * 256 * 8, step2_peak
+    return marks[2][1] - marks[1][0]
+
+
+def test_train_step_allocates_less_than_one_weight():
+    # After the first step, v, its norms and the optimizer's intermediates
+    # live in the per-layer caches and the optimizer state, so a whole dora
+    # step peaks below one 256 x 256 float64 array (512 KiB); allocating each
+    # of them per step peaks near 3 MiB.
+    peak = _step2_peak("dora")
+    assert peak < 256 * 256 * 8, peak
+
+
+def test_full_train_step_allocates_less_than_one_weight():
+    # full trains the whole weight: dL/dbase goes into the layer's cache and
+    # Adam's intermediates into OptState's scratch buffers, where per-step
+    # temporaries of the flat buffer peaked near 2 MiB.
+    peak = _step2_peak("full")
+    assert peak < 256 * 256 * 8, peak
+
+
+@pytest.mark.parametrize("method", ["lora", "pissa"])
+def test_factored_step_forms_no_weight_sized_array(method):
+    # A 256 x 256 layer at rank 8 and batch 32, without workspaces: the
+    # forward and the gradients go through b and a, so the step allocates
+    # less than one d x k array (forming b @ a alone would take 512 KiB).
+    task = make_task("teacher_student", 256, 256, r_true=0, sigma=0.0, seed=1)
+    model = make_model(task, method, rank=8, seed=1)
+    batch = task.sample_batch(training_stream(task, 0), 32)
+    tracemalloc.start()
+    try:
+        loss_and_grads(model, batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 256 * 8, peak
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("kind", ["teacher_student", "cluster_classify"])
+def test_evaluate_with_caches_gives_the_cacheless_bits(method, kind):
+    # Caches made before training hold stale trainables; evaluate must
+    # refresh them in place and score exactly as without them.
+    task = make_task(kind, 4, 6, r_true=2 if kind == "teacher_student" else 0, sigma=0.5,
+                     seed=3)
+    model = make_model(task, method, rank=2, scaling=0.5, seed=3)
+    stale = [step_cache(layer.state) for layer in model.layers]
+    train(model, task, TrainConfig(steps=5, batch_size=4, base_lr=3e-2, seed=3))
+    got = evaluate(model, task, stale)
+    assert float(got).hex() == float(evaluate(model, task)).hex()
+    caches = [step_cache(layer.state) for layer in model.layers]
+    assert model_forward(model, task.eval_x, caches).tobytes() == \
+        model_forward(model, task.eval_x).tobytes()
 
 
 @pytest.mark.parametrize("method", METHODS)
