@@ -151,8 +151,13 @@ class StepCache:
       lora/pissa  nothing; every product goes through b and a.
       dora/dude*  v = base + scaling * b @ a, sq = ||v_j||^2,
                   n = ||v_j|| + norm_epsilon, mn = m / n, and scratch, the
-                  d x k buffer v * v is summed in.
+                  d x k buffer v * v is summed in; layer_forward leaves
+                  xm = x * m / n of the block it last read, which
+                  trainer.loss_and_grads hands on to grad.param_grads.
       full        scratch, the d x k buffer that receives dL/dbase.
+
+    effective_weight and the finite-difference oracle fill one through the
+    same formula (_weight), the oracle's with a leading stack axis.
     """
 
     v: np.ndarray | None = None
@@ -160,6 +165,7 @@ class StepCache:
     n: np.ndarray | None = None
     mn: np.ndarray | None = None
     scratch: np.ndarray | None = None
+    xm: np.ndarray | None = None
 
 
 def step_cache(state: AdapterState, cache: StepCache | None = None) -> StepCache:
@@ -167,23 +173,9 @@ def step_cache(state: AdapterState, cache: StepCache | None = None) -> StepCache
     and return it. Every array is written in place, so a cache reused across
     steps allocates nothing; a new one shares no memory with any other."""
     if cache is None:
-        cache = StepCache()
-        if state.method == "full" or state.m is not None:
-            cache.scratch = np.empty(state.base.shape)
-        if state.m is not None:
-            k = state.base.shape[1]
-            cache.v = np.empty(state.base.shape)
-            cache.sq, cache.n, cache.mn = np.empty(k), np.empty(k), np.empty(k)
-    if state.m is None:
-        return cache
-    # base + s * (b @ a) with the bits of _weight: both operations commute.
-    v = _scaled(np.matmul(state.b, state.a, out=cache.v), state.config.scaling)
-    v += state.base
-    # n with the bits of _norms(v) + norm_epsilon.
-    np.sqrt(np.add.reduce(np.multiply(v, v, out=cache.scratch), axis=0, out=cache.sq),
-            out=cache.n)
-    cache.n += state.config.norm_epsilon
-    np.divide(state.m, cache.n, out=cache.mn)
+        cache = StepCache(scratch=np.empty(state.base.shape) if state.method == "full" else None)
+    if state.m is not None:
+        _direction(state.base, state.b, state.a, state.m, state.config, cache)
     return cache
 
 
@@ -199,8 +191,9 @@ def layer_forward(state: AdapterState, x: np.ndarray,
     """z = W' @ x for a k x n input block, without forming W'.
 
     full: base @ x. lora/pissa: base @ x + scaling * b @ (a @ x).
-    dora/dude*: v @ (x * m / n), the magnitudes folded into the input's rows.
-    cache, if given, must be refreshed from the state's current trainables.
+    dora/dude*: v @ (x * m / n), the magnitudes folded into the input's rows;
+    x * m / n is left in the cache as xm. cache, if given, must be refreshed
+    from the state's current trainables.
     """
     if state.method == "full":
         return np.dot(state.base, x)
@@ -209,7 +202,8 @@ def layer_forward(state: AdapterState, x: np.ndarray,
         z += _scaled(np.dot(state.b, np.dot(state.a, x)), state.config.scaling)
         return z
     cache = step_cache(state) if cache is None else cache
-    return np.dot(cache.v, x * cache.mn[:, None])
+    cache.xm = x * cache.mn[:, None]
+    return np.dot(cache.v, cache.xm)
 
 
 def effective_weight(state: AdapterState) -> np.ndarray:
@@ -221,30 +215,40 @@ def effective_weight(state: AdapterState) -> np.ndarray:
     """
     if state.method == "full":
         return state.base.copy()
-    return _weight(state.base, state.b, state.a, state.m, state.config)
+    return _weight(state.base, state.b, state.a, state.m, state.config, StepCache())
 
 
-# The effective-weight formula of every method but full. Any argument may carry
-# a leading stack axis (b: ... x d x r, a: ... x r x k, m and n: ... x k), and
-# the result then holds one d x k weight per stacked entry, each with the bits
-# of the unstacked call: the finite-difference oracle evaluates perturbations
-# this way.
+# The weight formula of every method but full, shared by step_cache,
+# effective_weight and the finite-difference oracle. Any argument may carry a
+# leading stack axis (b: ... x d x r, a: ... x r x k, m: ... x k), and the
+# workspace then holds one entry per stacked weight, each with the bits of the
+# unstacked call: the oracle evaluates its displaced copies this way.
 
-def _weight(base, b, a, m, cfg: AdapterConfig) -> np.ndarray:
-    v = base + cfg.scaling * (b @ a)
-    if m is None:
-        return v
-    return _rescale(v, m, _norms(v) + cfg.norm_epsilon)
+def _direction(base, b, a, m, cfg: AdapterConfig, ws: StepCache) -> None:
+    """Write v = base + scaling * b @ a into ws.v and, when m is given, the
+    column sums of squares sq (of ws.scratch = v * v, summed as
+    numpy.linalg.norm sums them), n = sqrt(sq) + norm_epsilon and mn = m / n
+    into ws's buffers of those names. A buffer that is None is allocated and
+    kept in ws."""
+    # s * (b @ a) + base has the bits of base + s * (b @ a): both operations
+    # commute.
+    ws.v = _scaled(np.matmul(b, a, out=ws.v), cfg.scaling)
+    ws.v += base
+    if m is not None:
+        ws.scratch = np.multiply(ws.v, ws.v, out=ws.scratch)
+        ws.sq = np.add.reduce(ws.scratch, axis=-2, out=ws.sq)
+        ws.n = np.sqrt(ws.sq, out=ws.n)
+        ws.n += cfg.norm_epsilon
+        ws.mn = np.divide(m, ws.n, out=ws.mn)
 
 
-def _norms(v) -> np.ndarray:
-    """||v_j|| for every column j of v, as numpy.linalg.norm sums it."""
-    return np.sqrt(np.add.reduce(v * v, axis=-2))
-
-
-def _rescale(v, m, n) -> np.ndarray:
-    """Column j of v times m_j / n_j."""
-    return v * (m / n)[..., None, :]
+def _weight(base, b, a, m, cfg: AdapterConfig, ws: StepCache) -> np.ndarray:
+    """The effective weight, in place in ws.v: v, with column j times
+    m_j / n_j when m is given."""
+    _direction(base, b, a, m, cfg, ws)
+    if m is not None:
+        ws.v *= ws.mn[..., None, :]
+    return ws.v
 
 
 def forward(state: AdapterState, x) -> np.ndarray:

@@ -35,7 +35,14 @@ adapters.step_cache that build v and its norms in the layer's StepCache, and
 the O(r d k) products b^T v and v (a c)^T; full's dbase = gz x^T goes into
 its StepCache's scratch buffer. train reuses one cache per layer across
 steps, so its steps allocate no d x k array; without a cache, every call
-here uses a new one.
+here uses a new one. In a step, the dora/dude* VJP takes x_m from the
+forward (StepCache.xm) instead of forming it again.
+
+finite_diff_grads, the oracle these formulas are checked against, takes
+central differences of dense forwards instead. For each trainable, and for
+x, it stacks the displaced copies in chunks and computes every chunk into one
+workspace, allocated once per displaced array, through adapters._weight: the
+in-place formula that effective_weight and step_cache also use.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import AdapterState, StepCache, _rescale, _scaled, _weight, effective_weight
+from .adapters import AdapterState, StepCache, _scaled, _weight, effective_weight
 from .adapters import forward, step_cache, trainable_params
 from .linalg import NumericError, _check_number
 
@@ -60,7 +67,9 @@ __all__ = [
 ]
 
 FD_BASE_STEP = 1e-5
-# Bytes of stacked weights the finite-difference oracle evaluates at once.
+# Bytes of stacked weights the finite-difference oracle evaluates at once:
+# the size of each stacked d x k buffer of its workspace, and so what bounds
+# the oracle's memory.
 _FD_CHUNK_BYTES = 128 * 1024
 
 
@@ -96,12 +105,15 @@ def direction_gradient(state: AdapterState, proj: np.ndarray,
 
 
 def param_grads(state: AdapterState, gz: np.ndarray, x: np.ndarray,
-                cache: StepCache | None = None, input_grad: bool = True) -> GradientSet:
+                cache: StepCache | None = None, input_grad: bool = True,
+                x_m: np.ndarray | None = None) -> GradientSet:
     """The per-layer VJP: gradients of L through z = layer_forward(state, x),
     given the input block x (k x n) and gz = dL/dz (d x n), summed over the
     n columns. dx is None unless input_grad. cache, if given, must be
     refreshed from the state's current trainables; full's dbase is then its
-    scratch buffer, valid until the cache's next use.
+    scratch buffer, valid until the cache's next use. x_m, if given, must be
+    x * m / n for this x and cache, as layer_forward(state, x, cache) leaves
+    it in cache.xm; without it, dora/dude* compute it again.
     """
     # np.dot rather than @: the same BLAS products with less per-call
     # overhead, which dominates a step at small d and k. full's d x k outer
@@ -121,7 +133,7 @@ def param_grads(state: AdapterState, gz: np.ndarray, x: np.ndarray,
         return GradientSet(_scaled(db, s), _scaled(da, s), None, dx)
     cache = step_cache(state) if cache is None else cache
     v, mn = cache.v, cache.mn[:, None]
-    x_m = x * mn
+    x_m = x * mn if x_m is None else x_m
     p = np.dot(v.T, gz)
     # proj_j = <v_j, g_j> once for dm and c.
     proj = np.add.reduce(x * p, axis=1)
@@ -155,9 +167,13 @@ def finite_diff_grads(state: AdapterState, x, gy, epsilon_rule=None) -> Gradient
     Each trainable scalar theta, and each entry of x, is displaced by +-h with
     h = epsilon_rule(theta), default 1e-5 * (1 + |theta|). The displaced
     copies of one array are evaluated in stacked chunks of at most 128 KiB of
-    weights, each loss still as gy @ (W_j @ x_j), so every gradient has the
-    bits of one forward per displaced scalar. The caller's state and x are
-    only read.
+    weights (one copy per chunk once a weight takes more than half of that).
+    Each array gets one workspace, allocated once, that holds a chunk's
+    stacked weights, for dora/dude* their squares, norms and m / n, and its
+    outputs; every chunk is computed into it in place, by the operations of
+    effective_weight in the same order. Each loss is still gy @ (W_j @ x_j),
+    so every gradient has the bits of one forward per displaced scalar. The
+    caller's state and x are only read.
     """
     x = np.asarray(x, dtype=np.float64)
     gy = np.asarray(gy, dtype=np.float64)
@@ -191,14 +207,12 @@ def _central_differences(state: AdapterState, name: str, arr: np.ndarray, x: np.
     buf = stack.reshape(-1)
     at = np.arange(values.size) % n * flat.size + np.arange(values.size) // 2
     stacked = stack.reshape((n,) + arr.shape)
-    outputs = _displaced_outputs(state, name, x)
+    outputs = _displaced_outputs(state, name, x, n)
     losses = np.empty(values.size)
     for start in range(0, values.size, n):
         stop = min(start + n, values.size)
         buf[at[start:stop]] = values[start:stop]
-        # A single perturbation goes through the plain 2-D path, which is
-        # faster than a stack of one.
-        ys = outputs(stacked[: stop - start]) if n > 1 else outputs(stacked[0])[None]
+        ys = outputs(stacked[: stop - start])
         # ndarray.dot of two 1-D arrays is the same ddot as gy @ y; a
         # matrix-vector product ys @ gy would sum in another order.
         losses[start:stop] = np.fromiter(map(gy.dot, ys), np.float64, stop - start)
@@ -206,23 +220,42 @@ def _central_differences(state: AdapterState, name: str, arr: np.ndarray, x: np.
     return ((losses[0::2] - losses[1::2]) / (2.0 * h)).reshape(arr.shape)
 
 
-def _displaced_outputs(state: AdapterState, name: str, x: np.ndarray):
-    """f(p) = W_j @ x_j where the array called name (a trainable, or x) is
-    replaced by p, or by each entry of p along a leading stack axis. The x
+def _displaced_outputs(state: AdapterState, name: str, x: np.ndarray, n: int):
+    """f(p) = W_j @ x_j for each entry j of p, a stack of at most n copies of
+    the array called name (a trainable, or x) with p in its place. Every call
+    writes into one workspace allocated here: the stacked weights, for
+    dora/dude* their squares, norms and m / n, and the outputs. The x
     displacements reuse the unperturbed weight, the m ones the unperturbed
     direction v and its norms n."""
-    cfg = state.config
+    d, k = state.base.shape
+    ys = np.empty((n, d, 1))
     if name == "x":
         w = effective_weight(state)
-        return lambda p: (w @ p[..., None])[..., 0]
+        return lambda p: np.matmul(w, p[..., None], out=ys[: len(p)])[..., 0]
     if name == "base":
-        return lambda p: p @ x
-    if name == "b":
-        return lambda p: _weight(state.base, p, state.a, state.m, cfg) @ x
-    if name == "a":
-        return lambda p: _weight(state.base, state.b, p, state.m, cfg) @ x
-    cache = step_cache(state)
-    return lambda p: _rescale(cache.v, p, cache.n) @ x
+        return lambda p: np.matmul(p, x, out=ys[: len(p), :, 0])
+    ws = StepCache(v=np.empty((n, d, k)), mn=None if state.m is None else np.empty((n, k)))
+    if name == "m":
+        cache = step_cache(state)
+
+        def outputs(p):
+            c = len(p)
+            mn = np.divide(p, cache.n, out=ws.mn[:c])
+            w = np.multiply(cache.v, mn[:, None, :], out=ws.v[:c])
+            return np.matmul(w, x, out=ys[:c, :, 0])
+        return outputs
+    if state.m is not None:
+        ws.scratch, ws.sq, ws.n = np.empty((n, d, k)), np.empty((n, k)), np.empty((n, k))
+
+    def outputs(p):
+        c = len(p)
+        # Only the last chunk can be shorter: it takes views of the first c entries.
+        head = ws if c == n else StepCache(**{f: None if buf is None else buf[:c]
+                                               for f, buf in vars(ws).items()})
+        b, a = (p, state.a) if name == "b" else (state.b, p)
+        w = _weight(state.base, b, a, state.m, state.config, head)
+        return np.matmul(w, x, out=ys[:c, :, 0])
+    return outputs
 
 
 @dataclass

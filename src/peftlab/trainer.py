@@ -234,7 +234,8 @@ def loss_and_grads(model: Model, batch,
     factored VJP (grad.param_grads), chains input gradients through ReLUs
     (subgradient 0 at exactly 0; relu(z) > 0 exactly where z > 0), and
     returns mean gradients so the learning rate is comparable across batch sizes.
-    The first layer's dx is None: nothing reads it.
+    The first layer's dx is None: nothing reads it. dora/dude* layers hand
+    x * m / n from the forward to the VJP instead of computing it twice.
 
     caches, one step_cache per layer, are refreshed in place; full's dbase is
     then a view of its cache, valid until the next call with the same caches.
@@ -261,7 +262,7 @@ def loss_and_grads(model: Model, batch,
     for idx in reversed(range(len(model.layers))):
         gz = gy * (acts[idx + 1] > 0.0) if model.layers[idx].relu else gy
         grads[idx] = param_grads(model.layers[idx].state, gz, acts[idx], caches[idx],
-                                 input_grad=idx > 0)
+                                 input_grad=idx > 0, x_m=caches[idx].xm)
         gy = grads[idx].dx
     return loss, grads
 

@@ -13,6 +13,7 @@ from peftlab.adapters import (
     forward,
     initialize,
     kaiming_uniform,
+    layer_forward,
     merge,
     trainable_params,
 )
@@ -310,6 +311,43 @@ def test_merge_matches_adapter_forward_on_random_states():
         for _ in range(5):
             x = rng.standard_normal(k)
             assert np.abs(forward(state, x) - merged @ x).max() <= 1e-10
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    method=st.sampled_from(METHODS),
+    d=st.integers(1, 12),
+    k=st.integers(1, 12),
+    data=st.data(),
+    n=st.integers(1, 4),
+    scaling=st.floats(0.25, 4.0),
+    exponent=st.sampled_from([0, 100, -100]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_merge_matches_layer_forward_at_extreme_input_scales(method, d, k, data, n, scaling,
+                                                             exponent, seed):
+    # merge(state) @ X and layer_forward(state, X) sum the same terms in
+    # another order, so they may differ by rounding only. The bound is
+    # relative to the sizes of those terms, |base| |X| + s |b| (|a| |X|),
+    # with X's rows scaled by |m_j| / n_j for dora/dude*; not to |W'| |X|,
+    # because pissa's base cancels most of s * b @ a.
+    r = data.draw(st.integers(1, min(d, k)), label="rank")
+    rng = np.random.default_rng(seed)
+    _, state = random_state(method, d, k, r, seed, scaling=scaling)
+    for _, arr in trainable_params(state):
+        arr += 0.1 * rng.standard_normal(arr.shape)
+    x = rng.standard_normal((k, n)) * 10.0 ** exponent
+    x_abs = np.abs(x)
+    if state.m is not None:
+        v = state.base + scaling * (state.b @ state.a)
+        norms = np.linalg.norm(v, axis=0) + state.config.norm_epsilon
+        x_abs = x_abs * (np.abs(state.m) / norms)[:, None]
+    size = np.abs(state.base) @ x_abs
+    if method != "full":
+        size += scaling * (np.abs(state.b) @ (np.abs(state.a) @ x_abs))
+    got, want = merge(state) @ x, layer_forward(state, x)
+    assert np.all(np.isfinite(got)) and np.all(np.isfinite(size))
+    assert np.all(np.abs(got - want) <= 1e-14 * size), np.abs(got - want).max()
 
 
 def test_merged_column_norms_equal_magnitudes():

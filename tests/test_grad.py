@@ -232,6 +232,15 @@ def _state_snapshot(state, *arrays):
 )
 # 64 x 256 weights fill the whole chunk budget: one perturbation per chunk.
 @example(method="dora", d=64, k=256, rank=8, scaling=1.0, seed=5, custom_rule=False)
+# 32 x 257 weights take just over half the budget, so each chunk again holds
+# one copy; scaling != 1 runs the in-place scaling of every method there.
+@example(method="full", d=32, k=257, rank=1, scaling=0.5, seed=6, custom_rule=False)
+@example(method="lora", d=32, k=257, rank=1, scaling=3.0, seed=7, custom_rule=False)
+@example(method="dora", d=32, k=257, rank=1, scaling=0.5, seed=8, custom_rule=True)
+@example(method="pissa", d=32, k=257, rank=1, scaling=0.5, seed=9, custom_rule=False)
+@example(method="dude", d=32, k=257, rank=1, scaling=3.0, seed=10, custom_rule=False)
+@example(method="dude_a", d=32, k=257, rank=1, scaling=0.5, seed=11, custom_rule=True)
+@example(method="dude_b", d=32, k=257, rank=1, scaling=3.0, seed=12, custom_rule=False)
 def test_fd_bits_match_reference_loop(method, d, k, rank, scaling, seed, custom_rule):
     r = 1 + (rank - 1) % min(d, k)
     state, x, gy = random_case(method, d, k, r, seed, scaling=scaling)

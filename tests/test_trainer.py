@@ -12,9 +12,11 @@ from peftlab.adapters import (
     AdapterConfig,
     effective_weight,
     initialize,
+    layer_forward,
     step_cache,
     trainable_params,
 )
+from peftlab.grad import param_grads
 from peftlab.linalg import NumericError, svd
 from peftlab.trainer import (
     DEFAULT_SEEDS,
@@ -609,6 +611,34 @@ def test_factored_step_forms_no_weight_sized_array(method):
     finally:
         tracemalloc.stop()
     assert peak < 256 * 256 * 8, peak
+
+
+@pytest.mark.parametrize("method", ["dora", "dude"])
+def test_loss_and_grads_hands_on_the_x_m_of_its_own_input_block(method):
+    # layer_forward leaves x * m / n in each layer's cache and loss_and_grads
+    # hands it to param_grads. On caches that still hold the x_m of an
+    # earlier batch, the gradients must be those of this batch, bit for bit.
+    task = make_task("cluster_classify", 4, 6, sigma=0.5, seed=3)
+    model = make_model(task, method, rank=2, scaling=0.5, seed=3)
+    caches = [step_cache(layer.state) for layer in model.layers]
+    rng = training_stream(task, 0)
+    first, second = task.sample_batch(rng, 4), task.sample_batch(rng, 4)
+    loss_and_grads(model, first, caches)
+    loss, grads = loss_and_grads(model, second, caches)
+    want_loss, want = _ref_loss_and_grads(model, *second)
+    got = [getattr(gs, "d" + name) for layer, gs in zip(model.layers, grads)
+           for name, _ in trainable_params(layer.state)]
+    assert float(loss).hex() == float(want_loss).hex()
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    # Without x_m, param_grads computes its own rather than reading the
+    # cache's, which here holds the x_m of the other batch.
+    state, cache = model.layers[0].state, caches[0]
+    x, gz = second[0], np.ones((model.layers[0].state.base.shape[0], 4))
+    layer_forward(state, first[0], cache)
+    got = param_grads(state, gz, x, cache)
+    want = param_grads(state, gz, x)
+    assert [g.tobytes() for g in (got.db, got.da, got.dm, got.dx)] == \
+        [w.tobytes() for w in (want.db, want.da, want.dm, want.dx)]
 
 
 @pytest.mark.parametrize("method", METHODS)
