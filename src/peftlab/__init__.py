@@ -22,7 +22,6 @@ from .linalg import (
     ConfigError,
     NumericError,
     SvdFactors,
-    TruncatedSvd,
     column_norms,
     frobenius_norm,
     svd,

@@ -26,6 +26,7 @@ from .linalg import as_matrix, column_norms, svd, truncate_svd
 
 __all__ = [
     "METHODS",
+    "NORM_EPSILON",
     "AdapterConfig",
     "AdapterState",
     "kaiming_uniform",
@@ -41,11 +42,15 @@ __all__ = [
 
 METHODS = ("full", "lora", "dora", "pissa", "dude", "dude_a", "dude_b")
 
+# Added to every column norm of the direction, n_j = ||v_j|| + NORM_EPSILON,
+# so a zero column stays defined; also a zero column's initial magnitude.
+NORM_EPSILON = 1e-12
+
 # How initialize builds each method but full: (b_power, magnitude).
 # b_power None: b = 0, a Kaiming-uniform, base = w0. Otherwise the top-r SVD
 # of w0 is split as b = u_r * sigma_r**b_power, a = sigma_r**(1 - b_power) *
 # v_r.T, base = w0 - scaling * b @ a. magnitude: m = column norms of w0, with
-# zero columns set to norm_epsilon.
+# zero columns set to NORM_EPSILON.
 _INIT = {
     "lora": (None, False),
     "dora": (None, True),
@@ -61,14 +66,12 @@ class AdapterConfig:
     method: str
     rank: int
     scaling: float = 1.0
-    norm_epsilon: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
         _check_choice("method", self.method, METHODS)
         _check_int("rank", self.rank, 1)  # also for full, which ignores it
         _check_number("scaling", self.scaling, 0.0, strict=True)
-        _check_number("norm_epsilon", self.norm_epsilon, 0.0)
         _check_int("seed", self.seed, 0)
 
 
@@ -82,12 +85,15 @@ class AdapterState:
     per-column magnitude vector, present only for dora/dude*.
     """
 
-    method: str
     base: np.ndarray
     b: np.ndarray
     a: np.ndarray
     m: np.ndarray | None
     config: AdapterConfig
+
+    @property
+    def method(self) -> str:
+        return self.config.method
 
 
 def kaiming_uniform(rows: int, cols: int, fan_in: int, seed: int) -> np.ndarray:
@@ -100,7 +106,7 @@ def kaiming_uniform(rows: int, cols: int, fan_in: int, seed: int) -> np.ndarray:
 
 def initialize(w0, cfg: AdapterConfig, *, factors: SvdFactors | None = None) -> AdapterState:
     """Attach a cfg.method adapter to w0 following the _INIT table. The
-    effective weight equals w0, up to the norm_epsilon guard of the
+    effective weight equals w0, up to the NORM_EPSILON guard of the
     magnitude methods; the base is read-only except for full.
 
     factors, if given, must be svd(w0): the SVD-initialized methods use it
@@ -117,7 +123,7 @@ def initialize(w0, cfg: AdapterConfig, *, factors: SvdFactors | None = None) -> 
                               f"w0 of shape {w0.shape}")
     if cfg.method == "full":
         # The factors are inert zero placeholders; the whole base trains.
-        return AdapterState("full", w0.copy(), np.zeros((d, 1)), np.zeros((1, k)), None, cfg)
+        return AdapterState(w0.copy(), np.zeros((d, 1)), np.zeros((1, k)), None, cfg)
     _check_int("rank", cfg.rank, 1, min(d, k))
     b_power, has_magnitude = _INIT[cfg.method]
     if b_power is None:
@@ -126,17 +132,17 @@ def initialize(w0, cfg: AdapterConfig, *, factors: SvdFactors | None = None) -> 
         base = w0.copy()
     else:
         t = truncate_svd(factors if factors is not None else svd(w0), cfg.rank)
-        b = t.u_r * t.sigma_r ** b_power
+        b = t.u * t.sigma ** b_power
         # ascontiguousarray: trainable arrays must be C-contiguous so that flat
         # views (optimizers, perturbation loops) alias the real storage.
-        a = np.ascontiguousarray((t.sigma_r ** (1.0 - b_power))[:, None] * t.v_r.T)
+        a = np.ascontiguousarray((t.sigma ** (1.0 - b_power))[:, None] * t.v.T)
         base = w0 - cfg.scaling * (b @ a)
     base.setflags(write=False)
     m = None
     if has_magnitude:
         m = column_norms(w0)
-        m[m == 0.0] = cfg.norm_epsilon
-    return AdapterState(cfg.method, base, b, a, m, cfg)
+        m[m == 0.0] = NORM_EPSILON
+    return AdapterState(base, b, a, m, cfg)
 
 
 @dataclass
@@ -150,7 +156,7 @@ class StepCache:
 
       lora/pissa  nothing; every product goes through b and a.
       dora/dude*  v = base + scaling * b @ a, sq = ||v_j||^2,
-                  n = ||v_j|| + norm_epsilon, mn = m / n, and scratch, the
+                  n = ||v_j|| + NORM_EPSILON, mn = m / n, and scratch, the
                   d x k buffer v * v is summed in; layer_forward leaves
                   xm = x * m / n of the block it last read, which
                   trainer.loss_and_grads hands on to grad.param_grads.
@@ -211,7 +217,7 @@ def effective_weight(state: AdapterState) -> np.ndarray:
 
     full: base. lora/pissa: base + scaling * b @ a. dora/dude*: each column
     of base + scaling * b @ a is normalized and rescaled by its magnitude,
-    with norm_epsilon added to the denominator so zero columns stay defined.
+    with NORM_EPSILON added to the denominator so zero columns stay defined.
     """
     if state.method == "full":
         return state.base.copy()
@@ -227,7 +233,7 @@ def effective_weight(state: AdapterState) -> np.ndarray:
 def _direction(base, b, a, m, cfg: AdapterConfig, ws: StepCache) -> None:
     """Write v = base + scaling * b @ a into ws.v and, when m is given, the
     column sums of squares sq (of ws.scratch = v * v, summed as
-    numpy.linalg.norm sums them), n = sqrt(sq) + norm_epsilon and mn = m / n
+    numpy.linalg.norm sums them), n = sqrt(sq) + NORM_EPSILON and mn = m / n
     into ws's buffers of those names. A buffer that is None is allocated and
     kept in ws."""
     # s * (b @ a) + base has the bits of base + s * (b @ a): both operations
@@ -238,7 +244,7 @@ def _direction(base, b, a, m, cfg: AdapterConfig, ws: StepCache) -> None:
         ws.scratch = np.multiply(ws.v, ws.v, out=ws.scratch)
         ws.sq = np.add.reduce(ws.scratch, axis=-2, out=ws.sq)
         ws.n = np.sqrt(ws.sq, out=ws.n)
-        ws.n += cfg.norm_epsilon
+        ws.n += NORM_EPSILON
         ws.mn = np.divide(m, ws.n, out=ws.mn)
 
 

@@ -193,7 +193,7 @@ def run_experiment(config_path: str | Path, overrides: dict | None = None) -> Ru
 # ---------------------------------------------------------------------------
 # comparison across runs
 
-def _load_summary_runs(dir_path: Path) -> list[dict]:
+def _load_summary_runs(dir_path: Path) -> tuple[Path, list[dict]]:
     path = dir_path / "summary.json"
     if not path.is_file():
         raise ConfigError(f"missing summary file: {path}")
@@ -209,21 +209,32 @@ def _load_summary_runs(dir_path: Path) -> list[dict]:
         raise ConfigError(f"summary file {path} has format_version {version!r}, "
                           f"expected {FORMAT_VERSION}")
     for entry in runs:
-        if not isinstance(entry, dict) or "method" not in entry or "final_loss" not in entry:
-            raise ConfigError(f"corrupt summary file {path}: run entry lacks method/final_loss")
+        if not isinstance(entry, dict) or not {"method", "seed", "final_loss"} <= entry.keys():
+            raise ConfigError(f"corrupt summary file {path}: run entry lacks "
+                              "method/seed/final_loss")
         try:
+            _check_int("seed", entry["seed"], 0)
             _check_number("final_loss", entry["final_loss"])
         except ConfigError as e:
             raise ConfigError(f"corrupt summary file {path}: {e}") from None
-    return runs
+    return path, runs
 
 
 def compare(run_dirs: list[str | Path], out_path: str | Path) -> list[dict]:
-    """Aggregate final losses per method across run dirs (population std)."""
+    """Aggregate final losses per method across run dirs (population std).
+    A (method, seed) pair found twice, in one summary file or two, is an
+    error: it would count one run twice."""
     by_method: dict[str, list[float]] = {}
+    seen: dict[tuple[str, int], Path] = {}
     for d in run_dirs:
-        for entry in _load_summary_runs(Path(d)):
-            by_method.setdefault(str(entry["method"]), []).append(float(entry["final_loss"]))
+        path, runs = _load_summary_runs(Path(d))
+        for entry in runs:
+            method, seed = str(entry["method"]), int(entry["seed"])
+            if (method, seed) in seen:
+                raise ConfigError(f"method {method!r} seed {seed} appears in both "
+                                  f"{seen[method, seed]} and {path}")
+            seen[method, seed] = path
+            by_method.setdefault(method, []).append(float(entry["final_loss"]))
     rows = []
     for method in sorted(by_method):
         losses = np.asarray(by_method[method])
@@ -325,15 +336,14 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_svd(args) -> int:
     w = read_matrix_csv(args.in_path)
-    _check_int("rank", args.rank, 1, min(w.shape))
     t = truncate_svd(svd(w), args.rank)
     prefix = Path(args.out_prefix)
     if prefix.parent != Path("."):
         prefix.parent.mkdir(parents=True, exist_ok=True)
-    _write_matrix_csv(Path(f"{prefix}_U.csv"), t.u_r)
-    _write_atomic(Path(f"{prefix}_sigma.csv"), "\n".join(_fmt(s) for s in t.sigma_r) + "\n")
-    _write_matrix_csv(Path(f"{prefix}_V.csv"), t.v_r)
-    residual = frobenius_norm(w - (t.u_r * t.sigma_r) @ t.v_r.T)
+    _write_matrix_csv(Path(f"{prefix}_U.csv"), t.u)
+    _write_atomic(Path(f"{prefix}_sigma.csv"), "\n".join(_fmt(s) for s in t.sigma) + "\n")
+    _write_matrix_csv(Path(f"{prefix}_V.csv"), t.v)
+    residual = frobenius_norm(w - (t.u * t.sigma) @ t.v.T)
     _write_atomic(Path(f"{prefix}_residual.txt"), _fmt(residual) + "\n")
     print(f"rank-{args.rank} residual: {_fmt(residual)}")
     return 0

@@ -11,8 +11,9 @@ h = dL/dv. For lora/pissa, z = base x + s b (a x) with s the scaling, and
 
 For the magnitude/direction methods the backward pass differentiates
 through the column norms (no frozen-norm shortcut). With v_j the j-th column
-of base + s b a, n_j = ||v_j|| + eps and mn_j = m_j / n_j, the forward is
-z = v x_m with x_m = mn * x (row j of x scaled by mn_j), and
+of base + s b a, n_j = ||v_j|| + eps (eps = adapters.NORM_EPSILON) and
+mn_j = m_j / n_j, the forward is z = v x_m with x_m = mn * x (row j of x
+scaled by mn_j), and
 
     h_j  = mn_j g_j - c_j v_j,   c_j = mn_j <v_j, g_j> / ||v_j||^2,
     dm_j = <v_j, g_j> / n_j.
@@ -39,10 +40,11 @@ here uses a new one. In a step, the dora/dude* VJP takes x_m from the
 forward (StepCache.xm) instead of forming it again.
 
 finite_diff_grads, the oracle these formulas are checked against, takes
-central differences of dense forwards instead. For each trainable, and for
-x, it stacks the displaced copies in chunks and computes every chunk into one
-workspace, allocated once per displaced array, through adapters._weight: the
-in-place formula that effective_weight and step_cache also use.
+central differences of dense forwards instead, with one step rule,
+h = FD_BASE_STEP (1 + |theta|). For each trainable, and for x, it stacks
+the displaced copies in chunks and computes every chunk into one workspace,
+allocated once per displaced array, through adapters._weight: the in-place
+formula that effective_weight and step_cache also use.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ import numpy as np
 
 from .adapters import AdapterState, StepCache, _scaled, _weight, effective_weight
 from .adapters import forward, step_cache, trainable_params
-from .linalg import NumericError, _check_number
+from .linalg import NumericError
 
 __all__ = [
     "GradientSet",
@@ -67,6 +69,8 @@ __all__ = [
 ]
 
 FD_BASE_STEP = 1e-5
+# grad_check passes when every max relative error is at most this.
+GRAD_CHECK_TOLERANCE = 1e-5
 # Bytes of stacked weights the finite-difference oracle evaluates at once:
 # the size of each stacked d x k buffer of its workspace, and so what bounds
 # the oracle's memory.
@@ -161,13 +165,13 @@ def backward(state: AdapterState, x, gy) -> GradientSet:
     return gs
 
 
-def finite_diff_grads(state: AdapterState, x, gy, epsilon_rule=None) -> GradientSet:
+def finite_diff_grads(state: AdapterState, x, gy) -> GradientSet:
     """Central-difference gradients of L = <gy, forward(state, x)>.
 
     Each trainable scalar theta, and each entry of x, is displaced by +-h with
-    h = epsilon_rule(theta), default 1e-5 * (1 + |theta|). The displaced
-    copies of one array are evaluated in stacked chunks of at most 128 KiB of
-    weights (one copy per chunk once a weight takes more than half of that).
+    h = FD_BASE_STEP * (1 + |theta|), the one step rule. The displaced copies
+    of one array are evaluated in stacked chunks of at most 128 KiB of weights
+    (one copy per chunk once a weight takes more than half of that).
     Each array gets one workspace, allocated once, that holds a chunk's
     stacked weights, for dora/dude* their squares, norms and m / n, and its
     outputs; every chunk is computed into it in place, by the operations of
@@ -177,7 +181,7 @@ def finite_diff_grads(state: AdapterState, x, gy, epsilon_rule=None) -> Gradient
     """
     x = np.asarray(x, dtype=np.float64)
     gy = np.asarray(gy, dtype=np.float64)
-    grads = {name: _central_differences(state, name, arr, x, gy, epsilon_rule)
+    grads = {name: _central_differences(state, name, arr, x, gy)
              for name, arr in trainable_params(state) + [("x", x)]}
     return GradientSet(
         db=grads.get("b"),
@@ -189,14 +193,11 @@ def finite_diff_grads(state: AdapterState, x, gy, epsilon_rule=None) -> Gradient
 
 
 def _central_differences(state: AdapterState, name: str, arr: np.ndarray, x: np.ndarray,
-                          gy: np.ndarray, epsilon_rule) -> np.ndarray:
+                          gy: np.ndarray) -> np.ndarray:
     """Central-difference gradient of L with respect to arr, the array called
     name (a trainable of state, or x)."""
     flat = arr.reshape(-1)
-    if epsilon_rule is None:
-        h = FD_BASE_STEP * (1.0 + np.abs(flat))
-    else:
-        h = np.array([epsilon_rule(theta) for theta in flat], dtype=np.float64)
+    h = FD_BASE_STEP * (1.0 + np.abs(flat))
     # Displacements j = 2i, 2i + 1 set scalar i to theta_i + h_i and
     # theta_i - h_i; row j % n of a stack of n copies holds displacement j.
     values = np.stack([flat + h, flat - h], axis=1).reshape(-1)
@@ -286,10 +287,9 @@ def compare_gradient_sets(analytic: GradientSet, fd: GradientSet, tolerance: flo
     return errors, passed
 
 
-def grad_check(state: AdapterState, seed: int = 0, tolerance: float = 1e-5) -> GradCheckReport:
+def grad_check(state: AdapterState, seed: int = 0) -> GradCheckReport:
     """Compare backward against the finite-difference oracle on a seeded
     random (x, gy) pair. Mismatch yields passed=False, not an exception."""
-    _check_number("tolerance", tolerance, 0.0, strict=True)
     d, k = state.base.shape
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(k)
@@ -299,5 +299,5 @@ def grad_check(state: AdapterState, seed: int = 0, tolerance: float = 1e-5) -> G
         raise NumericError("forward produced non-finite values")
     analytic = backward(state, x, gy)
     fd = finite_diff_grads(state, x, gy)
-    errors, passed = compare_gradient_sets(analytic, fd, tolerance)
-    return GradCheckReport(errors=errors, passed=passed, epsilon=FD_BASE_STEP, tolerance=tolerance)
+    errors, passed = compare_gradient_sets(analytic, fd, GRAD_CHECK_TOLERANCE)
+    return GradCheckReport(errors, passed, FD_BASE_STEP, GRAD_CHECK_TOLERANCE)

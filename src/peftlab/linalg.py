@@ -19,7 +19,6 @@ __all__ = [
     "ConfigError",
     "NumericError",
     "SvdFactors",
-    "TruncatedSvd",
     "as_matrix",
     "column_norms",
     "frobenius_norm",
@@ -102,21 +101,13 @@ def frobenius_norm(w) -> float:
 class SvdFactors:
     """Thin SVD w = u @ diag(sigma) @ v.T with sigma sorted non-increasing.
 
-    u is d x p and v is k x p with orthonormal columns, p = min(d, k).
+    u is d x p and v is k x p with orthonormal columns, p = min(d, k), or
+    p = r for the leading r factors that truncate_svd returns.
     """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
-
-
-@dataclass
-class TruncatedSvd:
-    """Leading r columns/values of an SvdFactors."""
-
-    u_r: np.ndarray
-    sigma_r: np.ndarray
-    v_r: np.ndarray
 
 
 def svd(w) -> SvdFactors:
@@ -255,9 +246,8 @@ def _orthonormal_completion(u: np.ndarray) -> np.ndarray:
     return best / np.linalg.norm(best)
 
 
-def truncate_svd(f: SvdFactors, r: int) -> TruncatedSvd:
-    """Leading-r truncation; by Eckart-Young the best rank-r approximation."""
-    p = f.sigma.size
-    if not 1 <= r <= p:
-        raise ValueError(f"rank r={r} out of range 1..{p}")
-    return TruncatedSvd(f.u[:, :r].copy(), f.sigma[:r].copy(), f.v[:, :r].copy())
+def truncate_svd(f: SvdFactors, r: int) -> SvdFactors:
+    """Leading r columns/values of f; by Eckart-Young the best rank-r
+    approximation. r is checked as the config field 'rank'."""
+    _check_int("rank", r, 1, f.sigma.size)
+    return SvdFactors(f.u[:, :r].copy(), f.sigma[:r].copy(), f.v[:, :r].copy())

@@ -57,6 +57,11 @@ EVAL_SIZE = 256
 TASK_KINDS = ("teacher_student", "cluster_classify")
 OPTIMIZERS = ("sgd", "adam")
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015 defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 # Substream tags hung off the task seed; keeping them distinct guarantees the
 # eval set is disjoint from the training stream.
 _STREAM_SETUP = 0
@@ -83,13 +88,16 @@ class Task:
     r_true: int
     sigma: float
     seed: int
-    loss: str
     w0: np.ndarray | None = None
     w_target: np.ndarray | None = None
     centers: np.ndarray | None = None
     eval_x: np.ndarray = field(default=None, repr=False)
     eval_t: np.ndarray = field(default=None, repr=False)
     w0_factors: SvdFactors | None = field(default=None, repr=False)
+
+    @property
+    def loss(self) -> str:
+        return "mse" if self.kind == "teacher_student" else "cross_entropy"
 
     def sample_batch(self, rng: np.random.Generator, n: int):
         """Draw n samples; returns (x, t) with x of shape k x n."""
@@ -135,13 +143,12 @@ def make_task(kind: str, d: int, k: int, r_true: int = 0, sigma: float = 0.0,
             factors = svd(w0)
             top = truncate_svd(factors, r_true)
             strengths = rng.uniform(0.5, 1.5, size=r_true)
-            w_target = w0 + (top.u_r * strengths) @ top.v_r.T
-        task = Task(kind, d, k, r_true, sigma, seed, loss="mse",
+            w_target = w0 + (top.u * strengths) @ top.v.T
+        task = Task(kind, d, k, r_true, sigma, seed,
                     w0=w0, w_target=w_target, w0_factors=factors)
     else:
         centers = 3.0 * rng.standard_normal((k, d))
-        task = Task(kind, d, k, r_true, sigma, seed, loss="cross_entropy",
-                    centers=centers)
+        task = Task(kind, d, k, r_true, sigma, seed, centers=centers)
     eval_rng = _substream(seed, _STREAM_EVAL)
     task.eval_x, task.eval_t = task.sample_batch(eval_rng, EVAL_SIZE)
     return task
@@ -297,18 +304,16 @@ def cosine_lr(step: int, total_steps: int, warmup_frac: float, base_lr: float) -
 
 @dataclass
 class OptState:
-    """SGD or bias-corrected Adam; the moment buffers and the two scratch
-    buffers per parameter that hold every intermediate of an update are
-    created lazily to mirror the parameter shapes."""
+    """SGD or bias-corrected Adam (ADAM_BETA1, ADAM_BETA2, ADAM_EPS); the
+    moment buffers and the two scratch buffers per parameter that hold every
+    intermediate of an update are created by the first optimizer_step to
+    mirror its parameters, which every later step must match."""
 
     optimizer: str
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
-    scratch: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    step: int = field(default=0, init=False)
+    m: list[np.ndarray] = field(default_factory=list, init=False)
+    v: list[np.ndarray] = field(default_factory=list, init=False)
+    scratch: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, init=False)
 
     def __post_init__(self):
         _check_choice("optimizer", self.optimizer, OPTIMIZERS)
@@ -317,34 +322,37 @@ class OptState:
 def optimizer_step(params: list[np.ndarray], grads: list[np.ndarray],
                    opt: OptState, lr: float) -> None:
     """One in-place update of every parameter array; allocates nothing
-    after the first call."""
-    if len(params) != len(grads):
-        raise ValueError(f"got {len(params)} params but {len(grads)} grads")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ValueError(f"param/grad shape mismatch: {p.shape} vs {g.shape}")
+    after the first call. The params must match, in count and shapes, those
+    of the first call on opt."""
     if not opt.scratch:
         opt.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
-    if opt.optimizer == "adam" and not opt.m:
-        opt.m = [np.zeros_like(p) for p in params]
-        opt.v = [np.zeros_like(p) for p in params]
+        if opt.optimizer == "adam":
+            opt.m = [np.zeros_like(p) for p in params]
+            opt.v = [np.zeros_like(p) for p in params]
+    if not len(params) == len(grads) == len(opt.scratch):
+        raise ValueError(f"got {len(params)} params, {len(grads)} grads and optimizer "
+                         f"state for {len(opt.scratch)}")
+    for p, g, (t, _) in zip(params, grads, opt.scratch):
+        if not p.shape == g.shape == t.shape:
+            raise ValueError(f"shape mismatch: param {p.shape}, grad {g.shape}, "
+                             f"optimizer state {t.shape}")
     opt.step += 1
     if opt.optimizer == "sgd":
         for p, g, (t, _) in zip(params, grads, opt.scratch):
             p -= np.multiply(g, lr, out=t)
         return
-    bc1 = 1.0 - opt.beta1 ** opt.step
-    bc2 = 1.0 - opt.beta2 ** opt.step
+    bc1 = 1.0 - ADAM_BETA1 ** opt.step
+    bc2 = 1.0 - ADAM_BETA2 ** opt.step
     # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), element for element, with
     # the moments m = beta1 * m + (1 - beta1) * g, v = beta2 * v + (1 - beta2) * g * g.
     for p, g, m, v, (t, u) in zip(params, grads, opt.m, opt.v, opt.scratch):
-        m *= opt.beta1
-        m += np.multiply(g, 1.0 - opt.beta1, out=t)
-        v *= opt.beta2
-        v += np.multiply(np.multiply(g, g, out=t), 1.0 - opt.beta2, out=t)
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=t)
+        v *= ADAM_BETA2
+        v += np.multiply(np.multiply(g, g, out=t), 1.0 - ADAM_BETA2, out=t)
         np.multiply(np.divide(m, bc1, out=t), lr, out=t)
         np.sqrt(np.divide(v, bc2, out=u), out=u)
-        u += opt.eps
+        u += ADAM_EPS
         p -= np.divide(t, u, out=t)
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from peftlab.adapters import (
     METHODS,
+    NORM_EPSILON,
     AdapterConfig,
     effective_weight,
     forward,
@@ -75,7 +76,7 @@ def test_dora_init_magnitudes_are_column_norms():
 def test_dora_zero_column_gets_epsilon_guard():
     w0 = np.array([[1.0, 0.0], [2.0, 0.0]])
     state = initialize(w0, AdapterConfig("dora", 1, seed=0))
-    assert state.m[1] == state.config.norm_epsilon
+    assert state.m[1] == NORM_EPSILON
     assert np.all(state.m > 0.0)
     assert np.allclose(effective_weight(state)[:, 1], 0.0)
 
@@ -170,9 +171,9 @@ def test_initialize_properties(d, k, data, scaling, log_scale, seed):
         expected = w0
         if state.m is not None:
             assert np.all(state.m > 0.0), method
-            # norm_epsilon in the denominator of the normalization scales
-            # column j by ||w0_j|| / (||w0_j|| + norm_epsilon).
-            expected = w0 * (norms / (norms + state.config.norm_epsilon))
+            # NORM_EPSILON in the denominator of the normalization scales
+            # column j by ||w0_j|| / (||w0_j|| + NORM_EPSILON).
+            expected = w0 * (norms / (norms + NORM_EPSILON))
         assert rel(effective_weight(state), expected) <= 1e-10, method
         if method in ("pissa", "dude", "dude_a", "dude_b"):
             assert rel(state.base + scaling * (state.b @ state.a), w0) <= 1e-10, method
@@ -227,6 +228,12 @@ def test_config_rejects_unknown_method_and_bad_fields():
         AdapterConfig("lora", 0)
     with pytest.raises(ValueError, match="scaling"):
         AdapterConfig("lora", 2, scaling=0.0)
+
+
+def test_state_method_follows_its_config():
+    state = initialize(np.eye(3), AdapterConfig("dora", 1, seed=0))
+    assert state.method == "dora"
+    assert dataclasses.replace(state, config=AdapterConfig("dude", 1)).method == "dude"
 
 
 def test_base_is_frozen_for_adapters_but_not_full():
@@ -340,7 +347,7 @@ def test_merge_matches_layer_forward_at_extreme_input_scales(method, d, k, data,
     x_abs = np.abs(x)
     if state.m is not None:
         v = state.base + scaling * (state.b @ state.a)
-        norms = np.linalg.norm(v, axis=0) + state.config.norm_epsilon
+        norms = np.linalg.norm(v, axis=0) + NORM_EPSILON
         x_abs = x_abs * (np.abs(state.m) / norms)[:, None]
     size = np.abs(state.base) @ x_abs
     if method != "full":

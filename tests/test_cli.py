@@ -44,11 +44,11 @@ def write_config(tmp_path, name="config.json", **overrides):
     return path
 
 
-def write_summary(dir_path, method, final_losses):
+def write_summary(dir_path, method, final_losses, first_seed=0):
     dir_path.mkdir(parents=True, exist_ok=True)
     runs = [
         {"method": method, "seed": i, "final_loss": loss, "best_eval": None, "steps": 10}
-        for i, loss in enumerate(final_losses)
+        for i, loss in enumerate(final_losses, start=first_seed)
     ]
     (dir_path / "summary.json").write_text(
         json.dumps({"format_version": 1, "method": method, "config": {}, "runs": runs})
@@ -278,7 +278,7 @@ def test_cli_usage_error_exits_1():
 
 def test_compare_two_runs_by_hand(tmp_path):
     write_summary(tmp_path / "r1", "lora", [1.0])
-    write_summary(tmp_path / "r2", "lora", [3.0])
+    write_summary(tmp_path / "r2", "lora", [3.0], first_seed=1)
     out = tmp_path / "cmp.csv"
     rows = compare([tmp_path / "r1", tmp_path / "r2"], out)
     assert rows == [{
@@ -320,7 +320,9 @@ def test_compare_missing_summary_names_path(tmp_path, capsys):
     (lambda s: s.update(format_version=99), "format_version 99"),
     (lambda s: s["runs"][0].update(final_loss=math.nan), "'final_loss' must be finite"),
     (lambda s: s["runs"][0].update(final_loss="abc"), "'final_loss' must be a number"),
-], ids=["format-version", "nan-loss", "string-loss"])
+    (lambda s: s["runs"][0].pop("seed"), "lacks method/seed/final_loss"),
+    (lambda s: s["runs"][0].update(seed=[1]), "'seed' must be an integer"),
+], ids=["format-version", "nan-loss", "string-loss", "no-seed", "list-seed"])
 def test_compare_rejects_bad_summary_naming_file(tmp_path, capsys, mutate, message):
     write_summary(tmp_path / "r", "lora", [1.0])
     path = tmp_path / "r" / "summary.json"
@@ -330,6 +332,20 @@ def test_compare_rejects_bad_summary_naming_file(tmp_path, capsys, mutate, messa
     assert main(["compare", str(tmp_path / "r"), "--out", str(tmp_path / "c.csv")]) == 1
     err = capsys.readouterr().err
     assert str(path) in err and message in err
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("second, seed", [("a", 0), ("b", 1)], ids=["same-dir", "other-dir"])
+def test_compare_rejects_a_run_counted_twice(tmp_path, capsys, second, seed):
+    # Counting one (method, seed) twice would shrink the std and inflate n_seeds.
+    write_summary(tmp_path / "a", "lora", [1.0, 2.0])
+    write_summary(tmp_path / "b", "lora", [5.0], first_seed=1)
+    code = main(["compare", str(tmp_path / "a"), str(tmp_path / second),
+                 "--out", str(tmp_path / "c.csv")])
+    assert code == 1
+    first, again = tmp_path / "a" / "summary.json", tmp_path / second / "summary.json"
+    assert f"method 'lora' seed {seed} appears in both {first} and {again}" \
+        in capsys.readouterr().err
     assert not (tmp_path / "c.csv").exists()
 
 
@@ -348,7 +364,7 @@ def test_gradcheck_dude_passes(capsys):
     assert main(["gradcheck", "--method", "dude", "--d", "5", "--k", "4",
                  "--rank", "2", "--seed", "42"]) == 0
     out = capsys.readouterr().out
-    assert "PASS" in out
+    assert "gradcheck PASS (tolerance 1e-05)" in out.splitlines()
     assert "max relative error" in out
 
 

@@ -18,7 +18,6 @@ from peftlab.trainer import TrainConfig, make_task
 FIELDS = [
     (AdapterConfig, {"method": "lora", "rank": 2}, "rank", "rank", True),
     (AdapterConfig, {"method": "lora", "rank": 2}, "scaling", "scaling", False),
-    (AdapterConfig, {"method": "lora", "rank": 2}, "norm_epsilon", "norm_epsilon", False),
     (AdapterConfig, {"method": "lora", "rank": 2}, "seed", "seed", True),
     (TrainConfig, {}, "steps", "steps", True),
     (TrainConfig, {}, "batch_size", "batch", True),
@@ -61,7 +60,6 @@ def test_constructors_accept_numpy_scalars(ctor, valid, keyword, name, integer):
     (lambda: make_task("teacher_student", 4, 4, sigma=math.nan), "sigma"),
     (lambda: make_task("teacher_student", 4, 4, sigma=math.inf), "sigma"),
     (lambda: AdapterConfig("lora", 2, scaling=math.inf), "scaling"),
-    (lambda: AdapterConfig("lora", 2, norm_epsilon=math.nan), "norm_epsilon"),
     (lambda: AdapterConfig("lora", 1.5), "rank"),
     (lambda: TrainConfig(base_lr=math.inf), "lr"),
     (lambda: TrainConfig(steps=2.5), "steps"),

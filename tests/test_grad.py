@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from peftlab import grad
 from peftlab.adapters import (
     METHODS,
+    NORM_EPSILON,
     AdapterConfig,
     forward,
     initialize,
@@ -48,7 +50,7 @@ def max_rel(a, f):
 def direction_from_coefficients(state, v, g):
     """h = dL/dv for g = dL/dW', built column by column from the coefficients
     c that direction_gradient returns: h_j = (m_j / n_j) g_j - c_j v_j."""
-    n = np.linalg.norm(v, axis=0) + state.config.norm_epsilon
+    n = np.linalg.norm(v, axis=0) + NORM_EPSILON
     c = direction_gradient(state, (v * g).sum(axis=0))
     return (state.m / n) * g - c * v
 
@@ -77,7 +79,7 @@ def test_direction_gradient_orthogonal_to_columns():
         h = direction_from_coefficients(state, v, g)
         for j in range(v.shape[1]):
             inner = abs(float(v[:, j] @ h[:, j]))
-            n_j = np.linalg.norm(v[:, j]) + state.config.norm_epsilon
+            n_j = np.linalg.norm(v[:, j]) + NORM_EPSILON
             scale = abs(state.m[j]) / n_j * np.linalg.norm(g[:, j])
             bound = 1e-10 * np.linalg.norm(v[:, j]) * scale
             assert inner <= max(bound, 1e-30)
@@ -168,8 +170,10 @@ def test_fd_truncation_error_shrinks_with_step():
     # from the analytic gradient by about 4x.
     state, x, gy = random_case("dude", 5, 4, 2, seed=17)
     ana = backward(state, x, gy)
-    fd_h = finite_diff_grads(state, x, gy, epsilon_rule=lambda t: 1e-3)
-    fd_h2 = finite_diff_grads(state, x, gy, epsilon_rule=lambda t: 5e-4)
+    with mock.patch.object(grad, "FD_BASE_STEP", 1e-3):
+        fd_h = finite_diff_grads(state, x, gy)
+    with mock.patch.object(grad, "FD_BASE_STEP", 5e-4):
+        fd_h2 = finite_diff_grads(state, x, gy)
     dev_h = np.abs(fd_h.db - ana.db).max()
     dev_h2 = np.abs(fd_h2.db - ana.db).max()
     assert dev_h > 1e-12  # step chosen so truncation is visible
@@ -192,9 +196,7 @@ def _writable_copy(state):
 
 # The per-scalar loop grad.finite_diff_grads must match bit for bit: one
 # forward per displaced scalar, on a private copy of the state.
-def _reference_finite_diff_grads(state, x, gy, epsilon_rule=None):
-    if epsilon_rule is None:
-        epsilon_rule = lambda t: grad.FD_BASE_STEP * (1.0 + abs(t))
+def _reference_finite_diff_grads(state, x, gy):
     work = _writable_copy(state)
     xs = np.asarray(x, dtype=np.float64).copy()
     gy = np.asarray(gy, dtype=np.float64)
@@ -204,7 +206,7 @@ def _reference_finite_diff_grads(state, x, gy, epsilon_rule=None):
         gflat = np.zeros(flat.size)
         for idx in range(flat.size):
             theta = flat[idx]
-            h = epsilon_rule(theta)
+            h = grad.FD_BASE_STEP * (1.0 + abs(theta))
             flat[idx] = theta + h
             lp = float(gy @ forward(work, xs))
             flat[idx] = theta - h
@@ -228,27 +230,28 @@ def _state_snapshot(state, *arrays):
     rank=st.integers(1, 24),
     scaling=st.floats(0.25, 4.0),
     seed=st.integers(0, 2**32 - 1),
-    custom_rule=st.booleans(),
+    custom_step=st.booleans(),
 )
 # 64 x 256 weights fill the whole chunk budget: one perturbation per chunk.
-@example(method="dora", d=64, k=256, rank=8, scaling=1.0, seed=5, custom_rule=False)
+@example(method="dora", d=64, k=256, rank=8, scaling=1.0, seed=5, custom_step=False)
 # 32 x 257 weights take just over half the budget, so each chunk again holds
 # one copy; scaling != 1 runs the in-place scaling of every method there.
-@example(method="full", d=32, k=257, rank=1, scaling=0.5, seed=6, custom_rule=False)
-@example(method="lora", d=32, k=257, rank=1, scaling=3.0, seed=7, custom_rule=False)
-@example(method="dora", d=32, k=257, rank=1, scaling=0.5, seed=8, custom_rule=True)
-@example(method="pissa", d=32, k=257, rank=1, scaling=0.5, seed=9, custom_rule=False)
-@example(method="dude", d=32, k=257, rank=1, scaling=3.0, seed=10, custom_rule=False)
-@example(method="dude_a", d=32, k=257, rank=1, scaling=0.5, seed=11, custom_rule=True)
-@example(method="dude_b", d=32, k=257, rank=1, scaling=3.0, seed=12, custom_rule=False)
-def test_fd_bits_match_reference_loop(method, d, k, rank, scaling, seed, custom_rule):
+@example(method="full", d=32, k=257, rank=1, scaling=0.5, seed=6, custom_step=False)
+@example(method="lora", d=32, k=257, rank=1, scaling=3.0, seed=7, custom_step=False)
+@example(method="dora", d=32, k=257, rank=1, scaling=0.5, seed=8, custom_step=True)
+@example(method="pissa", d=32, k=257, rank=1, scaling=0.5, seed=9, custom_step=False)
+@example(method="dude", d=32, k=257, rank=1, scaling=3.0, seed=10, custom_step=False)
+@example(method="dude_a", d=32, k=257, rank=1, scaling=0.5, seed=11, custom_step=True)
+@example(method="dude_b", d=32, k=257, rank=1, scaling=3.0, seed=12, custom_step=False)
+def test_fd_bits_match_reference_loop(method, d, k, rank, scaling, seed, custom_step):
     r = 1 + (rank - 1) % min(d, k)
     state, x, gy = random_case(method, d, k, r, seed, scaling=scaling)
-    rule = (lambda t: 3e-6 + 1e-6 * abs(t)) if custom_rule else None
     before = _state_snapshot(state, x, gy)
-    got = finite_diff_grads(state, x, gy, epsilon_rule=rule)
-    assert _state_snapshot(state, x, gy) == before
-    want = _reference_finite_diff_grads(state, x, gy, epsilon_rule=rule)
+    step = 3e-6 if custom_step else grad.FD_BASE_STEP
+    with mock.patch.object(grad, "FD_BASE_STEP", step):
+        got = finite_diff_grads(state, x, gy)
+        assert _state_snapshot(state, x, gy) == before
+        want = _reference_finite_diff_grads(state, x, gy)
     for name in ("b", "a", "m", "x", "base"):
         g = getattr(got, "d" + name)
         if name not in want:
@@ -368,7 +371,7 @@ def test_gradient_and_merge_properties(method, d, k, data, scaling, seed):
         # d = 1 the exact h_j is zero and the computed one is rounding noise
         # parallel to v_j.
         norms = np.linalg.norm(v, axis=0)
-        scale = np.abs(state.m) / (norms + state.config.norm_epsilon) * np.linalg.norm(g, axis=0)
+        scale = np.abs(state.m) / (norms + NORM_EPSILON) * np.linalg.norm(g, axis=0)
         assert np.all(inner <= np.maximum(1e-10 * norms * scale, 1e-30))
     assert np.allclose(merge(state) @ x, forward(state, x), rtol=1e-12, atol=1e-12)
 
@@ -386,14 +389,14 @@ def _ref_weight(state):
     v = state.base + state.config.scaling * (state.b @ state.a)
     if state.m is None:
         return v
-    n = np.linalg.norm(v, axis=-2) + state.config.norm_epsilon
+    n = np.linalg.norm(v, axis=-2) + NORM_EPSILON
     return v * (state.m / n)[..., None, :]
 
 
 def _ref_direction_gradient(state, g):
     v = state.base + state.config.scaling * (state.b @ state.a)
     norms = np.linalg.norm(v, axis=0)
-    n = norms + state.config.norm_epsilon
+    n = norms + NORM_EPSILON
     proj = (v * g).sum(axis=0)
     denom = np.where(norms > 0.0, norms * norms, 1.0)
     return (state.m / n) * (g - v * (proj / denom))
@@ -407,7 +410,7 @@ def _ref_param_grads(state, g):
     if state.m is None:
         return [s * (g @ state.a.T), s * (state.b.T @ g)]
     v = state.base + s * (state.b @ state.a)
-    n = np.linalg.norm(v, axis=0) + state.config.norm_epsilon
+    n = np.linalg.norm(v, axis=0) + NORM_EPSILON
     dm = (v * g).sum(axis=0) / n
     h = _ref_direction_gradient(state, g)
     return [s * (h @ state.a.T), s * (state.b.T @ h), dm]
@@ -428,12 +431,12 @@ def _term_sizes(state, gz, x):
     mn = np.ones(k)
     if state.m is not None:
         norms = np.linalg.norm(state.base + state.config.scaling * (state.b @ state.a), axis=0)
-        mn = np.abs(state.m) / (norms + state.config.norm_epsilon)
+        mn = np.abs(state.m) / (norms + NORM_EPSILON)
     h_col = mn * col
     sizes = [s * np.broadcast_to(np.abs(state.a) @ h_col, (d, state.a.shape[0])),
              s * np.abs(state.b).sum(axis=0)[:, None] * h_col]
     if state.m is not None:
-        sizes.append(norms * col / (norms + state.config.norm_epsilon))
+        sizes.append(norms * col / (norms + NORM_EPSILON))
     return sizes + [mn[:, None] * (v_abs.T @ np.abs(gz))]
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from peftlab import linalg
 from peftlab.linalg import (
     JACOBI_TOL,
+    ConfigError,
     NumericError,
     SvdFactors,
     as_matrix,
@@ -327,13 +328,13 @@ def test_truncate_full_rank_reconstructs():
     w = rng.standard_normal((6, 4))
     f = svd(w)
     t = truncate_svd(f, 4)
-    approx = (t.u_r * t.sigma_r) @ t.v_r.T
+    approx = (t.u * t.sigma) @ t.v.T
     assert frobenius_norm(approx - w) / max(1.0, frobenius_norm(w)) <= 1e-10
 
 
 def test_truncate_diagonal_by_hand():
     t = truncate_svd(svd(np.diag([3.0, 2.0])), 1)
-    approx = (t.u_r * t.sigma_r) @ t.v_r.T
+    approx = (t.u * t.sigma) @ t.v.T
     assert np.allclose(approx, np.diag([3.0, 0.0]))
     assert frobenius_norm(np.diag([3.0, 2.0]) - approx) == pytest.approx(2.0, rel=1e-12)
 
@@ -342,7 +343,7 @@ def test_truncate_residual_equals_dropped_singular_value():
     w = np.array([[1.0, 2.0], [3.0, 4.0]])
     f = svd(w)
     t = truncate_svd(f, 1)
-    residual = frobenius_norm(w - (t.u_r * t.sigma_r) @ t.v_r.T)
+    residual = frobenius_norm(w - (t.u * t.sigma) @ t.v.T)
     assert residual == pytest.approx(f.sigma[1], rel=1e-10)
 
 
@@ -354,7 +355,7 @@ def test_truncate_eckart_young_identity_random():
         p = min(d, k)
         r = int(rng.integers(1, p + 1))
         t = truncate_svd(f, r)
-        lhs = frobenius_norm(w - (t.u_r * t.sigma_r) @ t.v_r.T) ** 2
+        lhs = frobenius_norm(w - (t.u * t.sigma) @ t.v.T) ** 2
         rhs = float((f.sigma[r:] ** 2).sum())
         assert abs(lhs - rhs) <= 1e-8 * max(rhs, 1e-12 * frobenius_norm(w) ** 2)
 
@@ -362,12 +363,12 @@ def test_truncate_eckart_young_identity_random():
 def test_truncate_sigma_is_prefix():
     f = svd(np.random.default_rng(1).standard_normal((5, 5)))
     t = truncate_svd(f, 3)
-    assert np.array_equal(t.sigma_r, f.sigma[:3])
+    assert np.array_equal(t.sigma, f.sigma[:3])
 
 
 def test_truncate_rank_out_of_range():
     f = svd(np.eye(3))
-    with pytest.raises(ValueError, match=r"r=4 out of range 1\.\.3"):
+    with pytest.raises(ConfigError, match=r"field 'rank' must be <= 3, got 4"):
         truncate_svd(f, 4)
-    with pytest.raises(ValueError, match=r"r=0"):
+    with pytest.raises(ConfigError, match=r"field 'rank' must be >= 1, got 0"):
         truncate_svd(f, 0)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from peftlab.adapters import (
     METHODS,
+    NORM_EPSILON,
     AdapterConfig,
     effective_weight,
     initialize,
@@ -82,6 +83,13 @@ def test_eval_set_disjoint_from_training_stream():
     task = make_task("teacher_student", 4, 4, r_true=1, sigma=0.0, seed=0)
     x, _ = task.sample_batch(training_stream(task, 0), task.eval_x.shape[1])
     assert not np.array_equal(x, task.eval_x)
+
+
+def test_task_loss_follows_its_kind():
+    assert make_task("teacher_student", 4, 4, seed=0).loss == "mse"
+    task = make_task("cluster_classify", 3, 4, seed=0)
+    assert task.loss == "cross_entropy"
+    assert dataclasses.replace(task, kind="teacher_student").loss == "mse"
 
 
 def test_make_task_validation():
@@ -232,6 +240,27 @@ def test_optimizer_shape_mismatch():
         optimizer_step([np.zeros(2)], [np.zeros(3)], OptState("sgd"), lr=0.1)
 
 
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_optimizer_state_rejects_params_it_was_not_built_for(optimizer):
+    # The buffers mirror the first call's params; a later call with more,
+    # fewer or reshaped params must fail rather than skip or misalign any.
+    opt = OptState(optimizer)
+    p1, p2 = np.ones(2), np.ones(3)
+    optimizer_step([p1], [np.ones(2)], opt, lr=0.1)
+    before = (p1.tobytes(), p2.tobytes(), opt.step)
+    for params in ([p1, p2], [], [p2]):
+        with pytest.raises(ValueError, match="optimizer state"):
+            optimizer_step(params, [np.ones_like(p) for p in params], opt, lr=0.1)
+        assert (p1.tobytes(), p2.tobytes(), opt.step) == before
+
+
+def test_optimizer_state_takes_only_the_optimizer():
+    with pytest.raises(TypeError):
+        OptState("adam", 0.5)
+    with pytest.raises(TypeError):
+        OptState("adam", step=3)
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
@@ -378,7 +407,7 @@ def _ref_direction(state):
     """v, ||v_j||^2, n = ||v_j|| + eps and m / n as a column."""
     v = state.base + state.config.scaling * (state.b @ state.a)
     sq = (v * v).sum(axis=0)
-    n = np.sqrt(sq) + state.config.norm_epsilon
+    n = np.sqrt(sq) + NORM_EPSILON
     return v, sq, n, (state.m / n)[:, None]
 
 
