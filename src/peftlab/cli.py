@@ -4,11 +4,15 @@ checks, and SVD inspection.
 Exit codes are a stable scripting contract: 0 success, 1 configuration or
 input error (the message names the offending field or file), 2 numeric
 failure (the message names the failing step).
+
+`main(argv)` returns the exit code and may be called repeatedly in one
+process; it builds its argument parser on the first call and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -357,8 +361,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="peftlab", description=__doc__,
+    # --help shows the docstring without its last paragraph, which is for
+    # Python callers of main.
+    parser = _Parser(prog="peftlab", description=__doc__.rsplit("\n\n", 1)[0],
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -392,9 +399,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one subcommand and return its exit code. May be called repeatedly
+    in one process: the parser is built on the first call and reused, and
+    `parse_args` keeps no state on it, so each call prints and returns what a
+    fresh process would. `args.func` is the `_cmd_*` handler as bound at the
+    first call; nothing rebinds the handlers."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

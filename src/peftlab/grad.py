@@ -263,7 +263,6 @@ def _displaced_outputs(state: AdapterState, name: str, x: np.ndarray, n: int):
 class GradCheckReport:
     errors: dict[str, float]
     passed: bool
-    epsilon: float
     tolerance: float
 
 
@@ -300,4 +299,4 @@ def grad_check(state: AdapterState, seed: int = 0) -> GradCheckReport:
     analytic = backward(state, x, gy)
     fd = finite_diff_grads(state, x, gy)
     errors, passed = compare_gradient_sets(analytic, fd, GRAD_CHECK_TOLERANCE)
-    return GradCheckReport(errors, passed, FD_BASE_STEP, GRAD_CHECK_TOLERANCE)
+    return GradCheckReport(errors, passed, GRAD_CHECK_TOLERANCE)

@@ -458,15 +458,58 @@ def test_read_matrix_rejects_nan_text(tmp_path):
 # ---------------------------------------------------------------------------
 # module entry point
 
-def test_python_dash_m_entry_point():
-    # Run the same package this process imported, installed or not.
+def run_module(argv):
+    """`python -m peftlab argv` in a fresh process: (exit code, stdout bytes,
+    stderr bytes). It runs the same package this process imported,
+    installed or not."""
     src = str(Path(peftlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, "-m", "peftlab", "gradcheck", "--method", "pissa",
-         "--d", "4", "--k", "4", "--rank", "2", "--seed", "1"],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "PASS" in proc.stdout
+    proc = subprocess.run([sys.executable, "-m", "peftlab", *argv],
+                          capture_output=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_python_dash_m_entry_point():
+    code, out, err = run_module(["gradcheck", "--method", "pissa", "--d", "4", "--k", "4",
+                                 "--rank", "2", "--seed", "1"])
+    assert code == 0, err
+    assert b"PASS" in out
+
+
+def gradcheck_argv(seed):
+    return ["gradcheck", "--method", "dude", "--d", "5", "--k", "4", "--rank", "2",
+            "--seed", str(seed)]
+
+
+USAGE_ERROR = ["gradcheck", "--method", "dude", "--d", "5"]  # no --k, --rank
+
+
+def main_in_process(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out.encode(), captured.err.encode()
+
+
+def test_main_builds_its_parser_once_per_process(capsys):
+    cli._build_parser.cache_clear()
+    argvs = [gradcheck_argv(42), USAGE_ERROR, gradcheck_argv(7), USAGE_ERROR,
+             gradcheck_argv(42)]
+    results = [main_in_process(argv, capsys) for argv in argvs]
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+    # A repeated argv gives what its first call gave; another seed does not.
+    assert results[0] == results[4]
+    assert results[1] == results[3]
+    assert results[0] != results[2]
+    assert results[0][0] == 0 and results[1][0] == 1
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
+    # Help and usage lines wrap at the terminal width; pin it for both sides.
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [USAGE_ERROR, ["--help"], gradcheck_argv(42), USAGE_ERROR]
+    in_process = [main_in_process(argv, capsys) for argv in argvs]
+    fresh = [run_module(argv) for argv in argvs]
+    assert [r[0] for r in fresh] == [1, 0, 0, 1]
+    assert in_process == fresh
