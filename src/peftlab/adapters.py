@@ -157,11 +157,15 @@ class StepCache:
       lora/pissa  nothing; every product goes through b and a.
       dora/dude*  v = base + scaling * b @ a, sq = ||v_j||^2,
                   n = ||v_j|| + NORM_EPSILON, mn = m / n, and scratch, the
-                  d x k buffer v * v is summed in; layer_forward leaves
-                  xm = x * m / n of the block it last read, which
-                  trainer.loss_and_grads hands on to grad.param_grads.
+                  d x k buffer v * v is summed in, and xm = x * m / n of
+                  the block layer_forward last read.
       full        scratch, the d x k buffer that receives dL/dbase.
 
+    layer_forward, grad.param_grads and grad.direction_gradient need a cache
+    that step_cache refreshed from the state's current trainables, the VJPs
+    the one layer_forward last used. Only step_cache, grad.backward,
+    grad.grad_check and trainer's model_forward, loss_and_grads and evaluate
+    build one.
     effective_weight and the finite-difference oracle fill one through the
     same formula (_weight), the oracle's with a leading stack axis.
     """
@@ -192,14 +196,13 @@ def _scaled(arr: np.ndarray, s: float) -> np.ndarray:
     return arr
 
 
-def layer_forward(state: AdapterState, x: np.ndarray,
-                  cache: StepCache | None = None) -> np.ndarray:
+def layer_forward(state: AdapterState, x: np.ndarray, cache: StepCache) -> np.ndarray:
     """z = W' @ x for a k x n input block, without forming W'.
 
     full: base @ x. lora/pissa: base @ x + scaling * b @ (a @ x).
     dora/dude*: v @ (x * m / n), the magnitudes folded into the input's rows;
-    x * m / n is left in the cache as xm. cache, if given, must be refreshed
-    from the state's current trainables.
+    x * m / n is left in the cache as xm for grad.param_grads. cache must be
+    refreshed by step_cache from the state's current trainables.
     """
     if state.method == "full":
         return np.dot(state.base, x)
@@ -207,7 +210,6 @@ def layer_forward(state: AdapterState, x: np.ndarray,
         z = np.dot(state.base, x)
         z += _scaled(np.dot(state.b, np.dot(state.a, x)), state.config.scaling)
         return z
-    cache = step_cache(state) if cache is None else cache
     cache.xm = x * cache.mn[:, None]
     return np.dot(cache.v, cache.xm)
 

@@ -177,7 +177,7 @@ def run_experiment(config_path: str | Path, overrides: dict | None = None) -> Ru
         path = out_dir / f"metrics_{seed}.csv"
         write_metrics_csv(path, records)
         metrics_paths.append(path)
-        summary = summarize(records, higher_eval_is_better=task.loss == "cross_entropy")
+        summary = summarize(records, higher_eval_is_better=model.loss == "cross_entropy")
         entry = {"method": cfg["method"], "seed": seed, "steps": summary.steps,
                  "final_loss": summary.final_loss, "best_eval": summary.best_eval,
                  "tail_mean_loss": summary.tail_mean_loss}

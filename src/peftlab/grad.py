@@ -35,9 +35,10 @@ no d x k array. The magnitude methods add the d x k passes of
 adapters.step_cache that build v and its norms in the layer's StepCache, and
 the O(r d k) products b^T v and v (a c)^T; full's dbase = gz x^T goes into
 its StepCache's scratch buffer. train reuses one cache per layer across
-steps, so its steps allocate no d x k array; without a cache, every call
-here uses a new one. In a step, the dora/dude* VJP takes x_m from the
-forward (StepCache.xm) instead of forming it again.
+steps, so its steps allocate no d x k array. param_grads and
+direction_gradient need the cache that adapters.layer_forward last used on
+the same input block: the dora/dude* VJP reads x_m from it (StepCache.xm).
+Only backward and grad_check here build one.
 
 finite_diff_grads, the oracle these formulas are checked against, takes
 central differences of dense forwards instead, with one step rule,
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapters import AdapterState, StepCache, _scaled, _weight, effective_weight
-from .adapters import forward, step_cache, trainable_params
+from .adapters import forward, layer_forward, step_cache, trainable_params
 from .linalg import NumericError
 
 __all__ = [
@@ -92,15 +93,13 @@ class GradientSet:
     dbase: np.ndarray | None = None
 
 
-def direction_gradient(state: AdapterState, proj: np.ndarray,
-                       cache: StepCache | None = None) -> np.ndarray:
-    """Column coefficients c of h = dL/dv for a magnitude/direction state,
-    given proj_j = <v_j, g_j> for g = dL/dW'.
+def direction_gradient(proj: np.ndarray, cache: StepCache) -> np.ndarray:
+    """Column coefficients c of h = dL/dv for a magnitude/direction layer,
+    given proj_j = <v_j, g_j> for g = dL/dW' and the layer's refreshed cache.
 
     h_j = (m_j / n_j) * g_j - c_j * v_j with c_j = (m_j / n_j) * proj_j / ||v_j||^2:
     the scaled projection of g_j onto the orthogonal complement of v_j.
     """
-    cache = step_cache(state) if cache is None else cache
     sq = cache.sq
     # A zero column contributes nothing to the projector (v_j is zero);
     # guard the denominator so it does not poison the whole column with NaN:
@@ -108,22 +107,18 @@ def direction_gradient(state: AdapterState, proj: np.ndarray,
     return cache.mn * proj / (sq + (sq == 0.0))
 
 
-def param_grads(state: AdapterState, gz: np.ndarray, x: np.ndarray,
-                cache: StepCache | None = None, input_grad: bool = True,
-                x_m: np.ndarray | None = None) -> GradientSet:
-    """The per-layer VJP: gradients of L through z = layer_forward(state, x),
-    given the input block x (k x n) and gz = dL/dz (d x n), summed over the
-    n columns. dx is None unless input_grad. cache, if given, must be
-    refreshed from the state's current trainables; full's dbase is then its
-    scratch buffer, valid until the cache's next use. x_m, if given, must be
-    x * m / n for this x and cache, as layer_forward(state, x, cache) leaves
-    it in cache.xm; without it, dora/dude* compute it again.
+def param_grads(state: AdapterState, gz: np.ndarray, x: np.ndarray, cache: StepCache,
+                input_grad: bool = True) -> GradientSet:
+    """The per-layer VJP: gradients of L through z = layer_forward(state, x,
+    cache), given the input block x (k x n) and gz = dL/dz (d x n), summed
+    over the n columns. dx is None unless input_grad. cache must be the one
+    layer_forward(state, x, cache) last used; full's dbase is its scratch
+    buffer, valid until the cache's next use.
     """
     # np.dot rather than @: the same BLAS products with less per-call
     # overhead, which dominates a step at small d and k. full's d x k outer
     # product over the batch is the exception: np.matmul is faster there.
     if state.method == "full":
-        cache = step_cache(state) if cache is None else cache
         dx = np.dot(state.base.T, gz) if input_grad else None
         return GradientSet(None, None, None, dx, np.matmul(gz, x.T, out=cache.scratch))
     s, b, a = state.config.scaling, state.b, state.a
@@ -135,13 +130,11 @@ def param_grads(state: AdapterState, gz: np.ndarray, x: np.ndarray,
             dx += _scaled(np.dot(a.T, bg), s)
         db, da = np.dot(gz, np.dot(a, x).T), np.dot(bg, x.T)
         return GradientSet(_scaled(db, s), _scaled(da, s), None, dx)
-    cache = step_cache(state) if cache is None else cache
-    v, mn = cache.v, cache.mn[:, None]
-    x_m = x * mn if x_m is None else x_m
+    v, mn, x_m = cache.v, cache.mn[:, None], cache.xm
     p = np.dot(v.T, gz)
     # proj_j = <v_j, g_j> once for dm and c.
     proj = np.add.reduce(x * p, axis=1)
-    c = direction_gradient(state, proj, cache)
+    c = direction_gradient(proj, cache)
     db = np.dot(gz, np.dot(a, x_m).T)
     db -= np.dot(v, (a * c).T)
     da = np.dot(bg, x_m.T)
@@ -160,7 +153,10 @@ def backward(state: AdapterState, x, gy) -> GradientSet:
         raise ValueError(f"input length mismatch: expected {k}, got {x.shape}")
     if gy.shape != (d,):
         raise ValueError(f"output-grad length mismatch: expected {d}, got {gy.shape}")
-    gs = param_grads(state, gy[:, None], x[:, None])
+    x = x[:, None]
+    cache = step_cache(state)
+    layer_forward(state, x, cache)
+    gs = param_grads(state, gy[:, None], x, cache)
     gs.dx = gs.dx[:, 0]
     return gs
 
@@ -271,8 +267,9 @@ def _max_rel_err(analytic: np.ndarray, fd: np.ndarray) -> float:
     return float((np.abs(analytic - fd) / scale).max())
 
 
-def compare_gradient_sets(analytic: GradientSet, fd: GradientSet, tolerance: float):
-    """Per-parameter max relative error |a-f|/max(1,|a|,|f|) and overall verdict."""
+def compare_gradient_sets(analytic: GradientSet, fd: GradientSet):
+    """Per-parameter max relative error |a-f|/max(1,|a|,|f|) and overall
+    verdict against GRAD_CHECK_TOLERANCE."""
     errors: dict[str, float] = {}
     for name in ("db", "da", "dm", "dx", "dbase"):
         a = getattr(analytic, name)
@@ -282,7 +279,7 @@ def compare_gradient_sets(analytic: GradientSet, fd: GradientSet, tolerance: flo
         if a is None or f is None:
             raise ValueError(f"gradient sets disagree on presence of {name}")
         errors[name] = _max_rel_err(a, f)
-    passed = all(err <= tolerance for err in errors.values())
+    passed = all(err <= GRAD_CHECK_TOLERANCE for err in errors.values())
     return errors, passed
 
 
@@ -298,5 +295,5 @@ def grad_check(state: AdapterState, seed: int = 0) -> GradCheckReport:
         raise NumericError("forward produced non-finite values")
     analytic = backward(state, x, gy)
     fd = finite_diff_grads(state, x, gy)
-    errors, passed = compare_gradient_sets(analytic, fd, GRAD_CHECK_TOLERANCE)
+    errors, passed = compare_gradient_sets(analytic, fd)
     return GradCheckReport(errors, passed, GRAD_CHECK_TOLERANCE)

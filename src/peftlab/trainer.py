@@ -95,10 +95,6 @@ class Task:
     eval_t: np.ndarray = field(default=None, repr=False)
     w0_factors: SvdFactors | None = field(default=None, repr=False)
 
-    @property
-    def loss(self) -> str:
-        return "mse" if self.kind == "teacher_student" else "cross_entropy"
-
     def sample_batch(self, rng: np.random.Generator, n: int):
         """Draw n samples; returns (x, t) with x of shape k x n."""
         if self.kind == "teacher_student":
@@ -241,8 +237,7 @@ def loss_and_grads(model: Model, batch,
     factored VJP (grad.param_grads), chains input gradients through ReLUs
     (subgradient 0 at exactly 0; relu(z) > 0 exactly where z > 0), and
     returns mean gradients so the learning rate is comparable across batch sizes.
-    The first layer's dx is None: nothing reads it. dora/dude* layers hand
-    x * m / n from the forward to the VJP instead of computing it twice.
+    The first layer's dx is None: nothing reads it.
 
     caches, one step_cache per layer, are refreshed in place; full's dbase is
     then a view of its cache, valid until the next call with the same caches.
@@ -269,7 +264,7 @@ def loss_and_grads(model: Model, batch,
     for idx in reversed(range(len(model.layers))):
         gz = gy * (acts[idx + 1] > 0.0) if model.layers[idx].relu else gy
         grads[idx] = param_grads(model.layers[idx].state, gz, acts[idx], caches[idx],
-                                 input_grad=idx > 0, x_m=caches[idx].xm)
+                                 input_grad=idx > 0)
         gy = grads[idx].dx
     return loss, grads
 
@@ -278,7 +273,7 @@ def evaluate(model: Model, task: Task, caches: list[StepCache] | None = None) ->
     """Held-out score: mean squared error for regression (lower is better),
     accuracy for classification (higher is better). caches as for model_forward."""
     y = model_forward(model, task.eval_x, caches)
-    if task.loss == "mse":
+    if model.loss == "mse":
         r = y - task.eval_t
         return float((r * r).sum()) / y.shape[1]
     pred = y.argmax(axis=0)

@@ -20,6 +20,7 @@ from peftlab.adapters import (
     forward,
     initialize,
     merge,
+    step_cache,
     trainable_params,
 )
 from peftlab.cli import compare, main
@@ -116,7 +117,7 @@ def _direction_gradient(state, v, g):
     """h = dL/dv for g = dL/dW', built column by column from the coefficients
     c that direction_gradient returns: h_j = (m_j / n_j) g_j - c_j v_j."""
     n = np.linalg.norm(v, axis=0) + NORM_EPSILON
-    c = direction_gradient(state, (v * g).sum(axis=0))
+    c = direction_gradient((v * g).sum(axis=0), step_cache(state))
     return (state.m / n) * g - c * v
 
 
