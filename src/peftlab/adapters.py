@@ -17,7 +17,7 @@ changes the layer's output before training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,13 +76,39 @@ class AdapterConfig:
 
 
 @dataclass
+class StepCache:
+    """The step workspace an AdapterState owns as its cache field: what a
+    step keeps besides the factors, since layer_forward and grad.param_grads
+    never form W', g = dL/dW' or h = dL/dv.
+
+      lora/pissa  nothing; every product goes through b and a.
+      dora/dude*  v = base + scaling * b @ a, sq = ||v_j||^2,
+                  n = ||v_j|| + NORM_EPSILON, mn = m / n, scratch (the d x k
+                  buffer v * v is summed in) and xm = x * m / n of the block
+                  layer_forward last read.
+      full        scratch, the d x k buffer that receives dL/dbase.
+
+    effective_weight and the finite-difference oracle fill private ones
+    through the same formula (_weight).
+    """
+
+    v: np.ndarray | None = None
+    sq: np.ndarray | None = None
+    n: np.ndarray | None = None
+    mn: np.ndarray | None = None
+    scratch: np.ndarray | None = None
+    xm: np.ndarray | None = None
+
+
+@dataclass
 class AdapterState:
     """One adapted linear layer.
 
     base is d x k: the frozen original weight for lora/dora, the frozen residual
     w0 - scaling * b @ a for pissa/dude*, or the trainable weight for full.
     b (d x r) and a (r x k) are the low-rank factors; m (length k) is the
-    per-column magnitude vector, present only for dora/dude*.
+    per-column magnitude vector, present only for dora/dude*. cache is the
+    step workspace; a dataclasses.replace copy gets a fresh one.
     """
 
     base: np.ndarray
@@ -90,6 +116,7 @@ class AdapterState:
     a: np.ndarray
     m: np.ndarray | None
     config: AdapterConfig
+    cache: StepCache = field(default_factory=StepCache, init=False, repr=False, compare=False)
 
     @property
     def method(self) -> str:
@@ -145,48 +172,11 @@ def initialize(w0, cfg: AdapterConfig, *, factors: SvdFactors | None = None) -> 
     return AdapterState(base, b, a, m, cfg)
 
 
-@dataclass
-class StepCache:
-    """The per-layer workspace of one step, refreshed in place by step_cache.
-
-    A step never forms the d x k effective weight W', its gradient
-    g = dL/dW' or the direction gradient h = dL/dv: layer_forward and
-    grad.param_grads work on the factors and the input block instead. What
-    remains per method:
-
-      lora/pissa  nothing; every product goes through b and a.
-      dora/dude*  v = base + scaling * b @ a, sq = ||v_j||^2,
-                  n = ||v_j|| + NORM_EPSILON, mn = m / n, and scratch, the
-                  d x k buffer v * v is summed in, and xm = x * m / n of
-                  the block layer_forward last read.
-      full        scratch, the d x k buffer that receives dL/dbase.
-
-    layer_forward, grad.param_grads and grad.direction_gradient need a cache
-    that step_cache refreshed from the state's current trainables, the VJPs
-    the one layer_forward last used. Only step_cache, grad.backward,
-    grad.grad_check and trainer's model_forward, loss_and_grads and evaluate
-    build one.
-    effective_weight and the finite-difference oracle fill one through the
-    same formula (_weight), the oracle's with a leading stack axis.
-    """
-
-    v: np.ndarray | None = None
-    sq: np.ndarray | None = None
-    n: np.ndarray | None = None
-    mn: np.ndarray | None = None
-    scratch: np.ndarray | None = None
-    xm: np.ndarray | None = None
-
-
-def step_cache(state: AdapterState, cache: StepCache | None = None) -> StepCache:
-    """Refresh cache (a new one if None) from the state's current trainables
-    and return it. Every array is written in place, so a cache reused across
-    steps allocates nothing; a new one shares no memory with any other."""
-    if cache is None:
-        cache = StepCache(scratch=np.empty(state.base.shape) if state.method == "full" else None)
+def step_cache(state: AdapterState) -> StepCache:
+    """Refresh state.cache in place from the state's current trainables; return it."""
     if state.m is not None:
-        _direction(state.base, state.b, state.a, state.m, state.config, cache)
-    return cache
+        _direction(state.base, state.b, state.a, state.m, state.config, state.cache)
+    return state.cache
 
 
 def _scaled(arr: np.ndarray, s: float) -> np.ndarray:
@@ -196,13 +186,13 @@ def _scaled(arr: np.ndarray, s: float) -> np.ndarray:
     return arr
 
 
-def layer_forward(state: AdapterState, x: np.ndarray, cache: StepCache) -> np.ndarray:
+def layer_forward(state: AdapterState, x: np.ndarray) -> np.ndarray:
     """z = W' @ x for a k x n input block, without forming W'.
 
     full: base @ x. lora/pissa: base @ x + scaling * b @ (a @ x).
-    dora/dude*: v @ (x * m / n), the magnitudes folded into the input's rows;
-    x * m / n is left in the cache as xm for grad.param_grads. cache must be
-    refreshed by step_cache from the state's current trainables.
+    dora/dude*: v @ (x * m / n), the magnitudes folded into the input's rows,
+    with state.cache first refreshed by step_cache; x * m / n is left there
+    as xm for grad.param_grads.
     """
     if state.method == "full":
         return np.dot(state.base, x)
@@ -210,6 +200,7 @@ def layer_forward(state: AdapterState, x: np.ndarray, cache: StepCache) -> np.nd
         z = np.dot(state.base, x)
         z += _scaled(np.dot(state.b, np.dot(state.a, x)), state.config.scaling)
         return z
+    cache = step_cache(state)
     cache.xm = x * cache.mn[:, None]
     return np.dot(cache.v, cache.xm)
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .adapters import AdapterConfig, initialize
-from .grad import grad_check
+from .grad import GRAD_CHECK_TOLERANCE, grad_check
 from .linalg import ConfigError, NumericError, _check_int, _check_number
 from .linalg import as_matrix, frobenius_norm, svd, truncate_svd
 from .trainer import (
@@ -39,6 +39,7 @@ __all__ = ["ConfigError", "RunArtifact", "run_experiment", "compare", "main"]
 
 FORMAT_VERSION = 1
 METRICS_HEADER = "step,loss,grad_norm,lr,eval"
+COMPARE_HEADER = "method,mean_final_loss,std_final_loss,best_final_loss,worst_final_loss,n_seeds"
 
 
 def _fmt(x: float) -> str:
@@ -183,6 +184,8 @@ def run_experiment(config_path: str | Path, overrides: dict | None = None) -> Ru
                  "tail_mean_loss": summary.tail_mean_loss}
         run_entries.append(entry)
         print(f"seed {seed}: final_loss={summary.final_loss:.6g} -> {path}")
+        # Free this seed's layer workspaces before the next seed builds its own.
+        del model
 
     payload = {
         "format_version": FORMAT_VERSION,
@@ -250,7 +253,7 @@ def compare(run_dirs: list[str | Path], out_path: str | Path) -> list[dict]:
             "worst_final_loss": float(losses.max()),
             "n_seeds": int(losses.size),
         })
-    lines = ["method,mean_final_loss,std_final_loss,best_final_loss,worst_final_loss,n_seeds"]
+    lines = [COMPARE_HEADER]
     for row in rows:
         lines.append(
             f"{row['method']},{_fmt(row['mean_final_loss'])},{_fmt(row['std_final_loss'])},"
@@ -316,7 +319,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     rows = compare(args.run_dirs, args.out)
-    print("method,mean_final_loss,std_final_loss,best_final_loss,worst_final_loss,n_seeds")
+    print(COMPARE_HEADER)
     for row in rows:
         print(f"{row['method']},{row['mean_final_loss']:.6g},{row['std_final_loss']:.6g},"
               f"{row['best_final_loss']:.6g},{row['worst_final_loss']:.6g},{row['n_seeds']}")
@@ -334,7 +337,7 @@ def _cmd_gradcheck(args) -> int:
     for name, err in sorted(report.errors.items()):
         print(f"{name}: max relative error {err:.3e}")
     print(f"gradcheck {'PASS' if report.passed else 'FAIL'} "
-          f"(tolerance {report.tolerance:g})")
+          f"(tolerance {GRAD_CHECK_TOLERANCE:g})")
     return 0 if report.passed else 2
 
 

@@ -32,13 +32,9 @@ exact-projection property. A zero column (v_j = 0) has c_j = 0.
 
 A lora/pissa step costs GEMMs of O(r (d + k) n + d k n) operations and forms
 no d x k array. The magnitude methods add the d x k passes of
-adapters.step_cache that build v and its norms in the layer's StepCache, and
-the O(r d k) products b^T v and v (a c)^T; full's dbase = gz x^T goes into
-its StepCache's scratch buffer. train reuses one cache per layer across
-steps, so its steps allocate no d x k array. param_grads and
-direction_gradient need the cache that adapters.layer_forward last used on
-the same input block: the dora/dude* VJP reads x_m from it (StepCache.xm).
-Only backward and grad_check here build one.
+adapters.layer_forward that refresh v and its norms in the state's workspace
+(AdapterState.cache), which param_grads then reads, and the O(r d k) products
+b^T v and v (a c)^T; full's dbase = gz x^T goes into that workspace.
 
 finite_diff_grads, the oracle these formulas are checked against, takes
 central differences of dense forwards instead, with one step rule,
@@ -54,8 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import AdapterState, StepCache, _scaled, _weight, effective_weight
-from .adapters import forward, layer_forward, step_cache, trainable_params
+from .adapters import AdapterState, StepCache, _direction, _scaled, _weight, effective_weight
+from .adapters import forward, layer_forward, trainable_params
 from .linalg import NumericError
 
 __all__ = [
@@ -93,34 +89,36 @@ class GradientSet:
     dbase: np.ndarray | None = None
 
 
-def direction_gradient(proj: np.ndarray, cache: StepCache) -> np.ndarray:
+def direction_gradient(state: AdapterState, proj: np.ndarray) -> np.ndarray:
     """Column coefficients c of h = dL/dv for a magnitude/direction layer,
-    given proj_j = <v_j, g_j> for g = dL/dW' and the layer's refreshed cache.
+    given proj_j = <v_j, g_j> for g = dL/dW' and the refreshed state.cache.
 
     h_j = (m_j / n_j) * g_j - c_j * v_j with c_j = (m_j / n_j) * proj_j / ||v_j||^2:
     the scaled projection of g_j onto the orthogonal complement of v_j.
     """
-    sq = cache.sq
+    sq = state.cache.sq
     # A zero column contributes nothing to the projector (v_j is zero);
     # guard the denominator so it does not poison the whole column with NaN:
     # sq + (sq == 0) is sq, or 1 where sq is 0.
-    return cache.mn * proj / (sq + (sq == 0.0))
+    return state.cache.mn * proj / (sq + (sq == 0.0))
 
 
-def param_grads(state: AdapterState, gz: np.ndarray, x: np.ndarray, cache: StepCache,
+def param_grads(state: AdapterState, gz: np.ndarray, x: np.ndarray,
                 input_grad: bool = True) -> GradientSet:
-    """The per-layer VJP: gradients of L through z = layer_forward(state, x,
-    cache), given the input block x (k x n) and gz = dL/dz (d x n), summed
-    over the n columns. dx is None unless input_grad. cache must be the one
-    layer_forward(state, x, cache) last used; full's dbase is its scratch
-    buffer, valid until the cache's next use.
+    """The per-layer VJP: gradients of L through z = layer_forward(state, x),
+    given the input block x (k x n) and gz = dL/dz (d x n), summed over the n
+    columns. dx is None unless input_grad. The state's last layer_forward
+    must have read x. full's dbase is a buffer of state.cache, valid until
+    the next param_grads on the state.
     """
     # np.dot rather than @: the same BLAS products with less per-call
     # overhead, which dominates a step at small d and k. full's d x k outer
     # product over the batch is the exception: np.matmul is faster there.
+    cache = state.cache
     if state.method == "full":
         dx = np.dot(state.base.T, gz) if input_grad else None
-        return GradientSet(None, None, None, dx, np.matmul(gz, x.T, out=cache.scratch))
+        cache.scratch = np.matmul(gz, x.T, out=cache.scratch)
+        return GradientSet(None, None, None, dx, cache.scratch)
     s, b, a = state.config.scaling, state.b, state.a
     bg = np.dot(b.T, gz)
     if state.m is None:
@@ -134,7 +132,7 @@ def param_grads(state: AdapterState, gz: np.ndarray, x: np.ndarray, cache: StepC
     p = np.dot(v.T, gz)
     # proj_j = <v_j, g_j> once for dm and c.
     proj = np.add.reduce(x * p, axis=1)
-    c = direction_gradient(proj, cache)
+    c = direction_gradient(state, proj)
     db = np.dot(gz, np.dot(a, x_m).T)
     db -= np.dot(v, (a * c).T)
     da = np.dot(bg, x_m.T)
@@ -145,7 +143,7 @@ def param_grads(state: AdapterState, gz: np.ndarray, x: np.ndarray, cache: StepC
 
 def backward(state: AdapterState, x, gy) -> GradientSet:
     """Exact gradients of L with respect to the trainables and the input,
-    given gy = dL/dy for y = effective_weight(state) @ x."""
+    given gy = dL/dy for y = effective_weight(state) @ x, in new arrays."""
     x = np.asarray(x, dtype=np.float64)
     gy = np.asarray(gy, dtype=np.float64)
     d, k = state.base.shape
@@ -154,10 +152,10 @@ def backward(state: AdapterState, x, gy) -> GradientSet:
     if gy.shape != (d,):
         raise ValueError(f"output-grad length mismatch: expected {d}, got {gy.shape}")
     x = x[:, None]
-    cache = step_cache(state)
-    layer_forward(state, x, cache)
-    gs = param_grads(state, gy[:, None], x, cache)
+    layer_forward(state, x)
+    gs = param_grads(state, gy[:, None], x)
     gs.dx = gs.dx[:, 0]
+    gs.dbase = None if gs.dbase is None else gs.dbase.copy()
     return gs
 
 
@@ -233,7 +231,8 @@ def _displaced_outputs(state: AdapterState, name: str, x: np.ndarray, n: int):
         return lambda p: np.matmul(p, x, out=ys[: len(p), :, 0])
     ws = StepCache(v=np.empty((n, d, k)), mn=None if state.m is None else np.empty((n, k)))
     if name == "m":
-        cache = step_cache(state)
+        cache = StepCache()
+        _direction(state.base, state.b, state.a, state.m, state.config, cache)
 
         def outputs(p):
             c = len(p)
@@ -259,7 +258,6 @@ def _displaced_outputs(state: AdapterState, name: str, x: np.ndarray, n: int):
 class GradCheckReport:
     errors: dict[str, float]
     passed: bool
-    tolerance: float
 
 
 def _max_rel_err(analytic: np.ndarray, fd: np.ndarray) -> float:
@@ -296,4 +294,4 @@ def grad_check(state: AdapterState, seed: int = 0) -> GradCheckReport:
     analytic = backward(state, x, gy)
     fd = finite_diff_grads(state, x, gy)
     errors, passed = compare_gradient_sets(analytic, fd)
-    return GradCheckReport(errors, passed, GRAD_CHECK_TOLERANCE)
+    return GradCheckReport(errors, passed)

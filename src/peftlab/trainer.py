@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapters import AdapterConfig, AdapterState, StepCache, initialize, layer_forward
-from .adapters import step_cache, trainable_params
+from .adapters import AdapterConfig, AdapterState, initialize, layer_forward, trainable_params
 from .grad import GradientSet, param_grads
 from .linalg import NumericError, SvdFactors, _check_choice, _check_int, _check_number
 from .linalg import svd, truncate_svd
@@ -200,13 +199,11 @@ def make_model(task: Task, method: str, rank: int, scaling: float = 1.0,
     )
 
 
-def model_forward(model: Model, x: np.ndarray,
-                  caches: list[StepCache] | None = None) -> np.ndarray:
-    """Apply every layer to a k x n input block. caches, one step_cache per
-    layer, are refreshed in place; without them every call uses new ones."""
+def model_forward(model: Model, x: np.ndarray) -> np.ndarray:
+    """Apply every layer to a k x n input block."""
     cur = x
-    for layer, cache in zip(model.layers, caches or [None] * len(model.layers)):
-        cur = layer_forward(layer.state, cur, step_cache(layer.state, cache))
+    for layer in model.layers:
+        cur = layer_forward(layer.state, cur)
         if layer.relu:
             cur = np.maximum(cur, 0.0)
     return cur
@@ -219,6 +216,24 @@ def _mse_loss_gy(y: np.ndarray, t: np.ndarray):
     return float((r * r).sum()) / n, (2.0 / n) * r
 
 
+def _targets(model: Model, t, n: int) -> np.ndarray:
+    """t checked against model.loss for an output block of n columns (else
+    ValueError): mse takes targets of the output's shape, cross-entropy n
+    integer labels in [0, d) for d outputs."""
+    d = model.layers[-1].state.base.shape[0]
+    if model.loss == "mse":
+        t = np.asarray(t, dtype=np.float64)
+        if t.shape != (d, n):
+            raise ValueError(f"mse targets must have the output's shape {(d, n)}, got {t.shape}")
+        return t
+    t = np.asarray(t)
+    if t.shape != (n,) or not np.issubdtype(t.dtype, np.integer):
+        raise ValueError(f"cross_entropy labels must be {n} integers, got {t.dtype} {t.shape}")
+    if np.any((t < 0) | (t >= d)):
+        raise ValueError(f"cross_entropy labels must lie in [0, {d}), got {t.min()}..{t.max()}")
+    return t
+
+
 def _xent_loss_gy(y: np.ndarray, labels: np.ndarray):
     n = y.shape[1]
     z = y - y.max(axis=0, keepdims=True)
@@ -229,55 +244,48 @@ def _xent_loss_gy(y: np.ndarray, labels: np.ndarray):
     return loss, gy / n
 
 
-def loss_and_grads(model: Model, batch,
-                   caches: list[StepCache] | None = None) -> tuple[float, list[GradientSet]]:
+def loss_and_grads(model: Model, batch) -> tuple[float, list[GradientSet]]:
     """Mean batch loss and per-layer gradients.
 
     The backward pass sums each layer's gradients over the batch through the
     factored VJP (grad.param_grads), chains input gradients through ReLUs
     (subgradient 0 at exactly 0; relu(z) > 0 exactly where z > 0), and
     returns mean gradients so the learning rate is comparable across batch sizes.
-    The first layer's dx is None: nothing reads it.
-
-    caches, one step_cache per layer, are refreshed in place; full's dbase is
-    then a view of its cache, valid until the next call with the same caches.
-    Without them every call uses new ones.
+    The first layer's dx is None: nothing reads it. full's dbase is a
+    buffer of the layer's workspace, valid until the next step on its state.
+    The targets are checked against model.loss (ValueError).
     """
     x, t = batch
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] < 1:
         raise ValueError(f"batch must be a k x n block with n >= 1, got shape {x.shape}")
-    if caches is None:
-        caches = [None] * len(model.layers)
-    caches = [step_cache(layer.state, c) for layer, c in zip(model.layers, caches)]
+    t = _targets(model, t, x.shape[1])
     acts = [x]
-    for layer, cache in zip(model.layers, caches):
-        z = layer_forward(layer.state, acts[-1], cache)
+    for layer in model.layers:
+        z = layer_forward(layer.state, acts[-1])
         acts.append(np.maximum(z, 0.0) if layer.relu else z)
-    if model.loss == "mse":
-        loss, gy = _mse_loss_gy(acts[-1], np.asarray(t, dtype=np.float64))
-    else:
-        loss, gy = _xent_loss_gy(acts[-1], np.asarray(t))
+    loss, gy = (_mse_loss_gy if model.loss == "mse" else _xent_loss_gy)(acts[-1], t)
     if not math.isfinite(loss):
         raise NumericError("non-finite loss")
     grads: list[GradientSet] = [None] * len(model.layers)
     for idx in reversed(range(len(model.layers))):
         gz = gy * (acts[idx + 1] > 0.0) if model.layers[idx].relu else gy
-        grads[idx] = param_grads(model.layers[idx].state, gz, acts[idx], caches[idx],
-                                 input_grad=idx > 0)
+        grads[idx] = param_grads(model.layers[idx].state, gz, acts[idx], input_grad=idx > 0)
         gy = grads[idx].dx
     return loss, grads
 
 
-def evaluate(model: Model, task: Task, caches: list[StepCache] | None = None) -> float:
+def evaluate(model: Model, task: Task) -> float:
     """Held-out score: mean squared error for regression (lower is better),
-    accuracy for classification (higher is better). caches as for model_forward."""
-    y = model_forward(model, task.eval_x, caches)
+    accuracy for classification (higher is better). The targets are checked
+    against model.loss (ValueError)."""
+    t = _targets(model, task.eval_t, task.eval_x.shape[1])
+    y = model_forward(model, task.eval_x)
     if model.loss == "mse":
-        r = y - task.eval_t
+        r = y - t
         return float((r * r).sum()) / y.shape[1]
     pred = y.argmax(axis=0)
-    return float((pred == task.eval_t).mean())
+    return float((pred == t).mean())
 
 
 def cosine_lr(step: int, total_steps: int, warmup_frac: float, base_lr: float) -> float:
@@ -396,7 +404,7 @@ def training_stream(task: Task, seed: int) -> np.random.Generator:
 
 def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
     """Run cfg.steps optimization steps on trainables rebound to views of one
-    buffer, with one step_cache per layer reused by every step.
+    buffer; each layer's workspace serves every step.
 
     Every step records the pre-update batch loss, the global L2 norm over
     all trainable gradients, and the learning rate used; the held-out eval
@@ -415,14 +423,13 @@ def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
     for (i, name, arr), view, gview in zip(named, np.split(flat, cuts), np.split(gflat, cuts)):
         setattr(model.layers[i].state, name, view.reshape(arr.shape))
         grad_views.append((i, "d" + name, gview.reshape(arr.shape)))
-    caches = [step_cache(layer.state) for layer in model.layers]
     opt = OptState(cfg.optimizer)
     base_lr = cfg.resolved_lr()
     records: list[MetricsRecord] = []
     for step in range(1, cfg.steps + 1):
         batch = task.sample_batch(rng, cfg.batch_size)
         try:
-            loss, grads = loss_and_grads(model, batch, caches)
+            loss, grads = loss_and_grads(model, batch)
         except NumericError as e:
             raise NumericError(f"numeric failure at step {step}: {e}") from e
         for i, key, view in grad_views:
@@ -435,7 +442,7 @@ def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
         else:
             lr = base_lr
         optimizer_step([flat], [gflat], opt, lr)
-        score = evaluate(model, task, caches) if step % cfg.eval_every == 0 else None
+        score = evaluate(model, task) if step % cfg.eval_every == 0 else None
         records.append(MetricsRecord(step, loss, grad_norm, lr, score))
     return records
 

@@ -276,7 +276,7 @@ def test_cli_usage_error_exits_1():
 # ---------------------------------------------------------------------------
 # compare subcommand
 
-def test_compare_two_runs_by_hand(tmp_path):
+def test_compare_two_runs_by_hand(tmp_path, capsys):
     write_summary(tmp_path / "r1", "lora", [1.0])
     write_summary(tmp_path / "r2", "lora", [3.0], first_seed=1)
     out = tmp_path / "cmp.csv"
@@ -292,6 +292,10 @@ def test_compare_two_runs_by_hand(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("method,mean_final_loss,std_final_loss")
     assert lines[1].startswith("lora,2,1,1,3,2")
+    # The table printed by the subcommand has the CSV's header.
+    capsys.readouterr()
+    assert main(["compare", str(tmp_path / "r1"), str(tmp_path / "r2"), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == lines[0] == cli.COMPARE_HEADER
 
 
 def test_compare_single_run_has_zero_std(tmp_path):

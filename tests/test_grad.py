@@ -51,7 +51,8 @@ def direction_from_coefficients(state, v, g):
     """h = dL/dv for g = dL/dW', built column by column from the coefficients
     c that direction_gradient returns: h_j = (m_j / n_j) g_j - c_j v_j."""
     n = np.linalg.norm(v, axis=0) + NORM_EPSILON
-    c = direction_gradient((v * g).sum(axis=0), step_cache(state))
+    step_cache(state)
+    c = direction_gradient(state, (v * g).sum(axis=0))
     return (state.m / n) * g - c * v
 
 
@@ -97,29 +98,37 @@ def with_zero_column(state):
 
 
 def assert_reused_cache_gives_fresh_bytes(method, d, k, r, scaling, zero_column, seed):
-    """layer_forward, then param_grads and direction_gradient, on a cache last
-    refreshed and used for another state and input block, once refreshed
-    for this state: every result has the bits of a fresh step_cache's."""
-    stale, _, _ = random_case(method, d, k, r, seed + 1, scaling=scaling)
+    """layer_forward, then param_grads and direction_gradient, on a state
+    whose workspace last served other trainables and another input block,
+    its trainables since changed in place as train changes them: every
+    result has the bits of a dataclasses.replace copy, whose workspace is
+    fresh."""
     state, _, _ = random_case(method, d, k, r, seed, scaling=scaling)
     if zero_column:
         state = with_zero_column(state)
     rng = np.random.default_rng(seed)
     x, gz = rng.standard_normal((k, 3)), rng.standard_normal((d, 3))
-    reused = step_cache(stale)
-    layer_forward(stale, rng.standard_normal((k, 3)), reused)
-    reused = step_cache(state, reused)
-    fresh = step_cache(state)
+    params = [arr for _, arr in trainable_params(state)]
+    saved = [arr.copy() for arr in params]
+    for arr in params:
+        arr += 0.1 * rng.standard_normal(arr.shape)
+    stale_x = rng.standard_normal((k, 5))
+    layer_forward(state, stale_x)
+    param_grads(state, rng.standard_normal((d, 5)), stale_x)
+    for arr, old in zip(params, saved):
+        arr[...] = old
+    fresh = dataclasses.replace(state)
+    assert fresh.cache is not state.cache
 
     def bits(gs):
         arrays = [gs] if isinstance(gs, np.ndarray) else [gs.db, gs.da, gs.dm, gs.dx, gs.dbase]
         return [None if a is None else (a.shape, a.tobytes()) for a in arrays]
 
-    assert bits(layer_forward(state, x, reused)) == bits(layer_forward(state, x, fresh))
-    assert bits(param_grads(state, gz, x, reused)) == bits(param_grads(state, gz, x, fresh))
+    assert bits(layer_forward(state, x)) == bits(layer_forward(fresh, x))
+    assert bits(param_grads(state, gz, x)) == bits(param_grads(fresh, gz, x))
     if state.m is not None:
         proj = rng.standard_normal(k)
-        assert bits(direction_gradient(proj, reused)) == bits(direction_gradient(proj, fresh))
+        assert bits(direction_gradient(state, proj)) == bits(direction_gradient(fresh, proj))
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -153,6 +162,17 @@ def test_doubling_magnitude_exactly_doubles_factor_grads():
     assert np.array_equal(gs2.da, 2.0 * gs1.da)
     # dm divides the magnitude out again, so it is unchanged.
     assert np.array_equal(gs2.dm, gs1.dm)
+
+
+def test_backward_results_outlive_later_calls():
+    # full's dbase comes from a buffer of the state's workspace that the
+    # next step overwrites; backward hands out its own copy.
+    state, x, gy = random_case("full", 5, 4, 1, seed=2)
+    first = backward(state, x, gy)
+    kept = first.dbase.copy()
+    second = backward(state, -2.0 * x, gy)
+    assert np.array_equal(first.dbase, kept)
+    assert not np.array_equal(second.dbase, kept)
 
 
 def test_backward_shape_validation():
@@ -492,9 +512,8 @@ def test_factored_grads_match_the_dense_oracle(method, d, k, data, n, scaling, z
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((k, n)) * 10.0 ** exponent
     gz = rng.standard_normal((d, n))
-    cache = step_cache(state)
-    layer_forward(state, x, cache)
-    gs = param_grads(state, gz, x, cache)
+    layer_forward(state, x)
+    gs = param_grads(state, gz, x)
     got = [a for a in (gs.db, gs.da, gs.dm, gs.dbase) if a is not None] + [gs.dx]
     want = _ref_param_grads(state, gz @ x.T) + [_ref_weight(state).T @ gz]
     names = [name for name, _ in trainable_params(state)] + ["x"]

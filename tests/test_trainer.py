@@ -13,7 +13,6 @@ from peftlab.adapters import (
     AdapterConfig,
     effective_weight,
     initialize,
-    step_cache,
     trainable_params,
 )
 from peftlab.linalg import NumericError, svd
@@ -112,6 +111,35 @@ def test_model_validation():
         Model([Layer(s1), Layer(s3)], loss="mse")
     with pytest.raises(ValueError, match="loss"):
         Model([Layer(s1)], loss="huber")
+
+
+def test_targets_that_do_not_fit_the_loss_are_rejected():
+    # Class labels as mse targets would broadcast against the d x n output;
+    # regression targets as labels would index rows. Both raise instead.
+    cls = make_task("cluster_classify", 3, 4, sigma=0.5, seed=0)
+    reg = make_task("teacher_student", 3, 4, seed=0)
+    x, labels = cls.sample_batch(training_stream(cls, 0), 5)
+    mse_over_labels = Model(make_model(cls, "lora", 2).layers, loss="mse")
+    with pytest.raises(ValueError, match="mse targets"):
+        loss_and_grads(mse_over_labels, (x, labels))
+    with pytest.raises(ValueError, match="mse targets"):
+        evaluate(mse_over_labels, cls)
+    xent_over_reals = Model(make_model(reg, "lora", 2).layers, loss="cross_entropy")
+    with pytest.raises(ValueError, match="cross_entropy labels"):
+        evaluate(xent_over_reals, reg)
+    with pytest.raises(ValueError, match="mse targets"):
+        loss_and_grads(make_model(reg, "lora", 2), (x, np.zeros((3, 4))))
+
+
+@pytest.mark.parametrize("labels", [[0, 1, -1], [0, 3, 1], [0, 1], [0.0, 1.0, 2.0],
+                                    [[0, 1, 2]], [True, False, True]])
+def test_cross_entropy_rejects_bad_labels(labels):
+    # -1 would silently pick the last class and 3 is out of range for d = 3.
+    task = make_task("cluster_classify", 3, 4, sigma=0.5, seed=0)
+    model = make_model(task, "dora", 2)
+    x = task.sample_batch(training_stream(task, 0), 3)[0]
+    with pytest.raises(ValueError, match="cross_entropy labels"):
+        loss_and_grads(model, (x, np.asarray(labels)))
 
 
 # ---------------------------------------------------------------------------
@@ -642,16 +670,15 @@ def test_factored_step_forms_no_weight_sized_array(method):
 
 @pytest.mark.parametrize("method", ["dora", "dude"])
 def test_loss_and_grads_hands_on_the_x_m_of_its_own_input_block(method):
-    # layer_forward leaves x * m / n in each layer's cache and param_grads
-    # reads it there. On caches that still hold the x_m of an
+    # layer_forward leaves x * m / n in each layer's workspace and
+    # param_grads reads it there. On workspaces that still hold the x_m of an
     # earlier batch, the gradients must be those of this batch, bit for bit.
     task = make_task("cluster_classify", 4, 6, sigma=0.5, seed=3)
     model = make_model(task, method, rank=2, scaling=0.5, seed=3)
-    caches = [step_cache(layer.state) for layer in model.layers]
     rng = training_stream(task, 0)
     first, second = task.sample_batch(rng, 4), task.sample_batch(rng, 4)
-    loss_and_grads(model, first, caches)
-    loss, grads = loss_and_grads(model, second, caches)
+    loss_and_grads(model, first)
+    loss, grads = loss_and_grads(model, second)
     want_loss, want = _ref_loss_and_grads(model, *second)
     got = [getattr(gs, "d" + name) for layer, gs in zip(model.layers, grads)
            for name, _ in trainable_params(layer.state)]
@@ -662,18 +689,18 @@ def test_loss_and_grads_hands_on_the_x_m_of_its_own_input_block(method):
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("kind", ["teacher_student", "cluster_classify"])
 def test_evaluate_with_caches_gives_the_cacheless_bits(method, kind):
-    # Caches made before training hold stale trainables; evaluate must
-    # refresh them in place and score exactly as without them.
+    # After train, each layer's workspace last served a training batch of
+    # the previous trainables; evaluate must refresh it and score exactly as
+    # a copy of the model whose states have fresh workspaces.
     task = make_task(kind, 4, 6, r_true=2 if kind == "teacher_student" else 0, sigma=0.5,
                      seed=3)
     model = make_model(task, method, rank=2, scaling=0.5, seed=3)
-    stale = [step_cache(layer.state) for layer in model.layers]
     train(model, task, TrainConfig(steps=5, batch_size=4, base_lr=3e-2, seed=3))
-    got = evaluate(model, task, stale)
-    assert float(got).hex() == float(evaluate(model, task)).hex()
-    caches = [step_cache(layer.state) for layer in model.layers]
-    assert model_forward(model, task.eval_x, caches).tobytes() == \
-        model_forward(model, task.eval_x).tobytes()
+    fresh = Model([Layer(dataclasses.replace(layer.state), layer.relu) for layer in model.layers],
+                  model.loss)
+    assert float(evaluate(model, task)).hex() == float(evaluate(fresh, task)).hex()
+    assert model_forward(model, task.eval_x).tobytes() == \
+        model_forward(fresh, task.eval_x).tobytes()
 
 
 @pytest.mark.parametrize("method", METHODS)
