@@ -108,7 +108,8 @@ class AdapterState:
     w0 - scaling * b @ a for pissa/dude*, or the trainable weight for full.
     b (d x r) and a (r x k) are the low-rank factors; m (length k) is the
     per-column magnitude vector, present only for dora/dude*. cache is the
-    step workspace; a dataclasses.replace copy gets a fresh one.
+    step workspace, allocated on the state's first step and released when
+    trainer.train returns; a dataclasses.replace copy gets a fresh one.
     """
 
     base: np.ndarray
@@ -160,8 +161,8 @@ def initialize(w0, cfg: AdapterConfig, *, factors: SvdFactors | None = None) -> 
     else:
         t = truncate_svd(factors if factors is not None else svd(w0), cfg.rank)
         b = t.u * t.sigma ** b_power
-        # ascontiguousarray: trainable arrays must be C-contiguous so that flat
-        # views (optimizers, perturbation loops) alias the real storage.
+        # ascontiguousarray: the C layout of train's flat views. BLAS picks its
+        # kernel by layout, so a @ x rounds the same before and after training.
         a = np.ascontiguousarray((t.sigma ** (1.0 - b_power))[:, None] * t.v.T)
         base = w0 - cfg.scaling * (b @ a)
     base.setflags(write=False)

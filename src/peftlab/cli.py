@@ -184,8 +184,6 @@ def run_experiment(config_path: str | Path, overrides: dict | None = None) -> Ru
                  "tail_mean_loss": summary.tail_mean_loss}
         run_entries.append(entry)
         print(f"seed {seed}: final_loss={summary.final_loss:.6g} -> {path}")
-        # Free this seed's layer workspaces before the next seed builds its own.
-        del model
 
     payload = {
         "format_version": FORMAT_VERSION,

@@ -265,7 +265,7 @@ def _max_rel_err(analytic: np.ndarray, fd: np.ndarray) -> float:
     return float((np.abs(analytic - fd) / scale).max())
 
 
-def compare_gradient_sets(analytic: GradientSet, fd: GradientSet):
+def compare_gradient_sets(analytic: GradientSet, fd: GradientSet) -> GradCheckReport:
     """Per-parameter max relative error |a-f|/max(1,|a|,|f|) and overall
     verdict against GRAD_CHECK_TOLERANCE."""
     errors: dict[str, float] = {}
@@ -277,8 +277,7 @@ def compare_gradient_sets(analytic: GradientSet, fd: GradientSet):
         if a is None or f is None:
             raise ValueError(f"gradient sets disagree on presence of {name}")
         errors[name] = _max_rel_err(a, f)
-    passed = all(err <= GRAD_CHECK_TOLERANCE for err in errors.values())
-    return errors, passed
+    return GradCheckReport(errors, all(err <= GRAD_CHECK_TOLERANCE for err in errors.values()))
 
 
 def grad_check(state: AdapterState, seed: int = 0) -> GradCheckReport:
@@ -292,6 +291,4 @@ def grad_check(state: AdapterState, seed: int = 0) -> GradCheckReport:
     if not np.all(np.isfinite(y)):
         raise NumericError("forward produced non-finite values")
     analytic = backward(state, x, gy)
-    fd = finite_diff_grads(state, x, gy)
-    errors, passed = compare_gradient_sets(analytic, fd)
-    return GradCheckReport(errors, passed)
+    return compare_gradient_sets(analytic, finite_diff_grads(state, x, gy))

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapters import AdapterConfig, AdapterState, initialize, layer_forward, trainable_params
+from .adapters import AdapterConfig, AdapterState, StepCache, initialize, layer_forward
+from .adapters import trainable_params
 from .grad import GradientSet, param_grads
 from .linalg import NumericError, SvdFactors, _check_choice, _check_int, _check_number
 from .linalg import svd, truncate_svd
@@ -307,56 +308,49 @@ def cosine_lr(step: int, total_steps: int, warmup_frac: float, base_lr: float) -
 
 @dataclass
 class OptState:
-    """SGD or bias-corrected Adam (ADAM_BETA1, ADAM_BETA2, ADAM_EPS); the
-    moment buffers and the two scratch buffers per parameter that hold every
-    intermediate of an update are created by the first optimizer_step to
-    mirror its parameters, which every later step must match."""
+    """SGD or bias-corrected Adam (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) of one
+    parameter array: the first optimizer_step creates the moments m and v
+    (Adam only) and the scratch pair (t, u) that holds every intermediate of
+    an update, all shaped like its parameter, which every later step must
+    match."""
 
     optimizer: str
     step: int = field(default=0, init=False)
-    m: list[np.ndarray] = field(default_factory=list, init=False)
-    v: list[np.ndarray] = field(default_factory=list, init=False)
-    scratch: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, init=False)
+    m: np.ndarray | None = field(default=None, init=False)
+    v: np.ndarray | None = field(default=None, init=False)
+    scratch: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False)
 
     def __post_init__(self):
         _check_choice("optimizer", self.optimizer, OPTIMIZERS)
 
 
-def optimizer_step(params: list[np.ndarray], grads: list[np.ndarray],
-                   opt: OptState, lr: float) -> None:
-    """One in-place update of every parameter array; allocates nothing
-    after the first call. The params must match, in count and shapes, those
-    of the first call on opt."""
-    if not opt.scratch:
-        opt.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+def optimizer_step(p: np.ndarray, g: np.ndarray, opt: OptState, lr: float) -> None:
+    """One in-place update of p from its gradient g; allocates nothing after
+    the first call. p must have the shape of the first call's on opt."""
+    if opt.scratch is None:
+        opt.scratch = (np.empty_like(p), np.empty_like(p))
         if opt.optimizer == "adam":
-            opt.m = [np.zeros_like(p) for p in params]
-            opt.v = [np.zeros_like(p) for p in params]
-    if not len(params) == len(grads) == len(opt.scratch):
-        raise ValueError(f"got {len(params)} params, {len(grads)} grads and optimizer "
-                         f"state for {len(opt.scratch)}")
-    for p, g, (t, _) in zip(params, grads, opt.scratch):
-        if not p.shape == g.shape == t.shape:
-            raise ValueError(f"shape mismatch: param {p.shape}, grad {g.shape}, "
-                             f"optimizer state {t.shape}")
+            opt.m, opt.v = np.zeros_like(p), np.zeros_like(p)
+    t, u = opt.scratch
+    if not p.shape == g.shape == t.shape:
+        raise ValueError(f"shape mismatch: param {p.shape}, grad {g.shape}, "
+                         f"optimizer state {t.shape}")
     opt.step += 1
     if opt.optimizer == "sgd":
-        for p, g, (t, _) in zip(params, grads, opt.scratch):
-            p -= np.multiply(g, lr, out=t)
+        p -= np.multiply(g, lr, out=t)
         return
     bc1 = 1.0 - ADAM_BETA1 ** opt.step
     bc2 = 1.0 - ADAM_BETA2 ** opt.step
     # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), element for element, with
     # the moments m = beta1 * m + (1 - beta1) * g, v = beta2 * v + (1 - beta2) * g * g.
-    for p, g, m, v, (t, u) in zip(params, grads, opt.m, opt.v, opt.scratch):
-        m *= ADAM_BETA1
-        m += np.multiply(g, 1.0 - ADAM_BETA1, out=t)
-        v *= ADAM_BETA2
-        v += np.multiply(np.multiply(g, g, out=t), 1.0 - ADAM_BETA2, out=t)
-        np.multiply(np.divide(m, bc1, out=t), lr, out=t)
-        np.sqrt(np.divide(v, bc2, out=u), out=u)
-        u += ADAM_EPS
-        p -= np.divide(t, u, out=t)
+    opt.m *= ADAM_BETA1
+    opt.m += np.multiply(g, 1.0 - ADAM_BETA1, out=t)
+    opt.v *= ADAM_BETA2
+    opt.v += np.multiply(np.multiply(g, g, out=t), 1.0 - ADAM_BETA2, out=t)
+    np.multiply(np.divide(opt.m, bc1, out=t), lr, out=t)
+    np.sqrt(np.divide(opt.v, bc2, out=u), out=u)
+    u += ADAM_EPS
+    p -= np.divide(t, u, out=t)
 
 
 @dataclass
@@ -404,7 +398,8 @@ def training_stream(task: Task, seed: int) -> np.random.Generator:
 
 def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
     """Run cfg.steps optimization steps on trainables rebound to views of one
-    buffer; each layer's workspace serves every step.
+    buffer, updated by one optimizer_step per step. Each layer's workspace
+    serves every step and is released when train returns or raises.
 
     Every step records the pre-update batch loss, the global L2 norm over
     all trainable gradients, and the learning rate used; the held-out eval
@@ -426,24 +421,28 @@ def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
     opt = OptState(cfg.optimizer)
     base_lr = cfg.resolved_lr()
     records: list[MetricsRecord] = []
-    for step in range(1, cfg.steps + 1):
-        batch = task.sample_batch(rng, cfg.batch_size)
-        try:
-            loss, grads = loss_and_grads(model, batch)
-        except NumericError as e:
-            raise NumericError(f"numeric failure at step {step}: {e}") from e
-        for i, key, view in grad_views:
-            view[...] = getattr(grads[i], key)
-        # Summed trainable by trainable: one sum over gsq would round differently.
-        np.multiply(gflat, gflat, out=gsq)
-        grad_norm = float(np.sqrt(sum(np.add.reduce(seg) for seg in gsq_segments)))
-        if cfg.scheduler == "cosine":
-            lr = cosine_lr(step - 1, cfg.steps, cfg.warmup_frac, base_lr)
-        else:
-            lr = base_lr
-        optimizer_step([flat], [gflat], opt, lr)
-        score = evaluate(model, task) if step % cfg.eval_every == 0 else None
-        records.append(MetricsRecord(step, loss, grad_norm, lr, score))
+    try:
+        for step in range(1, cfg.steps + 1):
+            batch = task.sample_batch(rng, cfg.batch_size)
+            try:
+                loss, grads = loss_and_grads(model, batch)
+            except NumericError as e:
+                raise NumericError(f"numeric failure at step {step}: {e}") from e
+            for i, key, view in grad_views:
+                view[...] = getattr(grads[i], key)
+            # Summed trainable by trainable: one sum over gsq would round differently.
+            np.multiply(gflat, gflat, out=gsq)
+            grad_norm = float(np.sqrt(sum(np.add.reduce(seg) for seg in gsq_segments)))
+            if cfg.scheduler == "cosine":
+                lr = cosine_lr(step - 1, cfg.steps, cfg.warmup_frac, base_lr)
+            else:
+                lr = base_lr
+            optimizer_step(flat, gflat, opt, lr)
+            score = evaluate(model, task) if step % cfg.eval_every == 0 else None
+            records.append(MetricsRecord(step, loss, grad_norm, lr, score))
+    finally:
+        for layer in model.layers:
+            layer.state.cache = StepCache()
     return records
 
 

@@ -369,8 +369,8 @@ def test_merged_column_norms_equal_magnitudes():
 
 
 def test_trainable_arrays_are_c_contiguous():
-    # Flat views over the trainables must alias the real storage; an
-    # F-contiguous factor would make reshape(-1) silently copy.
+    # The layout of train's flat views: BLAS picks its kernel by layout, so a
+    # product with a factor rounds the same before and after training.
     for method in METHODS:
         _, state = random_state(method, 5, 7, 3, seed=2)
         for name, arr in trainable_params(state):

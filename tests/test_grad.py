@@ -372,9 +372,9 @@ def test_grad_check_detects_corruption():
     ana = backward(state, x, gy)
     fd = finite_diff_grads(state, x, gy)
     ana.da = ana.da + 1e-3
-    errors, passed = compare_gradient_sets(ana, fd)
-    assert not passed
-    assert errors["da"] > 1e-5
+    report = compare_gradient_sets(ana, fd)
+    assert not report.passed
+    assert report.errors["da"] > 1e-5
 
 
 def test_grad_check_deterministic_per_seed():

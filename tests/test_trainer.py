@@ -244,40 +244,39 @@ def test_cosine_lr_validation():
 
 def test_sgd_step_by_hand():
     p = np.array([1.0])
-    optimizer_step([p], [np.array([2.0])], OptState("sgd"), lr=0.1)
+    optimizer_step(p, np.array([2.0]), OptState("sgd"), lr=0.1)
     assert p[0] == pytest.approx(0.8, rel=1e-15)
 
 
 def test_adam_first_step_is_lr_times_sign():
     # Bias correction makes the first update lr * g / (|g| + eps) ~= lr.
     p = np.array([1.0])
-    optimizer_step([p], [np.array([2.0])], OptState("adam"), lr=0.1)
+    optimizer_step(p, np.array([2.0]), OptState("adam"), lr=0.1)
     assert p[0] == pytest.approx(0.9, rel=1e-8)
 
 
 def test_zero_gradient_keeps_params():
     p = np.array([1.0, -2.0])
-    optimizer_step([p], [np.zeros(2)], OptState("adam"), lr=0.5)
+    optimizer_step(p, np.zeros(2), OptState("adam"), lr=0.5)
     assert np.array_equal(p, [1.0, -2.0])
 
 
 def test_optimizer_shape_mismatch():
     with pytest.raises(ValueError, match="shape mismatch"):
-        optimizer_step([np.zeros(2)], [np.zeros(3)], OptState("sgd"), lr=0.1)
+        optimizer_step(np.zeros(2), np.zeros(3), OptState("sgd"), lr=0.1)
 
 
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
 def test_optimizer_state_rejects_params_it_was_not_built_for(optimizer):
-    # The buffers mirror the first call's params; a later call with more,
-    # fewer or reshaped params must fail rather than skip or misalign any.
+    # The buffers mirror the first call's param; a later call with a
+    # reshaped param must fail, leaving it and the step count untouched.
     opt = OptState(optimizer)
-    p1, p2 = np.ones(2), np.ones(3)
-    optimizer_step([p1], [np.ones(2)], opt, lr=0.1)
-    before = (p1.tobytes(), p2.tobytes(), opt.step)
-    for params in ([p1, p2], [], [p2]):
-        with pytest.raises(ValueError, match="optimizer state"):
-            optimizer_step(params, [np.ones_like(p) for p in params], opt, lr=0.1)
-        assert (p1.tobytes(), p2.tobytes(), opt.step) == before
+    optimizer_step(np.ones(2), np.ones(2), opt, lr=0.1)
+    p = np.ones(3)
+    before = (p.tobytes(), opt.step)
+    with pytest.raises(ValueError, match="optimizer state"):
+        optimizer_step(p, np.ones(3), opt, lr=0.1)
+    assert (p.tobytes(), opt.step) == before
 
 
 def test_optimizer_state_takes_only_the_optimizer():
@@ -384,6 +383,8 @@ def test_numeric_failure_reports_step():
                       scheduler="constant", seed=0)
     with pytest.raises(NumericError, match=r"at step \d+"):
         train(model, task, cfg)
+    # A failed run releases the layer workspaces as a finished one does.
+    assert _workspace_buffers(model) == []
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -689,18 +690,41 @@ def test_loss_and_grads_hands_on_the_x_m_of_its_own_input_block(method):
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("kind", ["teacher_student", "cluster_classify"])
 def test_evaluate_with_caches_gives_the_cacheless_bits(method, kind):
-    # After train, each layer's workspace last served a training batch of
-    # the previous trainables; evaluate must refresh it and score exactly as
-    # a copy of the model whose states have fresh workspaces.
+    # Each layer's workspace last served a training batch, and the
+    # trainables have since moved in place as an optimizer step moves them;
+    # evaluate must refresh it and score exactly as a copy of the model whose
+    # states have fresh workspaces.
     task = make_task(kind, 4, 6, r_true=2 if kind == "teacher_student" else 0, sigma=0.5,
                      seed=3)
     model = make_model(task, method, rank=2, scaling=0.5, seed=3)
-    train(model, task, TrainConfig(steps=5, batch_size=4, base_lr=3e-2, seed=3))
+    loss_and_grads(model, task.sample_batch(training_stream(task, 3), 4))
+    rng = np.random.default_rng(3)
+    for layer in model.layers:
+        for _, arr in trainable_params(layer.state):
+            arr += 0.1 * rng.standard_normal(arr.shape)
     fresh = Model([Layer(dataclasses.replace(layer.state), layer.relu) for layer in model.layers],
                   model.loss)
     assert float(evaluate(model, task)).hex() == float(evaluate(fresh, task)).hex()
     assert model_forward(model, task.eval_x).tobytes() == \
         model_forward(fresh, task.eval_x).tobytes()
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("kind", ["teacher_student", "cluster_classify"])
+def test_train_releases_every_layer_workspace(method, kind):
+    # The step buffers live for one train call: a trained model keeps its
+    # trainables and bases, and no layer state holds a workspace buffer.
+    task = make_task(kind, 4, 6, r_true=2 if kind == "teacher_student" else 0, sigma=0.5,
+                     seed=3)
+    model = make_model(task, method, rank=2, scaling=0.5, seed=3)
+    train(model, task, TrainConfig(steps=5, batch_size=4, base_lr=3e-2, eval_every=2, seed=3))
+    assert _workspace_buffers(model) == []
+
+
+def _workspace_buffers(model):
+    """(layer, field) of every StepCache buffer the model's states hold."""
+    return [(i, name) for i, layer in enumerate(model.layers)
+            for name, buf in vars(layer.state.cache).items() if buf is not None]
 
 
 @pytest.mark.parametrize("method", METHODS)
