@@ -2,7 +2,7 @@
 
 Supported methods over a d x k base weight:
 
-  full    every entry of the weight trains (reference upper bound)
+  full    every entry of the weight trains
   lora    additive low-rank update b @ a; b starts at zero, a Kaiming-uniform
   dora    per-column magnitude times normalized direction, LoRA-style factors
   pissa   factors start from the top-r SVD of the weight, spectral residual frozen
@@ -109,7 +109,8 @@ class AdapterState:
     b (d x r) and a (r x k) are the low-rank factors; m (length k) is the
     per-column magnitude vector, present only for dora/dude*. cache is the
     step workspace, allocated on the state's first step and released when
-    trainer.train returns; a dataclasses.replace copy gets a fresh one.
+    trainer.train, trainer.model_forward or grad.backward returns; a
+    dataclasses.replace copy gets a fresh one.
     """
 
     base: np.ndarray

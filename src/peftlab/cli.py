@@ -16,7 +16,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,7 @@ __all__ = ["ConfigError", "RunArtifact", "run_experiment", "compare", "main"]
 FORMAT_VERSION = 1
 METRICS_HEADER = "step,loss,grad_norm,lr,eval"
 COMPARE_HEADER = "method,mean_final_loss,std_final_loss,best_final_loss,worst_final_loss,n_seeds"
+_COMPARE_COLUMNS = COMPARE_HEADER.split(",")
 
 
 def _fmt(x: float) -> str:
@@ -50,6 +51,11 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 # experiment configs
 
+# Config key -> TrainConfig field, which also gives the key's default.
+_TRAIN_FIELDS = {"lr": "base_lr", "steps": "steps", "batch": "batch_size",
+                 "warmup_frac": "warmup_frac", "scheduler": "scheduler",
+                 "optimizer": "optimizer", "eval_every": "eval_every"}
+
 _CONFIG_DEFAULTS = {
     "d": 16,
     "k": 16,
@@ -57,14 +63,8 @@ _CONFIG_DEFAULTS = {
     "sigma": 0.01,
     "rank": 2,
     "scaling": 1.0,
-    "lr": None,
-    "steps": 500,
-    "batch": 8,
-    "warmup_frac": 0.03,
-    "scheduler": "cosine",
-    "optimizer": "adam",
     "seeds": list(DEFAULT_SEEDS),
-    "eval_every": 50,
+    **{key: getattr(TrainConfig(), name) for key, name in _TRAIN_FIELDS.items()},
 }
 
 _REQUIRED_FIELDS = ("task", "method", "out_dir")
@@ -151,15 +151,7 @@ def run_experiment(config_path: str | Path, overrides: dict | None = None) -> Ru
             raw.pop("seeds", None)  # a seed override replaces the whole suite
         raw.update(overrides)
     cfg = validate_config(raw)
-    tc = TrainConfig(
-        steps=cfg["steps"],
-        batch_size=cfg["batch"],
-        base_lr=cfg["lr"],
-        optimizer=cfg["optimizer"],
-        scheduler=cfg["scheduler"],
-        warmup_frac=cfg["warmup_frac"],
-        eval_every=cfg["eval_every"],
-    )
+    tc = TrainConfig(**{name: cfg[key] for key, name in _TRAIN_FIELDS.items()})
     out_dir = Path(cfg["out_dir"])
     summary_path = out_dir / "summary.json"
 
@@ -179,10 +171,7 @@ def run_experiment(config_path: str | Path, overrides: dict | None = None) -> Ru
         write_metrics_csv(path, records)
         metrics_paths.append(path)
         summary = summarize(records, higher_eval_is_better=model.loss == "cross_entropy")
-        entry = {"method": cfg["method"], "seed": seed, "steps": summary.steps,
-                 "final_loss": summary.final_loss, "best_eval": summary.best_eval,
-                 "tail_mean_loss": summary.tail_mean_loss}
-        run_entries.append(entry)
+        run_entries.append({"method": cfg["method"], "seed": seed, **asdict(summary)})
         print(f"seed {seed}: final_loss={summary.final_loss:.6g} -> {path}")
 
     payload = {
@@ -226,7 +215,8 @@ def _load_summary_runs(dir_path: Path) -> tuple[Path, list[dict]]:
 
 
 def compare(run_dirs: list[str | Path], out_path: str | Path) -> list[dict]:
-    """Aggregate final losses per method across run dirs (population std).
+    """Aggregate final losses per method across run dirs into one row per
+    method, keyed by COMPARE_HEADER's columns (std is the population std).
     A (method, seed) pair found twice, in one summary file or two, is an
     error: it would count one run twice."""
     by_method: dict[str, list[float]] = {}
@@ -243,22 +233,17 @@ def compare(run_dirs: list[str | Path], out_path: str | Path) -> list[dict]:
     rows = []
     for method in sorted(by_method):
         losses = np.asarray(by_method[method])
-        rows.append({
-            "method": method,
-            "mean_final_loss": float(losses.mean()),
-            "std_final_loss": float(losses.std()),  # population: divide by n
-            "best_final_loss": float(losses.min()),
-            "worst_final_loss": float(losses.max()),
-            "n_seeds": int(losses.size),
-        })
-    lines = [COMPARE_HEADER]
-    for row in rows:
-        lines.append(
-            f"{row['method']},{_fmt(row['mean_final_loss'])},{_fmt(row['std_final_loss'])},"
-            f"{_fmt(row['best_final_loss'])},{_fmt(row['worst_final_loss'])},{row['n_seeds']}"
-        )
+        stats = (losses.mean(), losses.std(), losses.min(), losses.max())
+        rows.append(dict(zip(_COMPARE_COLUMNS, (method, *map(float, stats), losses.size))))
+    lines = [COMPARE_HEADER] + [_compare_line(row, ".17g") for row in rows]
     _write_atomic(Path(out_path), "\n".join(lines) + "\n")
     return rows
+
+
+def _compare_line(row: dict, spec: str) -> str:
+    """row's values in COMPARE_HEADER's order, each float formatted by spec."""
+    return ",".join(format(row[col], spec) if isinstance(row[col], float) else str(row[col])
+                    for col in _COMPARE_COLUMNS)
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +286,8 @@ def _write_matrix_csv(path: Path, w: np.ndarray) -> None:
 # subcommand handlers
 
 def _cmd_run(args) -> int:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.method is not None:
-        overrides["method"] = args.method
-    if args.rank is not None:
-        overrides["rank"] = args.rank
-    if args.lr is not None:
-        overrides["lr"] = args.lr
+    overrides = {key: getattr(args, key) for key in ("seed", "method", "rank", "lr")
+                 if getattr(args, key) is not None}
     artifact = run_experiment(args.config, overrides)
     print(f"summary -> {artifact.summary_path}")
     return 0
@@ -317,10 +295,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     rows = compare(args.run_dirs, args.out)
-    print(COMPARE_HEADER)
-    for row in rows:
-        print(f"{row['method']},{row['mean_final_loss']:.6g},{row['std_final_loss']:.6g},"
-              f"{row['best_final_loss']:.6g},{row['worst_final_loss']:.6g},{row['n_seeds']}")
+    print("\n".join([COMPARE_HEADER] + [_compare_line(row, ".6g") for row in rows]))
     return 0
 
 

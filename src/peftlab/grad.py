@@ -82,10 +82,10 @@ class GradientSet:
     None for the first layer of trainer.loss_and_grads, which has no input to
     pass it to; backward always returns it."""
 
-    db: np.ndarray | None
-    da: np.ndarray | None
-    dm: np.ndarray | None
-    dx: np.ndarray | None
+    db: np.ndarray | None = None
+    da: np.ndarray | None = None
+    dm: np.ndarray | None = None
+    dx: np.ndarray | None = None
     dbase: np.ndarray | None = None
 
 
@@ -118,7 +118,7 @@ def param_grads(state: AdapterState, gz: np.ndarray, x: np.ndarray,
     if state.method == "full":
         dx = np.dot(state.base.T, gz) if input_grad else None
         cache.scratch = np.matmul(gz, x.T, out=cache.scratch)
-        return GradientSet(None, None, None, dx, cache.scratch)
+        return GradientSet(dx=dx, dbase=cache.scratch)
     s, b, a = state.config.scaling, state.b, state.a
     bg = np.dot(b.T, gz)
     if state.m is None:
@@ -127,7 +127,7 @@ def param_grads(state: AdapterState, gz: np.ndarray, x: np.ndarray,
             dx = np.dot(state.base.T, gz)
             dx += _scaled(np.dot(a.T, bg), s)
         db, da = np.dot(gz, np.dot(a, x).T), np.dot(bg, x.T)
-        return GradientSet(_scaled(db, s), _scaled(da, s), None, dx)
+        return GradientSet(db=_scaled(db, s), da=_scaled(da, s), dx=dx)
     v, mn, x_m = cache.v, cache.mn[:, None], cache.xm
     p = np.dot(v.T, gz)
     # proj_j = <v_j, g_j> once for dm and c.
@@ -138,12 +138,13 @@ def param_grads(state: AdapterState, gz: np.ndarray, x: np.ndarray,
     da = np.dot(bg, x_m.T)
     da -= np.dot(b.T, v) * c
     dx = np.multiply(p, mn, out=p) if input_grad else None
-    return GradientSet(_scaled(db, s), _scaled(da, s), proj / cache.n, dx)
+    return GradientSet(db=_scaled(db, s), da=_scaled(da, s), dm=proj / cache.n, dx=dx)
 
 
 def backward(state: AdapterState, x, gy) -> GradientSet:
     """Exact gradients of L with respect to the trainables and the input,
-    given gy = dL/dy for y = effective_weight(state) @ x, in new arrays."""
+    given gy = dL/dy for y = effective_weight(state) @ x, in new arrays:
+    the state's workspace is released before it returns."""
     x = np.asarray(x, dtype=np.float64)
     gy = np.asarray(gy, dtype=np.float64)
     d, k = state.base.shape
@@ -155,7 +156,7 @@ def backward(state: AdapterState, x, gy) -> GradientSet:
     layer_forward(state, x)
     gs = param_grads(state, gy[:, None], x)
     gs.dx = gs.dx[:, 0]
-    gs.dbase = None if gs.dbase is None else gs.dbase.copy()
+    state.cache = StepCache()
     return gs
 
 
@@ -175,15 +176,8 @@ def finite_diff_grads(state: AdapterState, x, gy) -> GradientSet:
     """
     x = np.asarray(x, dtype=np.float64)
     gy = np.asarray(gy, dtype=np.float64)
-    grads = {name: _central_differences(state, name, arr, x, gy)
-             for name, arr in trainable_params(state) + [("x", x)]}
-    return GradientSet(
-        db=grads.get("b"),
-        da=grads.get("a"),
-        dm=grads.get("m"),
-        dx=grads["x"],
-        dbase=grads.get("base"),
-    )
+    return GradientSet(**{"d" + name: _central_differences(state, name, arr, x, gy)
+                          for name, arr in trainable_params(state) + [("x", x)]})
 
 
 def _central_differences(state: AdapterState, name: str, arr: np.ndarray, x: np.ndarray,

@@ -201,10 +201,12 @@ def make_model(task: Task, method: str, rank: int, scaling: float = 1.0,
 
 
 def model_forward(model: Model, x: np.ndarray) -> np.ndarray:
-    """Apply every layer to a k x n input block."""
+    """Apply every layer to a k x n input block, releasing each layer's
+    workspace once the layer has been applied."""
     cur = x
     for layer in model.layers:
         cur = layer_forward(layer.state, cur)
+        layer.state.cache = StepCache()
         if layer.relu:
             cur = np.maximum(cur, 0.0)
     return cur
@@ -253,7 +255,8 @@ def loss_and_grads(model: Model, batch) -> tuple[float, list[GradientSet]]:
     (subgradient 0 at exactly 0; relu(z) > 0 exactly where z > 0), and
     returns mean gradients so the learning rate is comparable across batch sizes.
     The first layer's dx is None: nothing reads it. full's dbase is a
-    buffer of the layer's workspace, valid until the next step on its state.
+    buffer of the layer's workspace, valid until the next step on its state,
+    so the workspaces stay filled; train releases them when it ends.
     The targets are checked against model.loss (ValueError).
     """
     x, t = batch
@@ -399,7 +402,8 @@ def training_stream(task: Task, seed: int) -> np.random.Generator:
 def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
     """Run cfg.steps optimization steps on trainables rebound to views of one
     buffer, updated by one optimizer_step per step. Each layer's workspace
-    serves every step and is released when train returns or raises.
+    serves the steps up to the next eval, which releases it, and is released
+    when train returns or raises.
 
     Every step records the pre-update batch loss, the global L2 norm over
     all trainable gradients, and the learning rate used; the held-out eval

@@ -59,10 +59,15 @@ def write_summary(dir_path, method, final_losses, first_seed=0):
 # config validation
 
 def test_validate_fills_defaults():
-    cfg = validate_config(dict(BASE_CONFIG, out_dir="x"))
-    assert cfg["optimizer"] == "adam"
-    assert cfg["scheduler"] == "cosine"
-    assert cfg["warmup_frac"] == 0.03
+    # Every default, as README's config table states it (lr None: 1e-3 for
+    # adam, 1e-2 for sgd).
+    cfg = validate_config({"task": "teacher_student", "method": "dude", "out_dir": "x"})
+    assert cfg == {
+        "task": "teacher_student", "method": "dude", "out_dir": "x",
+        "d": 16, "k": 16, "r_true": 2, "sigma": 0.01, "rank": 2, "scaling": 1.0,
+        "lr": None, "steps": 500, "batch": 8, "warmup_frac": 0.03, "scheduler": "cosine",
+        "optimizer": "adam", "seeds": [42, 78, 512, 1234, 3407], "eval_every": 50,
+    }
 
 
 def test_validate_full_ignores_rank_limit():

@@ -166,7 +166,7 @@ def test_doubling_magnitude_exactly_doubles_factor_grads():
 
 def test_backward_results_outlive_later_calls():
     # full's dbase comes from a buffer of the state's workspace that the
-    # next step overwrites; backward hands out its own copy.
+    # next step would overwrite; backward releases the workspace instead.
     state, x, gy = random_case("full", 5, 4, 1, seed=2)
     first = backward(state, x, gy)
     kept = first.dbase.copy()

@@ -15,6 +15,7 @@ from peftlab.adapters import (
     initialize,
     trainable_params,
 )
+from peftlab.grad import backward
 from peftlab.linalg import NumericError, svd
 from peftlab.trainer import (
     DEFAULT_SEEDS,
@@ -718,6 +719,24 @@ def test_train_releases_every_layer_workspace(method, kind):
                      seed=3)
     model = make_model(task, method, rank=2, scaling=0.5, seed=3)
     train(model, task, TrainConfig(steps=5, batch_size=4, base_lr=3e-2, eval_every=2, seed=3))
+    assert _workspace_buffers(model) == []
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("kind", ["teacher_student", "cluster_classify"])
+def test_evaluate_and_backward_release_every_layer_workspace(method, kind):
+    # A trained model scored by evaluate, and a layer differentiated by
+    # backward, hold no step buffer afterwards: what they fill they release.
+    task = make_task(kind, 4, 6, r_true=2 if kind == "teacher_student" else 0, sigma=0.5,
+                     seed=3)
+    model = make_model(task, method, rank=2, scaling=0.5, seed=3)
+    train(model, task, TrainConfig(steps=5, batch_size=4, base_lr=3e-2, eval_every=2, seed=3))
+    evaluate(model, task)
+    assert _workspace_buffers(model) == []
+    rng = np.random.default_rng(3)
+    for layer in model.layers:
+        d, k = layer.state.base.shape
+        backward(layer.state, rng.standard_normal(k), rng.standard_normal(d))
     assert _workspace_buffers(model) == []
 
 
