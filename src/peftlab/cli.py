@@ -94,7 +94,8 @@ def validate_config(raw: dict) -> dict:
     for key in _REQUIRED_FIELDS:
         if key not in raw:
             raise ConfigError(f"missing required config field '{key}'")
-    cfg = dict(_CONFIG_DEFAULTS)
+    # A list of its own: changing the result must not change the defaults.
+    cfg = dict(_CONFIG_DEFAULTS, seeds=list(_CONFIG_DEFAULTS["seeds"]))
     cfg.update(raw)
     if "seed" in cfg:
         if "seeds" in raw:
@@ -236,7 +237,9 @@ def compare(run_dirs: list[str | Path], out_path: str | Path) -> list[dict]:
         stats = (losses.mean(), losses.std(), losses.min(), losses.max())
         rows.append(dict(zip(_COMPARE_COLUMNS, (method, *map(float, stats), losses.size))))
     lines = [COMPARE_HEADER] + [_compare_line(row, ".17g") for row in rows]
-    _write_atomic(Path(out_path), "\n".join(lines) + "\n")
+    out_path = Path(out_path)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    _write_atomic(out_path, "\n".join(lines) + "\n")
     return rows
 
 

@@ -37,10 +37,12 @@ adapters.layer_forward that refresh v and its norms in the state's workspace
 b^T v and v (a c)^T; full's dbase = gz x^T goes into that workspace.
 
 finite_diff_grads, the oracle these formulas are checked against, takes
-central differences of dense forwards instead, with one step rule,
-h = FD_BASE_STEP (1 + |theta|). For each trainable, and for x, it stacks
-the displaced copies in chunks and computes every chunk into one workspace,
-allocated once per displaced array, through adapters._weight: the in-place
+central differences of forwards instead, with one step rule,
+h = FD_BASE_STEP (1 + |theta|). W'_j reads base_j, a_j and m_j only, so the
+oracle displaces a, m, x and full's base through one-column layers; b moves
+every column (for dora/dude* through every norm) and keeps whole weights.
+Each array's displacements are stacked in chunks, computed into one
+workspace allocated once per array through adapters._weight: the in-place
 formula that effective_weight and step_cache also use.
 """
 
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import AdapterState, StepCache, _direction, _scaled, _weight, effective_weight
+from .adapters import AdapterState, StepCache, _scaled, _weight
 from .adapters import forward, layer_forward, trainable_params
 from .linalg import NumericError
 
@@ -164,15 +166,14 @@ def finite_diff_grads(state: AdapterState, x, gy) -> GradientSet:
     """Central-difference gradients of L = <gy, forward(state, x)>.
 
     Each trainable scalar theta, and each entry of x, is displaced by +-h with
-    h = FD_BASE_STEP * (1 + |theta|), the one step rule. The displaced copies
-    of one array are evaluated in stacked chunks of at most 128 KiB of weights
-    (one copy per chunk once a weight takes more than half of that).
-    Each array gets one workspace, allocated once, that holds a chunk's
-    stacked weights, for dora/dude* their squares, norms and m / n, and its
-    outputs; every chunk is computed into it in place, by the operations of
-    effective_weight in the same order. Each loss is still gy @ (W_j @ x_j),
-    so every gradient has the bits of one forward per displaced scalar. The
-    caller's state and x are only read.
+    h = FD_BASE_STEP * (1 + |theta|), the one step rule. A scalar of a, m, x
+    or full's base moves column j of W' only, so its loss is the column term
+    gy @ (W'_j x_j), with the bits of gy @ forward(column j as a layer,
+    x[j:j+1]); a scalar of b moves every column, so its loss has the bits of
+    gy @ forward(state, x). Displacements are evaluated in stacked chunks of
+    at most 128 KiB of weights (8 d bytes per column, 8 d k per whole weight)
+    in one workspace per array, by the operations of effective_weight in the
+    same order. The caller's state and x are only read.
     """
     x = np.asarray(x, dtype=np.float64)
     gy = np.asarray(gy, dtype=np.float64)
@@ -186,65 +187,64 @@ def _central_differences(state: AdapterState, name: str, arr: np.ndarray, x: np.
     name (a trainable of state, or x)."""
     flat = arr.reshape(-1)
     h = FD_BASE_STEP * (1.0 + np.abs(flat))
-    # Displacements j = 2i, 2i + 1 set scalar i to theta_i + h_i and
-    # theta_i - h_i; row j % n of a stack of n copies holds displacement j.
-    values = np.stack([flat + h, flat - h], axis=1).reshape(-1)
-    undo = np.repeat(flat, 2)
+    # Displacements j = 2i, 2i + 1 set scalar i to theta_i + h_i and theta_i - h_i.
+    values = (flat[:, None] + h[:, None] * [1.0, -1.0]).reshape(-1)
     d, k = state.base.shape
-    n = min(max(1, _FD_CHUNK_BYTES // (8 * d * k)), values.size)
-    stack = np.repeat(flat[None], n, axis=0)
-    buf = stack.reshape(-1)
-    at = np.arange(values.size) % n * flat.size + np.arange(values.size) // 2
-    stacked = stack.reshape((n,) + arr.shape)
-    outputs = _displaced_outputs(state, name, x, n)
+    n = min(max(1, _FD_CHUNK_BYTES // (8 * d * (k if name == "b" else 1))), values.size)
+    outputs = _displaced_outputs(state, name, x, values, n)
     losses = np.empty(values.size)
     for start in range(0, values.size, n):
         stop = min(start + n, values.size)
-        buf[at[start:stop]] = values[start:stop]
-        ys = outputs(stacked[: stop - start])
         # ndarray.dot of two 1-D arrays is the same ddot as gy @ y; a
         # matrix-vector product ys @ gy would sum in another order.
-        losses[start:stop] = np.fromiter(map(gy.dot, ys), np.float64, stop - start)
-        buf[at[start:stop]] = undo[start:stop]
+        losses[start:stop] = np.fromiter(map(gy.dot, outputs(start, stop)), np.float64,
+                                         stop - start)
     return ((losses[0::2] - losses[1::2]) / (2.0 * h)).reshape(arr.shape)
 
 
-def _displaced_outputs(state: AdapterState, name: str, x: np.ndarray, n: int):
-    """f(p) = W_j @ x_j for each entry j of p, a stack of at most n copies of
-    the array called name (a trainable, or x) with p in its place. Every call
-    writes into one workspace allocated here: the stacked weights, for
-    dora/dude* their squares, norms and m / n, and the outputs. The x
-    displacements reuse the unperturbed weight, the m ones the unperturbed
-    direction v and its norms n."""
+def _displaced_outputs(state: AdapterState, name: str, x: np.ndarray, values: np.ndarray,
+                       n: int):
+    """outputs(start, stop): a row per displacement j from start to stop (at
+    most n) of the array called name, with scalar j // 2 set to values[j]:
+    W @ x of the whole weight for b, else W'_j x_j of the one column the
+    scalar feeds, from a stack of one-column layers gathered from base, a, m
+    and x. Every call writes into the buffers allocated here."""
     d, k = state.base.shape
-    ys = np.empty((n, d, 1))
-    if name == "x":
-        w = effective_weight(state)
-        return lambda p: np.matmul(w, p[..., None], out=ys[: len(p)])[..., 0]
-    if name == "base":
-        return lambda p: np.matmul(p, x, out=ys[: len(p), :, 0])
-    ws = StepCache(v=np.empty((n, d, k)), mn=None if state.m is None else np.empty((n, k)))
-    if name == "m":
-        cache = StepCache()
-        _direction(state.base, state.b, state.a, state.m, state.config, cache)
-
-        def outputs(p):
-            c = len(p)
-            mn = np.divide(p, cache.n, out=ws.mn[:c])
-            w = np.multiply(cache.v, mn[:, None, :], out=ws.v[:c])
-            return np.matmul(w, x, out=ys[:c, :, 0])
-        return outputs
+    if name == "b":
+        # One unit, the whole weight, so every stacked b is a copy.
+        width, inputs = k, {"b": state.b.reshape(1, -1)}
+    else:
+        # k units, one per column: row j of each input feeds W'_j.
+        width, inputs = 1, {"base": state.base.T, "a": state.a.T, "x": x[:, None]}
+        if state.m is not None:
+            inputs["m"] = state.m[:, None]
+    stacks = {key: np.empty((n, arr.shape[1])) for key, arr in inputs.items()}
+    ws = StepCache(v=np.empty((n, d, width)))
     if state.m is not None:
-        ws.scratch, ws.sq, ws.n = np.empty((n, d, k)), np.empty((n, k)), np.empty((n, k))
+        ws.scratch = np.empty((n, d, width))
+        ws.sq, ws.n, ws.mn = np.empty((n, width)), np.empty((n, width)), np.empty((n, width))
+    ys = np.empty((n, d)) if name == "b" else None
 
-    def outputs(p):
-        c = len(p)
+    def outputs(start, stop):
+        c = stop - start
+        row, unit = np.divmod(np.arange(start, stop) // 2, len(inputs[name]))
+        for key, arr in inputs.items():
+            # mode="clip" takes straight into out (the default mode buffers
+            # it); every index is in range.
+            np.take(arr, unit, axis=0, out=stacks[key][:c], mode="clip")
+        stacks[name][np.arange(c), row] = values[start:stop]
         # Only the last chunk can be shorter: it takes views of the first c entries.
         head = ws if c == n else StepCache(**{f: None if buf is None else buf[:c]
                                                for f, buf in vars(ws).items()})
-        b, a = (p, state.a) if name == "b" else (state.b, p)
-        w = _weight(state.base, b, a, state.m, state.config, head)
-        return np.matmul(w, x, out=ys[:c, :, 0])
+        if name == "b":
+            b = stacks["b"][:c].reshape((c,) + state.b.shape)
+            w = _weight(state.base, b, state.a, state.m, state.config, head)
+            return np.matmul(w, x, out=ys[:c])
+        w = stacks["base"][:c, :, None]
+        if state.method != "full":
+            m = stacks["m"][:c] if state.m is not None else None
+            w = _weight(w, state.b, stacks["a"][:c, :, None], m, state.config, head)
+        return np.multiply(w, stacks["x"][:c, None], out=head.v)[..., 0]
     return outputs
 
 

@@ -70,6 +70,12 @@ def test_validate_fills_defaults():
     }
 
 
+def test_validate_returns_a_seed_list_of_its_own():
+    raw = {"task": "teacher_student", "method": "dude", "out_dir": "x"}
+    validate_config(raw)["seeds"].append(7)
+    assert validate_config(raw)["seeds"] == [42, 78, 512, 1234, 3407]
+
+
 def test_validate_full_ignores_rank_limit():
     cfg = validate_config(dict(BASE_CONFIG, out_dir="x", method="full", rank=9))
     assert cfg["rank"] == 9
@@ -301,6 +307,14 @@ def test_compare_two_runs_by_hand(tmp_path, capsys):
     capsys.readouterr()
     assert main(["compare", str(tmp_path / "r1"), str(tmp_path / "r2"), "--out", str(out)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == lines[0] == cli.COMPARE_HEADER
+
+
+def test_compare_creates_the_output_directory(tmp_path, capsys):
+    write_summary(tmp_path / "r1", "lora", [1.0])
+    out = tmp_path / "new" / "deeper" / "cmp.csv"
+    assert main(["compare", str(tmp_path / "r1"), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == cli.COMPARE_HEADER
+    assert sorted(p.name for p in out.parent.iterdir()) == ["cmp.csv"]
 
 
 def test_compare_single_run_has_zero_std(tmp_path):

@@ -12,6 +12,7 @@ from peftlab.adapters import (
     METHODS,
     NORM_EPSILON,
     AdapterConfig,
+    effective_weight,
     forward,
     initialize,
     layer_forward,
@@ -242,9 +243,56 @@ def _writable_copy(state):
                                m=None if state.m is None else state.m.copy())
 
 
-# The per-scalar loop grad.finite_diff_grads must match bit for bit: one
-# forward per displaced scalar, on a private copy of the state.
+def _displaced_losses(layer, layer_x, flat, at, gy):
+    """The losses gy @ forward(layer, layer_x) with flat[at] displaced by +h
+    and by -h, flat[at] restored after, and h."""
+    theta = flat[at]
+    h = grad.FD_BASE_STEP * (1.0 + abs(theta))
+    flat[at] = theta + h
+    lp = float(gy @ forward(layer, layer_x))
+    flat[at] = theta - h
+    lm = float(gy @ forward(layer, layer_x))
+    flat[at] = theta
+    return lp, lm, h
+
+
+def _column_layer(state, x, j):
+    """Column j of the layer as a one-column layer of its own, and its input
+    x[j:j+1], in new arrays: base_j, a_j and m_j are all that W'_j reads."""
+    layer = dataclasses.replace(state, base=state.base[:, [j]], a=state.a[:, [j]],
+                                m=None if state.m is None else state.m[[j]])
+    return layer, x[[j]]
+
+
+# The per-scalar loop grad.finite_diff_grads must match bit for bit, on a
+# private copy of the state: one forward of the whole layer per displaced
+# scalar of b, one forward of the one column it moves per displaced scalar of
+# a, m, x or full's base. Scalar idx of a (r x k), base (d x k), m or x sits
+# in column idx % k, at entry idx // k of that column's slice.
 def _reference_finite_diff_grads(state, x, gy):
+    work = _writable_copy(state)
+    xs = np.asarray(x, dtype=np.float64).copy()
+    gy = np.asarray(gy, dtype=np.float64)
+    k = work.base.shape[1]
+    grads = {}
+    for name, arr in trainable_params(work) + [("x", xs)]:
+        gflat = np.zeros(arr.size)
+        for idx in range(arr.size):
+            if name == "b":
+                lp, lm, h = _displaced_losses(work, xs, arr.reshape(-1), idx, gy)
+            else:
+                layer, layer_x = _column_layer(work, xs, idx % k)
+                inputs = {"base": layer.base, "a": layer.a, "m": layer.m, "x": layer_x}
+                lp, lm, h = _displaced_losses(layer, layer_x, inputs[name].reshape(-1),
+                                              idx // k, gy)
+            gflat[idx] = (lp - lm) / (2.0 * h)
+        grads[name] = gflat.reshape(arr.shape)
+    return grads
+
+
+# A second, dense oracle: one forward of the whole layer per displaced scalar
+# of every array. finite_diff_grads must match it to rounding.
+def _dense_finite_diff_grads(state, x, gy):
     work = _writable_copy(state)
     xs = np.asarray(x, dtype=np.float64).copy()
     gy = np.asarray(gy, dtype=np.float64)
@@ -253,13 +301,7 @@ def _reference_finite_diff_grads(state, x, gy):
         flat = arr.reshape(-1)
         gflat = np.zeros(flat.size)
         for idx in range(flat.size):
-            theta = flat[idx]
-            h = grad.FD_BASE_STEP * (1.0 + abs(theta))
-            flat[idx] = theta + h
-            lp = float(gy @ forward(work, xs))
-            flat[idx] = theta - h
-            lm = float(gy @ forward(work, xs))
-            flat[idx] = theta
+            lp, lm, h = _displaced_losses(work, xs, flat, idx, gy)
             gflat[idx] = (lp - lm) / (2.0 * h)
         grads[name] = gflat.reshape(arr.shape)
     return grads
@@ -280,10 +322,12 @@ def _state_snapshot(state, *arrays):
     seed=st.integers(0, 2**32 - 1),
     custom_step=st.booleans(),
 )
-# 64 x 256 weights fill the whole chunk budget: one perturbation per chunk.
+# 64 x 256 weights fill the whole chunk budget: one displaced b per chunk,
+# and chunks of 256 one-column layers, fewer than k, for a, m and x.
 @example(method="dora", d=64, k=256, rank=8, scaling=1.0, seed=5, custom_step=False)
 # 32 x 257 weights take just over half the budget, so each chunk again holds
-# one copy; scaling != 1 runs the in-place scaling of every method there.
+# one displaced b, and a column path of 514 displacements ends in a short
+# chunk of 2; scaling != 1 runs the in-place scaling of every method there.
 @example(method="full", d=32, k=257, rank=1, scaling=0.5, seed=6, custom_step=False)
 @example(method="lora", d=32, k=257, rank=1, scaling=3.0, seed=7, custom_step=False)
 @example(method="dora", d=32, k=257, rank=1, scaling=0.5, seed=8, custom_step=True)
@@ -307,6 +351,98 @@ def test_fd_bits_match_reference_loop(method, d, k, rank, scaling, seed, custom_
             continue
         w = want[name]
         assert (g.shape, g.strides, g.tobytes()) == (w.shape, w.strides, w.tobytes()), name
+
+
+def with_zero_input_column(state):
+    """The state with column 0 of base and of a set to zero, so column 0 of
+    v = base + s * b @ a is exactly zero however b @ a is summed (that of
+    with_zero_column cancels exactly in the whole product only)."""
+    base, a = state.base.copy(), state.a.copy()
+    base[:, 0] = 0.0
+    a[:, 0] = 0.0
+    return dataclasses.replace(state, base=base, a=a)
+
+
+def _padded(arr):
+    """|theta| + h for every scalar theta of arr: the largest |theta +- h|."""
+    return np.abs(arr) + grad.FD_BASE_STEP * (1.0 + np.abs(arr))
+
+
+def _loss_term_size(state, x, gy):
+    """sum_ij |gy_i| |W'_ij| |x_j| over any one displacement, with |W'_ij|
+    bounded by |m_j| for dora/dude* (|v_ij| <= ||v_j|| < n_j, so a zero
+    column that a displacement moves off zero is covered too) and by
+    |base| + s |b| |a| for the others."""
+    if state.m is not None:
+        w = np.broadcast_to(_padded(state.m), state.base.shape)
+    else:
+        w = _padded(state.base) + state.config.scaling * (_padded(state.b) @ _padded(state.a))
+    return float(np.abs(gy) @ w @ _padded(x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    method=st.sampled_from(METHODS),
+    d=st.integers(1, 24),
+    k=st.integers(1, 24),
+    data=st.data(),
+    scaling=st.floats(0.25, 4.0).filter(lambda s: s != 1.0),
+    zero_column=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_column_oracle_matches_the_dense_oracle(method, d, k, data, scaling, zero_column, seed):
+    # The dense oracle's losses sum d k terms gy_i W'_ij x_j and its W' is
+    # rounded by the d-term norms and r-term products: each loss is off by at
+    # most (k + 2d + r + 4) u S, S = _loss_term_size, and the column oracle's
+    # by less. So the two central differences agree within
+    # 4 (k + 2d + r + 4) u S / (2h) = (k + 2d + r + 4) eps S / h per scalar.
+    r = data.draw(st.integers(1, min(d, k)), label="rank")
+    state, x, gy = random_case(method, d, k, r, seed, scaling=scaling)
+    if zero_column:
+        state = with_zero_input_column(state)
+    got = finite_diff_grads(state, x, gy)
+    want = _dense_finite_diff_grads(state, x, gy)
+    size = (k + 2 * d + r + 4) * np.finfo(float).eps * _loss_term_size(state, x, gy)
+    for name, arr in trainable_params(state) + [("x", x)]:
+        g, w = getattr(got, "d" + name), want[name]
+        bound = size / (grad.FD_BASE_STEP * (1.0 + np.abs(arr)))
+        assert np.all(np.abs(g - w) <= bound), (name, np.abs(g - w).max(), bound.min())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    method=st.sampled_from(METHODS),
+    d=st.integers(1, 12),
+    k=st.integers(1, 12),
+    data=st.data(),
+    scaling=st.sampled_from([0.5, 1.0, 3.0]),
+    zero_column=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_column_layers_give_the_columns_of_the_weight(method, d, k, data, scaling,
+                                                          zero_column, seed):
+    # The column oracle assumes W'_j reads base_j, a_j and m_j only. Every
+    # column as a one-column layer, stacked (base_j: d x 1, a_j: r x 1,
+    # m_j: 1), must give the columns of the weight up to rounding: in v by
+    # the r-term products, in n_j by the d-term norm. with_zero_column's
+    # column 0 cancels exactly in the whole product only; the bound, scaled
+    # by 1 / n_j, covers its rounding residue in the one-column product.
+    r = data.draw(st.integers(1, min(d, k)), label="rank")
+    state, _, _ = random_case(method, d, k, r, seed, scaling=scaling)
+    if zero_column:
+        state = with_zero_column(state)
+    columns = dataclasses.replace(state, base=state.base.T[:, :, None], a=state.a.T[:, :, None],
+                                  m=None if state.m is None else state.m[:, None])
+    got = effective_weight(columns)
+    assert got.shape == (k, d, 1)
+    want = effective_weight(state)
+    eps = np.finfo(float).eps
+    env = np.abs(state.base) + scaling * (np.abs(state.b) @ np.abs(state.a))
+    bound = (r + 2) * eps * env
+    if state.m is not None:
+        n = np.linalg.norm(state.base + scaling * (state.b @ state.a), axis=0) + NORM_EPSILON
+        bound = np.abs(state.m) / n * (bound + (d + r + 4) * eps * np.linalg.norm(env, axis=0))
+    assert np.all(np.abs(got[..., 0].T - want) <= bound)
 
 
 @pytest.mark.parametrize("method, d, k, r", [("dora", 64, 256, 8), ("dude", 12, 12, 12)])
@@ -375,6 +511,20 @@ def test_grad_check_detects_corruption():
     report = compare_gradient_sets(ana, fd)
     assert not report.passed
     assert report.errors["da"] > 1e-5
+    # The oracle takes each column's scalars from that column alone, so a
+    # gradient put in the wrong column must still fail.
+    for method in ("lora", "dude"):
+        state, x, gy = random_case(method, 5, 4, 2, seed=31)
+        ana = backward(state, x, gy)
+        fd = finite_diff_grads(state, x, gy)
+        assert compare_gradient_sets(ana, fd).passed, method
+        for name in ("da", "dm", "dx"):
+            g = getattr(ana, name)
+            if g is None:
+                continue
+            swapped = dataclasses.replace(ana, **{name: g[..., [1, 0, 2, 3]]})
+            report = compare_gradient_sets(swapped, fd)
+            assert not report.passed and report.errors[name] > 1e-5, (method, name)
 
 
 def test_grad_check_deterministic_per_seed():
