@@ -119,7 +119,9 @@ def validate_config(raw: dict) -> dict:
 
 def _write_atomic(path: Path, text: str) -> None:
     """Write text to path through a temporary file in the same directory and
-    os.replace, so path holds its old or its new contents, never a part."""
+    os.replace, so path holds its old or its new contents, never a part.
+    Missing parent directories are created first."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(text, encoding="utf-8")
@@ -165,7 +167,6 @@ def run_experiment(config_path: str | Path, overrides: dict | None = None) -> Ru
         # The library has now accepted every config value, so a bad one leaves
         # out_dir untouched. A stale summary from an earlier run must not
         # outlive a failing rerun, or compare would report it as current.
-        out_dir.mkdir(parents=True, exist_ok=True)
         summary_path.unlink(missing_ok=True)
         records = train(model, task, replace(tc, seed=seed))
         path = out_dir / f"metrics_{seed}.csv"
@@ -237,9 +238,7 @@ def compare(run_dirs: list[str | Path], out_path: str | Path) -> list[dict]:
         stats = (losses.mean(), losses.std(), losses.min(), losses.max())
         rows.append(dict(zip(_COMPARE_COLUMNS, (method, *map(float, stats), losses.size))))
     lines = [COMPARE_HEADER] + [_compare_line(row, ".17g") for row in rows]
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out_path, "\n".join(lines) + "\n")
+    _write_atomic(Path(out_path), "\n".join(lines) + "\n")
     return rows
 
 
@@ -321,8 +320,6 @@ def _cmd_svd(args) -> int:
     w = read_matrix_csv(args.in_path)
     t = truncate_svd(svd(w), args.rank)
     prefix = Path(args.out_prefix)
-    if prefix.parent != Path("."):
-        prefix.parent.mkdir(parents=True, exist_ok=True)
     _write_matrix_csv(Path(f"{prefix}_U.csv"), t.u)
     _write_atomic(Path(f"{prefix}_sigma.csv"), "\n".join(_fmt(s) for s in t.sigma) + "\n")
     _write_matrix_csv(Path(f"{prefix}_V.csv"), t.v)

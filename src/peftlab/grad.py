@@ -41,9 +41,10 @@ central differences of forwards instead, with one step rule,
 h = FD_BASE_STEP (1 + |theta|). W'_j reads base_j, a_j and m_j only, so the
 oracle displaces a, m, x and full's base through one-column layers; b moves
 every column (for dora/dude* through every norm) and keeps whole weights.
-Each array's displacements are stacked in chunks, computed into one
-workspace allocated once per array through adapters._weight: the in-place
-formula that effective_weight and step_cache also use.
+Each array's displacements are stacked in chunks and computed in place by
+adapters._weight, the formula that effective_weight and step_cache also
+use; it allocates the chunk workspace on the first chunk and reuses it, and
+a shorter last chunk gets a workspace of its own.
 """
 
 from __future__ import annotations
@@ -171,9 +172,10 @@ def finite_diff_grads(state: AdapterState, x, gy) -> GradientSet:
     gy @ (W'_j x_j), with the bits of gy @ forward(column j as a layer,
     x[j:j+1]); a scalar of b moves every column, so its loss has the bits of
     gy @ forward(state, x). Displacements are evaluated in stacked chunks of
-    at most 128 KiB of weights (8 d bytes per column, 8 d k per whole weight)
-    in one workspace per array, by the operations of effective_weight in the
-    same order. The caller's state and x are only read.
+    at most 128 KiB of weights (8 d bytes per column, 8 d k per whole weight),
+    by the operations of effective_weight in the same order, in a workspace
+    that the weight formula allocates for the first chunk and reuses. The
+    caller's state and x are only read; state.cache is not touched.
     """
     x = np.asarray(x, dtype=np.float64)
     gy = np.asarray(gy, dtype=np.float64)
@@ -184,31 +186,13 @@ def finite_diff_grads(state: AdapterState, x, gy) -> GradientSet:
 def _central_differences(state: AdapterState, name: str, arr: np.ndarray, x: np.ndarray,
                           gy: np.ndarray) -> np.ndarray:
     """Central-difference gradient of L with respect to arr, the array called
-    name (a trainable of state, or x)."""
+    name (a trainable of state, or x). Displacement j sets scalar j // 2 in
+    its own copy of the inputs that scalar feeds: the whole weight for b,
+    else the one-column layer gathered from base, a, m and x."""
     flat = arr.reshape(-1)
     h = FD_BASE_STEP * (1.0 + np.abs(flat))
     # Displacements j = 2i, 2i + 1 set scalar i to theta_i + h_i and theta_i - h_i.
     values = (flat[:, None] + h[:, None] * [1.0, -1.0]).reshape(-1)
-    d, k = state.base.shape
-    n = min(max(1, _FD_CHUNK_BYTES // (8 * d * (k if name == "b" else 1))), values.size)
-    outputs = _displaced_outputs(state, name, x, values, n)
-    losses = np.empty(values.size)
-    for start in range(0, values.size, n):
-        stop = min(start + n, values.size)
-        # ndarray.dot of two 1-D arrays is the same ddot as gy @ y; a
-        # matrix-vector product ys @ gy would sum in another order.
-        losses[start:stop] = np.fromiter(map(gy.dot, outputs(start, stop)), np.float64,
-                                         stop - start)
-    return ((losses[0::2] - losses[1::2]) / (2.0 * h)).reshape(arr.shape)
-
-
-def _displaced_outputs(state: AdapterState, name: str, x: np.ndarray, values: np.ndarray,
-                       n: int):
-    """outputs(start, stop): a row per displacement j from start to stop (at
-    most n) of the array called name, with scalar j // 2 set to values[j]:
-    W @ x of the whole weight for b, else W'_j x_j of the one column the
-    scalar feeds, from a stack of one-column layers gathered from base, a, m
-    and x. Every call writes into the buffers allocated here."""
     d, k = state.base.shape
     if name == "b":
         # One unit, the whole weight, so every stacked b is a copy.
@@ -218,34 +202,34 @@ def _displaced_outputs(state: AdapterState, name: str, x: np.ndarray, values: np
         width, inputs = 1, {"base": state.base.T, "a": state.a.T, "x": x[:, None]}
         if state.m is not None:
             inputs["m"] = state.m[:, None]
+    n = min(max(1, _FD_CHUNK_BYTES // (8 * d * width)), values.size)
     stacks = {key: np.empty((n, arr.shape[1])) for key, arr in inputs.items()}
-    ws = StepCache(v=np.empty((n, d, width)))
-    if state.m is not None:
-        ws.scratch = np.empty((n, d, width))
-        ws.sq, ws.n, ws.mn = np.empty((n, width)), np.empty((n, width)), np.empty((n, width))
-    ys = np.empty((n, d)) if name == "b" else None
-
-    def outputs(start, stop):
-        c = stop - start
-        row, unit = np.divmod(np.arange(start, stop) // 2, len(inputs[name]))
-        for key, arr in inputs.items():
-            # mode="clip" takes straight into out (the default mode buffers
-            # it); every index is in range.
-            np.take(arr, unit, axis=0, out=stacks[key][:c], mode="clip")
-        stacks[name][np.arange(c), row] = values[start:stop]
-        # Only the last chunk can be shorter: it takes views of the first c entries.
-        head = ws if c == n else StepCache(**{f: None if buf is None else buf[:c]
-                                               for f, buf in vars(ws).items()})
+    ws = StepCache()
+    losses = np.empty(values.size)
+    for start in range(0, values.size, n):
+        c = min(n, values.size - start)
+        if c < n:
+            # Only the last chunk can be shorter; _weight sizes its workspace.
+            ws = StepCache()
+        row, unit = np.divmod(np.arange(start, start + c) // 2, len(inputs[name]))
+        # mode="clip" takes straight into out (the default mode buffers it);
+        # every index is in range.
+        part = {key: np.take(arr, unit, axis=0, out=stacks[key][:c], mode="clip")
+                for key, arr in inputs.items()}
+        part[name][np.arange(c), row] = values[start:start + c]
         if name == "b":
-            b = stacks["b"][:c].reshape((c,) + state.b.shape)
-            w = _weight(state.base, b, state.a, state.m, state.config, head)
-            return np.matmul(w, x, out=ys[:c])
-        w = stacks["base"][:c, :, None]
-        if state.method != "full":
-            m = stacks["m"][:c] if state.m is not None else None
-            w = _weight(w, state.b, stacks["a"][:c, :, None], m, state.config, head)
-        return np.multiply(w, stacks["x"][:c, None], out=head.v)[..., 0]
-    return outputs
+            w = _weight(state.base, part["b"].reshape((c,) + state.b.shape), state.a,
+                        state.m, state.config, ws)
+            ys = np.matmul(w, x)
+        else:
+            w = part["base"][:, :, None]
+            if state.method != "full":
+                w = _weight(w, state.b, part["a"][:, :, None], part.get("m"), state.config, ws)
+            ys = np.multiply(w, part["x"][:, None], out=w)[..., 0]
+        # ndarray.dot of two 1-D arrays is the same ddot as gy @ y; a
+        # matrix-vector product ys @ gy would sum in another order.
+        losses[start:start + c] = np.fromiter(map(gy.dot, ys), np.float64, c)
+    return ((losses[0::2] - losses[1::2]) / (2.0 * h)).reshape(arr.shape)
 
 
 @dataclass

@@ -439,11 +439,14 @@ def test_svd_identity_full_rank_residual_zero(tmp_path):
 def test_svd_rank_one_residual_is_sigma_two(tmp_path):
     src = tmp_path / "m.csv"
     src.write_text("1,2\n3,4\n")
-    prefix = tmp_path / "fac"
-    assert main(["svd", "--in", str(src), "--rank", "1", "--out", str(prefix)]) == 0
-    residual = float((tmp_path / "fac_residual.txt").read_text())
     sigma2 = math.sqrt(15.0 - math.sqrt(221.0))
-    assert residual == pytest.approx(sigma2, rel=1e-10)
+    # The second prefix lies in directories that do not exist yet.
+    for prefix in (tmp_path / "fac", tmp_path / "new" / "deeper" / "fac"):
+        assert main(["svd", "--in", str(src), "--rank", "1", "--out", str(prefix)]) == 0
+        residual = float(prefix.with_name("fac_residual.txt").read_text())
+        assert residual == pytest.approx(sigma2, rel=1e-10)
+    assert sorted(p.name for p in (tmp_path / "new" / "deeper").iterdir()) == [
+        "fac_U.csv", "fac_V.csv", "fac_residual.txt", "fac_sigma.csv"]
 
 
 def test_svd_non_numeric_cell_names_location(tmp_path, capsys):

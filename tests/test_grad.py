@@ -445,7 +445,8 @@ def test_one_column_layers_give_the_columns_of_the_weight(method, d, k, data, sc
     assert np.all(np.abs(got[..., 0].T - want) <= bound)
 
 
-@pytest.mark.parametrize("method, d, k, r", [("dora", 64, 256, 8), ("dude", 12, 12, 12)])
+@pytest.mark.parametrize("method, d, k, r", [("dora", 64, 256, 8), ("dude", 12, 12, 12),
+                                              ("dora", 32, 257, 1), ("dude", 32, 257, 8)])
 def test_fd_peak_memory_is_bounded_by_the_chunk_budget(method, d, k, r):
     # Stacked perturbations and their temporaries stay within a few chunk
     # budgets, plus the one unperturbed weight the x displacements reuse.

@@ -15,7 +15,7 @@ from peftlab.adapters import (
     initialize,
     trainable_params,
 )
-from peftlab.grad import backward
+from peftlab.grad import backward, finite_diff_grads, grad_check
 from peftlab.linalg import NumericError, svd
 from peftlab.trainer import (
     DEFAULT_SEEDS,
@@ -727,6 +727,7 @@ def test_train_releases_every_layer_workspace(method, kind):
 def test_evaluate_and_backward_release_every_layer_workspace(method, kind):
     # A trained model scored by evaluate, and a layer differentiated by
     # backward, hold no step buffer afterwards: what they fill they release.
+    # The finite-difference oracle and grad_check leave none either.
     task = make_task(kind, 4, 6, r_true=2 if kind == "teacher_student" else 0, sigma=0.5,
                      seed=3)
     model = make_model(task, method, rank=2, scaling=0.5, seed=3)
@@ -737,6 +738,11 @@ def test_evaluate_and_backward_release_every_layer_workspace(method, kind):
     for layer in model.layers:
         d, k = layer.state.base.shape
         backward(layer.state, rng.standard_normal(k), rng.standard_normal(d))
+    assert _workspace_buffers(model) == []
+    for layer in model.layers:
+        d, k = layer.state.base.shape
+        finite_diff_grads(layer.state, rng.standard_normal(k), rng.standard_normal(d))
+        grad_check(layer.state, seed=3)
     assert _workspace_buffers(model) == []
 
 
