@@ -39,11 +39,14 @@ b^T v and v (a c)^T; full's dbase = gz x^T goes into that workspace.
 finite_diff_grads, the oracle these formulas are checked against, takes
 central differences of forwards instead, with one step rule,
 h = FD_BASE_STEP (1 + |theta|). W'_j reads base_j, a_j and m_j only, so the
-oracle displaces a, m, x and full's base through one-column layers; b moves
-every column (for dora/dude* through every norm) and keeps whole weights.
-Each array's displacements are stacked in chunks and computed in place by
+oracle displaces a and full's base through one-column layers; m and x move
+no column of v and read column j of the unperturbed v and its norm. b_il
+moves row i of v only: lora/pissa evaluate it as a one-row layer, and
+dora/dude* update the unperturbed column norms and G = gy^T v by the row's
+change instead of forming a d x k weight. Each array's displacements are
+stacked in chunks; one-column and one-row layers are computed in place by
 adapters._weight, the formula that effective_weight and step_cache also
-use; it allocates the chunk workspace on the first chunk and reuses it, and
+use, which allocates the chunk workspace on the first chunk and reuses it;
 a shorter last chunk gets a workspace of its own.
 """
 
@@ -53,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import AdapterState, StepCache, _scaled, _weight
+from .adapters import NORM_EPSILON, AdapterState, StepCache, _direction, _scaled, _weight
 from .adapters import forward, layer_forward, trainable_params
 from .linalg import NumericError
 
@@ -71,8 +74,8 @@ __all__ = [
 FD_BASE_STEP = 1e-5
 # grad_check passes when every max relative error is at most this.
 GRAD_CHECK_TOLERANCE = 1e-5
-# Bytes of stacked weights the finite-difference oracle evaluates at once:
-# the size of each stacked d x k buffer of its workspace, and so what bounds
+# Bytes of stacked rows or columns the finite-difference oracle evaluates at
+# once: the size of each stacked buffer of its workspace, and so what bounds
 # the oracle's memory.
 _FD_CHUNK_BYTES = 128 * 1024
 
@@ -169,13 +172,19 @@ def finite_diff_grads(state: AdapterState, x, gy) -> GradientSet:
     Each trainable scalar theta, and each entry of x, is displaced by +-h with
     h = FD_BASE_STEP * (1 + |theta|), the one step rule. A scalar of a, m, x
     or full's base moves column j of W' only, so its loss is the column term
-    gy @ (W'_j x_j), with the bits of gy @ forward(column j as a layer,
-    x[j:j+1]); a scalar of b moves every column, so its loss has the bits of
-    gy @ forward(state, x). Displacements are evaluated in stacked chunks of
-    at most 128 KiB of weights (8 d bytes per column, 8 d k per whole weight),
-    by the operations of effective_weight in the same order, in a workspace
-    that the weight formula allocates for the first chunk and reuses. The
-    caller's state and x are only read; state.cache is not touched.
+    gy @ (W'_j x_j): for a and full's base with the bits of gy @ forward(column
+    j as a layer, x[j:j+1]), for m and x from column j of the unperturbed
+    v = base + s b @ a and its norm n_j, which they do not move. A scalar b_il
+    moves row i of v only. For lora/pissa its loss is the row term
+    gy_i (v'_i . x), with the bits of gy_i forward(row i as a layer, x); for
+    dora/dude*, with delta = v'_i - v_i and G = gy @ v, it is
+    sum_j m_j x_j (G_j + gy_i delta_j) / (sqrt(sq_j + delta_j (2 v_ij + delta_j)) + eps),
+    sq_j = ||v_j||^2, so no displacement forms a d x k weight. Displacements
+    are evaluated in stacked chunks of at most 128 KiB (8 d bytes per column,
+    8 k per row); one-column and one-row layers by the operations of
+    effective_weight in the same order, in a workspace that the weight formula
+    allocates for the first chunk and reuses. The caller's state and x are only
+    read; state.cache is not touched.
     """
     x = np.asarray(x, dtype=np.float64)
     gy = np.asarray(gy, dtype=np.float64)
@@ -184,51 +193,96 @@ def finite_diff_grads(state: AdapterState, x, gy) -> GradientSet:
 
 
 def _central_differences(state: AdapterState, name: str, arr: np.ndarray, x: np.ndarray,
-                          gy: np.ndarray) -> np.ndarray:
+                         gy: np.ndarray) -> np.ndarray:
     """Central-difference gradient of L with respect to arr, the array called
     name (a trainable of state, or x). Displacement j sets scalar j // 2 in
-    its own copy of the inputs that scalar feeds: the whole weight for b,
-    else the one-column layer gathered from base, a, m and x."""
+    its own copy of the inputs that scalar feeds: row i of base and b for
+    b_il, else the one-column layer gathered from base, a, m and x, or for m
+    and x from the unperturbed v, n, m and x."""
     flat = arr.reshape(-1)
     h = FD_BASE_STEP * (1.0 + np.abs(flat))
     # Displacements j = 2i, 2i + 1 set scalar i to theta_i + h_i and theta_i - h_i.
     values = (flat[:, None] + h[:, None] * [1.0, -1.0]).reshape(-1)
     d, k = state.base.shape
-    if name == "b":
-        # One unit, the whole weight, so every stacked b is a copy.
-        width, inputs = k, {"b": state.b.reshape(1, -1)}
+    m = state.m
+    if name in ("a", "base"):
+        # k units, one per column: W'_j reads base_j, a_j, m_j and x_j only.
+        width, inputs = d, {"base": state.base.T, "a": state.a.T, "x": x[:, None]}
+        if m is not None:
+            inputs["m"] = m[:, None]
     else:
-        # k units, one per column: row j of each input feeds W'_j.
-        width, inputs = 1, {"base": state.base.T, "a": state.a.T, "x": x[:, None]}
-        if state.m is not None:
-            inputs["m"] = state.m[:, None]
-    n = min(max(1, _FD_CHUNK_BYTES // (8 * d * width)), values.size)
-    stacks = {key: np.empty((n, arr.shape[1])) for key, arr in inputs.items()}
+        # b moves one row of v = base + s b @ a, and m and x move none: the
+        # unperturbed v, and sq and n for dora/dude*, computed once.
+        whole = StepCache(v=state.base if state.method == "full" else None)
+        if state.method != "full":
+            _direction(state.base, state.b, state.a, m, state.config, whole)
+            whole.scratch = None
+        if name == "b":
+            # d units, one per row: v'_i reads base_i and b_i only.
+            width, inputs = k, {"base": state.base, "b": state.b}
+            if m is not None:
+                inputs["v"] = whole.v
+                g, mx = np.dot(gy, whole.v), m * x
+        else:
+            # k units, one per column, with v_j and n_j of the whole product.
+            width, inputs = d, {"v": whole.v.T, "x": x[:, None]}
+            if m is not None:
+                inputs |= {"m": m[:, None], "n": whole.n[:, None]}
+    size = min(max(1, _FD_CHUNK_BYTES // (8 * width)), values.size)
+    stacks = {key: np.empty((size, arr.shape[1])) for key, arr in inputs.items()}
     ws = StepCache()
     losses = np.empty(values.size)
-    for start in range(0, values.size, n):
-        c = min(n, values.size - start)
-        if c < n:
+    for start in range(0, values.size, size):
+        c = min(size, values.size - start)
+        if c < size:
             # Only the last chunk can be shorter; _weight sizes its workspace.
             ws = StepCache()
-        row, unit = np.divmod(np.arange(start, start + c) // 2, len(inputs[name]))
+        scalar = np.arange(start, start + c) // 2
+        # b_il sits in row il // r, at entry il % r; scalar jl of another array
+        # in column jl % k, at entry jl // k of that column's slice.
+        if name == "b":
+            unit, entry = np.divmod(scalar, state.b.shape[1])
+        else:
+            entry, unit = np.divmod(scalar, k)
         # mode="clip" takes straight into out (the default mode buffers it);
         # every index is in range.
         part = {key: np.take(arr, unit, axis=0, out=stacks[key][:c], mode="clip")
                 for key, arr in inputs.items()}
-        part[name][np.arange(c), row] = values[start:start + c]
+        part[name][np.arange(c), entry] = values[start:start + c]
         if name == "b":
-            w = _weight(state.base, part["b"].reshape((c,) + state.b.shape), state.a,
-                        state.m, state.config, ws)
-            ys = np.matmul(w, x)
+            w = _weight(part["base"][:, None], part["b"][:, None], state.a, None,
+                        state.config, ws)
+            if m is None:
+                losses[start:start + c] = gy[unit] * np.matmul(w, x)[:, 0]
+                continue
+            # In place: delta in w's rows, sqrt(sq + delta (2 v_i + delta)) + eps
+            # in the gathered rows v_i, then delta becomes the quotient.
+            delta = np.subtract(w[:, 0], part["v"], out=w[:, 0])
+            den = part["v"]
+            den *= 2.0
+            den += delta
+            den *= delta
+            den += whole.sq
+            np.sqrt(den, out=den)
+            den += NORM_EPSILON
+            delta *= gy[unit][:, None]
+            delta += g
+            ys, dot = np.divide(delta, den, out=delta), mx.dot
         else:
-            w = part["base"][:, :, None]
-            if state.method != "full":
-                w = _weight(w, state.b, part["a"][:, :, None], part.get("m"), state.config, ws)
-            ys = np.multiply(w, part["x"][:, None], out=w)[..., 0]
+            if name in ("m", "x"):
+                ys = part["v"]
+                if m is not None:
+                    ys *= part["m"] / part["n"]
+            else:
+                ys = part["base"]
+                if state.method != "full":
+                    ys = _weight(ys[:, :, None], state.b, part["a"][:, :, None], part.get("m"),
+                                 state.config, ws)[..., 0]
+            ys *= part["x"]
+            dot = gy.dot
         # ndarray.dot of two 1-D arrays is the same ddot as gy @ y; a
         # matrix-vector product ys @ gy would sum in another order.
-        losses[start:start + c] = np.fromiter(map(gy.dot, ys), np.float64, c)
+        losses[start:start + c] = np.fromiter(map(dot, ys), np.float64, c)
     return ((losses[0::2] - losses[1::2]) / (2.0 * h)).reshape(arr.shape)
 
 

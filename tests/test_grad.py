@@ -243,15 +243,15 @@ def _writable_copy(state):
                                m=None if state.m is None else state.m.copy())
 
 
-def _displaced_losses(layer, layer_x, flat, at, gy):
-    """The losses gy @ forward(layer, layer_x) with flat[at] displaced by +h
-    and by -h, flat[at] restored after, and h."""
+def _displaced_losses(loss, flat, at):
+    """The losses loss() with flat[at] displaced by +h and by -h, flat[at]
+    restored after, and h."""
     theta = flat[at]
     h = grad.FD_BASE_STEP * (1.0 + abs(theta))
     flat[at] = theta + h
-    lp = float(gy @ forward(layer, layer_x))
+    lp = loss()
     flat[at] = theta - h
-    lm = float(gy @ forward(layer, layer_x))
+    lm = loss()
     flat[at] = theta
     return lp, lm, h
 
@@ -264,27 +264,65 @@ def _column_layer(state, x, j):
     return layer, x[[j]]
 
 
+def _row_layer(state, i):
+    """Row i of v = base + s * b @ a as a one-row layer without magnitude, in
+    new arrays: base_i and b_i are all that v_i reads."""
+    return dataclasses.replace(state, base=state.base[[i]], b=state.b[[i]], m=None)
+
+
+def _unperturbed(state):
+    """v = base + s * b @ a (base for full) and its column sums of squares."""
+    if state.method == "full":
+        return state.base, None
+    v = state.config.scaling * (state.b @ state.a) + state.base
+    return v, (v * v).sum(axis=0)
+
+
 # The per-scalar loop grad.finite_diff_grads must match bit for bit, on a
-# private copy of the state: one forward of the whole layer per displaced
-# scalar of b, one forward of the one column it moves per displaced scalar of
-# a, m, x or full's base. Scalar idx of a (r x k), base (d x k), m or x sits
-# in column idx % k, at entry idx // k of that column's slice.
+# private copy of the state. A displaced scalar b_il moves row i of v only:
+# its loss is gy_i forward(row i as a layer, x) for lora/pissa and, for
+# dora/dude*, with delta = v'_i - v_i from that layer and G = gy @ v,
+# sum_j m_j x_j (G_j + gy_i delta_j) / (sqrt(sq_j + delta_j (2 v_ij + delta_j)) + eps).
+# A displaced scalar of a or full's base moves one column of W': its loss is
+# one forward of that column as a layer. m_j and x_j move no column of v: their
+# loss is gy @ (W'_j x_j) from column j of the unperturbed v and its norm.
+# Scalar idx of a (r x k), base (d x k), m or x sits in column idx % k, at
+# entry idx // k of that column's slice; b_il = b.flat[idx] in row idx // r.
 def _reference_finite_diff_grads(state, x, gy):
     work = _writable_copy(state)
     xs = np.asarray(x, dtype=np.float64).copy()
     gy = np.asarray(gy, dtype=np.float64)
     k = work.base.shape[1]
+    v, sq = _unperturbed(work)
+
+    def row_loss(layer, i):
+        if work.m is None:
+            return gy[i] * forward(layer, xs)[0]
+        delta = effective_weight(layer)[0] - v[i]
+        q = (gy @ v + gy[i] * delta) / (np.sqrt(sq + delta * (2.0 * v[i] + delta)) + NORM_EPSILON)
+        return (work.m * xs) @ q
+
+    def whole_column_loss(j):
+        col = v[:, j]
+        if work.m is not None:
+            col = col * (work.m[j] / (np.sqrt(sq[j]) + NORM_EPSILON))
+        return float(gy @ (col * xs[j]))
+
     grads = {}
     for name, arr in trainable_params(work) + [("x", xs)]:
         gflat = np.zeros(arr.size)
         for idx in range(arr.size):
             if name == "b":
-                lp, lm, h = _displaced_losses(work, xs, arr.reshape(-1), idx, gy)
+                i, entry = divmod(idx, work.b.shape[1])
+                layer = _row_layer(work, i)
+                loss, flat, at = (lambda: row_loss(layer, i)), layer.b.reshape(-1), entry
+            elif name in ("m", "x"):
+                loss, flat, at = (lambda: whole_column_loss(idx)), arr, idx
             else:
                 layer, layer_x = _column_layer(work, xs, idx % k)
-                inputs = {"base": layer.base, "a": layer.a, "m": layer.m, "x": layer_x}
-                lp, lm, h = _displaced_losses(layer, layer_x, inputs[name].reshape(-1),
-                                              idx // k, gy)
+                flat = {"base": layer.base, "a": layer.a}[name].reshape(-1)
+                loss, at = (lambda: float(gy @ forward(layer, layer_x))), idx // k
+            lp, lm, h = _displaced_losses(loss, flat, at)
             gflat[idx] = (lp - lm) / (2.0 * h)
         grads[name] = gflat.reshape(arr.shape)
     return grads
@@ -301,7 +339,7 @@ def _dense_finite_diff_grads(state, x, gy):
         flat = arr.reshape(-1)
         gflat = np.zeros(flat.size)
         for idx in range(flat.size):
-            lp, lm, h = _displaced_losses(work, xs, flat, idx, gy)
+            lp, lm, h = _displaced_losses(lambda: float(gy @ forward(work, xs)), flat, idx)
             gflat[idx] = (lp - lm) / (2.0 * h)
         grads[name] = gflat.reshape(arr.shape)
     return grads
@@ -322,12 +360,13 @@ def _state_snapshot(state, *arrays):
     seed=st.integers(0, 2**32 - 1),
     custom_step=st.booleans(),
 )
-# 64 x 256 weights fill the whole chunk budget: one displaced b per chunk,
-# and chunks of 256 one-column layers, fewer than k, for a, m and x.
+# At 64 x 256 a chunk holds 64 one-row layers for b, and 256 one-column
+# layers, fewer than k, for a, m and x.
 @example(method="dora", d=64, k=256, rank=8, scaling=1.0, seed=5, custom_step=False)
-# 32 x 257 weights take just over half the budget, so each chunk again holds
-# one displaced b, and a column path of 514 displacements ends in a short
-# chunk of 2; scaling != 1 runs the in-place scaling of every method there.
+# At 32 x 257 a chunk holds 63 rows, so b's 64 displacements at rank 1 end
+# in a short chunk of 1, and 512 columns, so a column path of 514
+# displacements ends in a short chunk of 2; scaling != 1 runs the in-place
+# scaling of every method there.
 @example(method="full", d=32, k=257, rank=1, scaling=0.5, seed=6, custom_step=False)
 @example(method="lora", d=32, k=257, rank=1, scaling=3.0, seed=7, custom_step=False)
 @example(method="dora", d=32, k=257, rank=1, scaling=0.5, seed=8, custom_step=True)
@@ -445,11 +484,77 @@ def test_one_column_layers_give_the_columns_of_the_weight(method, d, k, data, sc
     assert np.all(np.abs(got[..., 0].T - want) <= bound)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    # full has no b, and its W' is base alone.
+    method=st.sampled_from([m for m in METHODS if m != "full"]),
+    d=st.integers(1, 12),
+    k=st.integers(1, 12),
+    data=st.data(),
+    scaling=st.sampled_from([0.5, 1.0, 3.0]),
+    zero_column=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_row_layers_give_the_rows_of_the_direction(method, d, k, data, scaling,
+                                                        zero_column, seed):
+    # The row oracle assumes row i of v = base + s * b @ a reads base_i and
+    # b_i only. Every row as a one-row layer without magnitude, stacked
+    # (base_i: 1 x k, b_i: 1 x r), must give the rows of v up to the rounding
+    # of its r-term products. with_zero_column's column 0 cancels exactly in
+    # the whole product only; the bound covers its residue in a one-row product.
+    r = data.draw(st.integers(1, min(d, k)), label="rank")
+    state, _, _ = random_case(method, d, k, r, seed, scaling=scaling)
+    if zero_column:
+        state = with_zero_column(state)
+    rows = dataclasses.replace(state, base=state.base[:, None, :], b=state.b[:, None, :], m=None)
+    got = effective_weight(rows)
+    assert got.shape == (d, 1, k)
+    want = state.base + scaling * (state.b @ state.a)
+    env = np.abs(state.base) + scaling * (np.abs(state.b) @ np.abs(state.a))
+    assert np.all(np.abs(got[:, 0] - want) <= (r + 2) * np.finfo(float).eps * env)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    method=st.sampled_from(["dora", "dude", "dude_a", "dude_b"]),
+    d=st.integers(1, 12),
+    k=st.integers(1, 12),
+    data=st.data(),
+    scaling=st.sampled_from([0.5, 1.0, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fd_magnitude_and_input_grads_match_backward_at_a_cancelling_column(
+        method, d, k, data, scaling, seed):
+    # m_j and x_j do not move v, so the oracle reads v_j and n_j of the whole
+    # product, as backward does: with_zero_column's column 0, which cancels
+    # exactly there, gives dm_0 = dx_0 = 0 on both sides. (A one-column
+    # product of that column leaves a rounding residue res, and
+    # W'_0 = m_0 res / (||res|| + eps) of the order of m_0.) The loss is
+    # linear in m_j and in x_j, so the rest is rounding: with
+    # t_j = sum_i |gy_i| |v_ij| / n_j, the oracle's losses are off by at most
+    # (d + 3) u t_j |m_j| |x_j|, the displaced values by u |theta|, and
+    # backward's dm_j and dx_j by (d + 2) u t_j times |x_j| and |m_j|.
+    r = data.draw(st.integers(1, min(d, k)), label="rank")
+    state, x, gy = random_case(method, d, k, r, seed, scaling=scaling)
+    state = with_zero_column(state)
+    ana = backward(state, x, gy)
+    fd = finite_diff_grads(state, x, gy)
+    v = state.base + scaling * (state.b @ state.a)
+    t = np.abs(gy) @ np.abs(v) / (np.linalg.norm(v, axis=0) + NORM_EPSILON)
+    assert t[0] == 0.0
+    for name, own, other in (("m", state.m, x), ("x", x, state.m)):
+        h = grad.FD_BASE_STEP * (1.0 + np.abs(own))
+        bound = (d + 5) * np.finfo(float).eps * t * _padded(other) * (_padded(own) / h + 1.0)
+        err = np.abs(getattr(fd, "d" + name) - getattr(ana, "d" + name))
+        assert np.all(err <= bound), (name, err.max(), err[0])
+
+
 @pytest.mark.parametrize("method, d, k, r", [("dora", 64, 256, 8), ("dude", 12, 12, 12),
-                                              ("dora", 32, 257, 1), ("dude", 32, 257, 8)])
+                                              ("dora", 32, 257, 1), ("dude", 32, 257, 8),
+                                              ("lora", 64, 256, 8), ("pissa", 32, 257, 8)])
 def test_fd_peak_memory_is_bounded_by_the_chunk_budget(method, d, k, r):
     # Stacked perturbations and their temporaries stay within a few chunk
-    # budgets, plus the one unperturbed weight the x displacements reuse.
+    # budgets, plus the unperturbed direction v that b, m and x read.
     state, x, gy = random_case(method, d, k, r, seed=2)
     tracemalloc.start()
     try:
@@ -526,6 +631,10 @@ def test_grad_check_detects_corruption():
             swapped = dataclasses.replace(ana, **{name: g[..., [1, 0, 2, 3]]})
             report = compare_gradient_sets(swapped, fd)
             assert not report.passed and report.errors[name] > 1e-5, (method, name)
+        # Likewise each row's scalars of b from that row alone.
+        swapped = dataclasses.replace(ana, db=ana.db[[1, 0, 2, 3, 4]])
+        report = compare_gradient_sets(swapped, fd)
+        assert not report.passed and report.errors["db"] > 1e-5, method
 
 
 def test_grad_check_deterministic_per_seed():
