@@ -193,7 +193,7 @@ def finite_diff_grads(state: AdapterState, x, gy) -> GradientSet:
 
 
 def _central_differences(state: AdapterState, name: str, arr: np.ndarray, x: np.ndarray,
-                         gy: np.ndarray) -> np.ndarray:
+                          gy: np.ndarray) -> np.ndarray:
     """Central-difference gradient of L with respect to arr, the array called
     name (a trainable of state, or x). Displacement j sets scalar j // 2 in
     its own copy of the inputs that scalar feeds: row i of base and b for
@@ -212,7 +212,8 @@ def _central_differences(state: AdapterState, name: str, arr: np.ndarray, x: np.
             inputs["m"] = m[:, None]
     else:
         # b moves one row of v = base + s b @ a, and m and x move none: the
-        # unperturbed v, and sq and n for dora/dude*, computed once.
+        # unperturbed v, and sq and n for dora/dude*, computed once (the v * v
+        # scratch is not read, so it is released before the chunks).
         whole = StepCache(v=state.base if state.method == "full" else None)
         if state.method != "full":
             _direction(state.base, state.b, state.a, m, state.config, whole)

@@ -264,20 +264,6 @@ def _column_layer(state, x, j):
     return layer, x[[j]]
 
 
-def _row_layer(state, i):
-    """Row i of v = base + s * b @ a as a one-row layer without magnitude, in
-    new arrays: base_i and b_i are all that v_i reads."""
-    return dataclasses.replace(state, base=state.base[[i]], b=state.b[[i]], m=None)
-
-
-def _unperturbed(state):
-    """v = base + s * b @ a (base for full) and its column sums of squares."""
-    if state.method == "full":
-        return state.base, None
-    v = state.config.scaling * (state.b @ state.a) + state.base
-    return v, (v * v).sum(axis=0)
-
-
 # The per-scalar loop grad.finite_diff_grads must match bit for bit, on a
 # private copy of the state. A displaced scalar b_il moves row i of v only:
 # its loss is gy_i forward(row i as a layer, x) for lora/pissa and, for
@@ -293,7 +279,12 @@ def _reference_finite_diff_grads(state, x, gy):
     xs = np.asarray(x, dtype=np.float64).copy()
     gy = np.asarray(gy, dtype=np.float64)
     k = work.base.shape[1]
-    v, sq = _unperturbed(work)
+    # The unperturbed v = base + s * b @ a (full: base) and its column sums of
+    # squares.
+    v = work.base
+    if work.method != "full":
+        v = work.config.scaling * (work.b @ work.a) + work.base
+    sq = (v * v).sum(axis=0)
 
     def row_loss(layer, i):
         if work.m is None:
@@ -313,8 +304,10 @@ def _reference_finite_diff_grads(state, x, gy):
         gflat = np.zeros(arr.size)
         for idx in range(arr.size):
             if name == "b":
+                # Row i as a one-row layer without magnitude, in new arrays:
+                # base_i and b_i are all that v_i reads.
                 i, entry = divmod(idx, work.b.shape[1])
-                layer = _row_layer(work, i)
+                layer = dataclasses.replace(work, base=work.base[[i]], b=work.b[[i]], m=None)
                 loss, flat, at = (lambda: row_loss(layer, i)), layer.b.reshape(-1), entry
             elif name in ("m", "x"):
                 loss, flat, at = (lambda: whole_column_loss(idx)), arr, idx
