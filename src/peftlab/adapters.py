@@ -252,11 +252,17 @@ def _weight(base, b, a, m, cfg: AdapterConfig, ws: StepCache) -> np.ndarray:
     return ws.v
 
 
+def _as_vector(v, length: int, what: str) -> np.ndarray:
+    """v as a float64 vector; ValueError naming what if it is not of the given
+    length. The input check of forward, grad.backward and grad.finite_diff_grads."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (length,):
+        raise ValueError(f"{what} length mismatch: expected {length}, got {v.shape}")
+    return v
+
+
 def forward(state: AdapterState, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    k = state.base.shape[1]
-    if x.shape != (k,):
-        raise ValueError(f"input length mismatch: expected {k}, got {x.shape}")
+    x = _as_vector(x, state.base.shape[1], "input")
     return effective_weight(state) @ x
 
 

@@ -37,17 +37,7 @@ adapters.layer_forward that refresh v and its norms in the state's workspace
 b^T v and v (a c)^T; full's dbase = gz x^T goes into that workspace.
 
 finite_diff_grads, the oracle these formulas are checked against, takes
-central differences of forwards instead, with one step rule,
-h = FD_BASE_STEP (1 + |theta|). W'_j reads base_j, a_j and m_j only, so the
-oracle displaces a and full's base through one-column layers; m and x move
-no column of v and read column j of the unperturbed v and its norm. b_il
-moves row i of v only: lora/pissa evaluate it as a one-row layer, and
-dora/dude* update the unperturbed column norms and G = gy^T v by the row's
-change instead of forming a d x k weight. Each array's displacements are
-stacked in chunks; one-column and one-row layers are computed in place by
-adapters._weight, the formula that effective_weight and step_cache also
-use, which allocates the chunk workspace on the first chunk and reuses it;
-a shorter last chunk gets a workspace of its own.
+central differences of forwards instead; its docstring says how.
 """
 
 from __future__ import annotations
@@ -56,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import NORM_EPSILON, AdapterState, StepCache, _direction, _scaled, _weight
-from .adapters import forward, layer_forward, trainable_params
+from .adapters import NORM_EPSILON, AdapterState, StepCache, _as_vector, _direction, _scaled
+from .adapters import _weight, forward, layer_forward, trainable_params
 from .linalg import NumericError
 
 __all__ = [
@@ -151,94 +141,94 @@ def backward(state: AdapterState, x, gy) -> GradientSet:
     """Exact gradients of L with respect to the trainables and the input,
     given gy = dL/dy for y = effective_weight(state) @ x, in new arrays:
     the state's workspace is released before it returns."""
-    x = np.asarray(x, dtype=np.float64)
-    gy = np.asarray(gy, dtype=np.float64)
     d, k = state.base.shape
-    if x.shape != (k,):
-        raise ValueError(f"input length mismatch: expected {k}, got {x.shape}")
-    if gy.shape != (d,):
-        raise ValueError(f"output-grad length mismatch: expected {d}, got {gy.shape}")
-    x = x[:, None]
+    x = _as_vector(x, k, "input")[:, None]
+    gy = _as_vector(gy, d, "output-grad")[:, None]
     layer_forward(state, x)
-    gs = param_grads(state, gy[:, None], x)
+    gs = param_grads(state, gy, x)
     gs.dx = gs.dx[:, 0]
     state.cache = StepCache()
     return gs
 
 
 def finite_diff_grads(state: AdapterState, x, gy) -> GradientSet:
-    """Central-difference gradients of L = <gy, forward(state, x)>.
+    """Central-difference gradients of L = <gy, forward(state, x)>. The
+    caller's state and x are only read; state.cache is not touched.
 
     Each trainable scalar theta, and each entry of x, is displaced by +-h with
-    h = FD_BASE_STEP * (1 + |theta|), the one step rule. A scalar of a, m, x
-    or full's base moves column j of W' only, so its loss is the column term
-    gy @ (W'_j x_j): for a and full's base with the bits of gy @ forward(column
-    j as a layer, x[j:j+1]), for m and x from column j of the unperturbed
-    v = base + s b @ a and its norm n_j, which they do not move. A scalar b_il
-    moves row i of v only. For lora/pissa its loss is the row term
-    gy_i (v'_i . x), with the bits of gy_i forward(row i as a layer, x); for
-    dora/dude*, with delta = v'_i - v_i and G = gy @ v, it is
-    sum_j m_j x_j (G_j + gy_i delta_j) / (sqrt(sq_j + delta_j (2 v_ij + delta_j)) + eps),
-    sq_j = ||v_j||^2, so no displacement forms a d x k weight. Displacements
-    are evaluated in stacked chunks of at most 128 KiB (8 d bytes per column,
-    8 k per row); one-column and one-row layers by the operations of
-    effective_weight in the same order, in a workspace that the weight formula
-    allocates for the first chunk and reuses. The caller's state and x are only
-    read; state.cache is not touched.
+    h = FD_BASE_STEP * (1 + |theta|), the one step rule, and its gradient is
+    (L+ - L-) / 2h. A displacement moves one unit of the layer, which is
+    evaluated alone, in one of three ways:
+
+    - a_lj moves column j of W', which reads base_j, a_j and m_j only: a
+      one-column layer, with loss gy . (W'_j x_j).
+    - b_il moves row i of v = base + s b @ a only: a one-row layer v'_i
+      without magnitude, with loss gy_i (v'_i . x) for lora/pissa. For
+      dora/dude*, with delta = v'_i - v_i, G = gy @ v and sq_j = ||v_j||^2,
+      the loss is sum_j m_j x_j q_j with
+      q_j = (G_j + gy_i delta_j) / (sqrt(sq_j + delta_j (2 v_ij + delta_j)) + eps).
+    - m_j, x_j and full's base_ij: column j of the unperturbed layer,
+      gathered with the scalar displaced, and loss gy . (W'_j x_j). That
+      layer is v, with n_j for dora/dude* (m and x move neither), or full's
+      base.
+
+    The unperturbed layer is built once per call; no displacement forms a
+    d x k weight. Scalars go in chunks of at most 128 KiB of units (8 d bytes
+    per column, 8 k per row, two per scalar), gathered into buffers made once
+    per array. Units are computed by the operations of effective_weight
+    (adapters._weight) in the same order, and the losses by np.matmul over
+    stacked 1 x n . n x 1 items, which numpy computes with the routine of
+    ndarray.dot (a matrix-vector product would sum in another order).
     """
-    x = np.asarray(x, dtype=np.float64)
-    gy = np.asarray(gy, dtype=np.float64)
-    return GradientSet(**{"d" + name: _central_differences(state, name, arr, x, gy)
-                          for name, arr in trainable_params(state) + [("x", x)]})
+    d, k = state.base.shape
+    x, gy = _as_vector(x, k, "input"), _as_vector(gy, d, "output-grad")
+    params = dict(trainable_params(state), x=x)
+    grads = GradientSet()
+    if "a" in params:
+        grads.da = _central_differences(state, "a", params.pop("a"), x, gy, None)
+    # The unperturbed layer that the other arrays read, built after a's
+    # chunks, whose workspace sets the peak; its v * v scratch is not read.
+    whole = StepCache(v=state.base if state.method == "full" else None)
+    if whole.v is None:
+        _direction(state.base, state.b, state.a, state.m, state.config, whole)
+        whole.scratch = None
+    for name, arr in params.items():
+        setattr(grads, "d" + name, _central_differences(state, name, arr, x, gy, whole))
+    return grads
 
 
 def _central_differences(state: AdapterState, name: str, arr: np.ndarray, x: np.ndarray,
-                          gy: np.ndarray) -> np.ndarray:
+                          gy: np.ndarray, whole: StepCache | None) -> np.ndarray:
     """Central-difference gradient of L with respect to arr, the array called
-    name (a trainable of state, or x). Displacement j sets scalar j // 2 in
-    its own copy of the inputs that scalar feeds: row i of base and b for
-    b_il, else the one-column layer gathered from base, a, m and x, or for m
-    and x from the unperturbed v, n, m and x."""
-    flat = arr.reshape(-1)
-    h = FD_BASE_STEP * (1.0 + np.abs(flat))
-    # Displacements j = 2i, 2i + 1 set scalar i to theta_i + h_i and theta_i - h_i.
-    values = (flat[:, None] + h[:, None] * [1.0, -1.0]).reshape(-1)
+    name (a trainable of state, or x), given the unperturbed layer whole
+    (None for a)."""
     d, k = state.base.shape
-    m = state.m
-    if name in ("a", "base"):
-        # k units, one per column: W'_j reads base_j, a_j, m_j and x_j only.
-        width, inputs = d, {"base": state.base.T, "a": state.a.T, "x": x[:, None]}
+    m, cfg = state.m, state.config
+    # A displacement gathers one row, its unit, of each input: a column of W'
+    # (width d) or a row of v (width k). w is the loss product's vector.
+    if name == "a":
+        width, w, inputs = d, gy, {"base": state.base.T, "a": state.a.T, "x": x[:, None]}
         if m is not None:
             inputs["m"] = m[:, None]
+    elif name == "b":
+        width, w, inputs = k, x, {"base": state.base, "b": state.b}
+        if m is not None:
+            g, w, inputs["v"] = np.dot(gy, whole.v), m * x, whole.v
     else:
-        # b moves one row of v = base + s b @ a, and m and x move none: the
-        # unperturbed v, and sq and n for dora/dude*, computed once (the v * v
-        # scratch is not read, so it is released before the chunks).
-        whole = StepCache(v=state.base if state.method == "full" else None)
-        if state.method != "full":
-            _direction(state.base, state.b, state.a, m, state.config, whole)
-            whole.scratch = None
-        if name == "b":
-            # d units, one per row: v'_i reads base_i and b_i only.
-            width, inputs = k, {"base": state.base, "b": state.b}
-            if m is not None:
-                inputs["v"] = whole.v
-                g, mx = np.dot(gy, whole.v), m * x
-        else:
-            # k units, one per column, with v_j and n_j of the whole product.
-            width, inputs = d, {"v": whole.v.T, "x": x[:, None]}
-            if m is not None:
-                inputs |= {"m": m[:, None], "n": whole.n[:, None]}
-    size = min(max(1, _FD_CHUNK_BYTES // (8 * width)), values.size)
-    stacks = {key: np.empty((size, arr.shape[1])) for key, arr in inputs.items()}
-    ws = StepCache()
-    losses = np.empty(values.size)
-    for start in range(0, values.size, size):
-        c = min(size, values.size - start)
-        if c < size:
-            # Only the last chunk can be shorter; _weight sizes its workspace.
-            ws = StepCache()
-        scalar = np.arange(start, start + c) // 2
+        width, w, inputs = d, gy, {"v": whole.v.T, "x": x[:, None]}
+        if m is not None:
+            inputs |= {"m": m[:, None], "n": whole.n[:, None]}
+    moved = "v" if name == "base" else name
+    flat = arr.reshape(-1)
+    grads = np.empty(flat.size)
+    size = min(max(1, _FD_CHUNK_BYTES // (16 * width)), flat.size)
+    stacks = {key: np.empty((2 * size, rows.shape[1])) for key, rows in inputs.items()}
+    for start in range(0, flat.size, size):
+        theta = flat[start:start + size]
+        h = FD_BASE_STEP * (1.0 + np.abs(theta))
+        # Rows 2i and 2i + 1 set scalar start + i to theta_i + h_i and theta_i - h_i.
+        c = 2 * theta.size
+        scalar = np.arange(start, start + theta.size).repeat(2)
         # b_il sits in row il // r, at entry il % r; scalar jl of another array
         # in column jl % k, at entry jl // k of that column's slice.
         if name == "b":
@@ -246,45 +236,42 @@ def _central_differences(state: AdapterState, name: str, arr: np.ndarray, x: np.
         else:
             entry, unit = np.divmod(scalar, k)
         # mode="clip" takes straight into out (the default mode buffers it);
-        # every index is in range.
-        part = {key: np.take(arr, unit, axis=0, out=stacks[key][:c], mode="clip")
-                for key, arr in inputs.items()}
-        part[name][np.arange(c), entry] = values[start:start + c]
-        if name == "b":
-            w = _weight(part["base"][:, None], part["b"][:, None], state.a, None,
-                        state.config, ws)
-            if m is None:
-                losses[start:start + c] = gy[unit] * np.matmul(w, x)[:, 0]
-                continue
-            # In place: delta in w's rows, sqrt(sq + delta (2 v_i + delta)) + eps
-            # in the gathered rows v_i, then delta becomes the quotient.
-            delta = np.subtract(w[:, 0], part["v"], out=w[:, 0])
-            den = part["v"]
-            den *= 2.0
-            den += delta
-            den *= delta
-            den += whole.sq
-            np.sqrt(den, out=den)
-            den += NORM_EPSILON
-            delta *= gy[unit][:, None]
-            delta += g
-            ys, dot = np.divide(delta, den, out=delta), mx.dot
-        else:
-            if name in ("m", "x"):
-                ys = part["v"]
-                if m is not None:
-                    ys *= part["m"] / part["n"]
-            else:
-                ys = part["base"]
-                if state.method != "full":
-                    ys = _weight(ys[:, :, None], state.b, part["a"][:, :, None], part.get("m"),
-                                 state.config, ws)[..., 0]
+        # every index is in range, x and gy having been checked.
+        part = {key: np.take(rows, unit, axis=0, out=stacks[key][:c], mode="clip")
+                for key, rows in inputs.items()}
+        part[moved][np.arange(c), entry] = (theta[:, None] + h[:, None] * [1.0, -1.0]).reshape(-1)
+        if name == "a":
+            ys = _weight(part["base"][:, :, None], state.b, part["a"][:, :, None],
+                         part.get("m"), cfg, StepCache())[..., 0]
             ys *= part["x"]
-            dot = gy.dot
-        # ndarray.dot of two 1-D arrays is the same ddot as gy @ y; a
-        # matrix-vector product ys @ gy would sum in another order.
-        losses[start:start + c] = np.fromiter(map(dot, ys), np.float64, c)
-    return ((losses[0::2] - losses[1::2]) / (2.0 * h)).reshape(arr.shape)
+        elif name == "b":
+            ys = _weight(part["base"][:, None], part["b"][:, None], state.a, None, cfg,
+                         StepCache())[:, 0]
+            if m is not None:
+                # In place: delta in ys, sqrt(sq + delta (2 v_i + delta)) + eps
+                # in the gathered rows v_i, then q in ys.
+                ys -= part["v"]
+                den = part["v"]
+                den *= 2.0
+                den += ys
+                den *= ys
+                den += whole.sq
+                np.sqrt(den, out=den)
+                den += NORM_EPSILON
+                ys *= gy[unit][:, None]
+                ys += g
+                ys /= den
+        else:
+            ys = part["v"]
+            if m is not None:
+                ys *= part["m"] / part["n"]
+            ys *= part["x"]
+        losses = np.matmul(ys[:, None], w[:, None])[:, 0, 0]
+        del ys  # the chunk's workspace goes before the next chunk's is built
+        if name == "b" and m is None:
+            losses *= gy[unit]
+        grads[start:start + theta.size] = (losses[0::2] - losses[1::2]) / (2.0 * h)
+    return grads.reshape(arr.shape)
 
 
 @dataclass
@@ -300,7 +287,8 @@ def _max_rel_err(analytic: np.ndarray, fd: np.ndarray) -> float:
 
 def compare_gradient_sets(analytic: GradientSet, fd: GradientSet) -> GradCheckReport:
     """Per-parameter max relative error |a-f|/max(1,|a|,|f|) and overall
-    verdict against GRAD_CHECK_TOLERANCE."""
+    verdict against GRAD_CHECK_TOLERANCE. The two sets must hold the same
+    parameters in the same shapes."""
     errors: dict[str, float] = {}
     for name in ("db", "da", "dm", "dx", "dbase"):
         a = getattr(analytic, name)
@@ -309,6 +297,9 @@ def compare_gradient_sets(analytic: GradientSet, fd: GradientSet) -> GradCheckRe
             continue
         if a is None or f is None:
             raise ValueError(f"gradient sets disagree on presence of {name}")
+        if a.shape != f.shape:
+            raise ValueError(f"gradient sets disagree on the shape of {name}: "
+                             f"{a.shape}, {f.shape}")
         errors[name] = _max_rel_err(a, f)
     return GradCheckReport(errors, all(err <= GRAD_CHECK_TOLERANCE for err in errors.values()))
 

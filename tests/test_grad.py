@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 from unittest import mock
 
@@ -182,6 +183,20 @@ def test_backward_shape_validation():
         backward(state, np.zeros(4), gy)
     with pytest.raises(ValueError, match="output-grad length"):
         backward(state, x, np.zeros(3))
+    # forward and finite_diff_grads make the same check: an x one entry short
+    # must not reach the oracle's gathers, which would clamp its missing
+    # column to the last one.
+    for method in ("full", "lora", "dora"):
+        state, x, gy = random_case(method, 4, 6, 2, seed=3)
+        for f in (backward, finite_diff_grads):
+            with pytest.raises(ValueError, match=r"input length mismatch: expected 6, got \(5,\)"):
+                f(state, x[:5], gy)
+            with pytest.raises(ValueError, match=r"expected 6, got \(6, 1\)"):
+                f(state, x[:, None], gy)
+            with pytest.raises(ValueError, match=r"output-grad length mismatch: expected 4, got"):
+                f(state, x, gy[:3])
+        with pytest.raises(ValueError, match=r"input length mismatch: expected 6, got \(5,\)"):
+            forward(state, x[:5])
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +369,10 @@ def _state_snapshot(state, *arrays):
     custom_step=st.booleans(),
 )
 # At 64 x 256 a chunk holds 64 one-row layers for b, and 256 one-column
-# layers, fewer than k, for a, m and x.
+# layers, two per scalar and so 128 of the 256 columns, for a, m and x.
 @example(method="dora", d=64, k=256, rank=8, scaling=1.0, seed=5, custom_step=False)
-# At 32 x 257 a chunk holds 63 rows, so b's 64 displacements at rank 1 end
-# in a short chunk of 1, and 512 columns, so a column path of 514
+# At 32 x 257 a chunk holds 62 rows, so b's 64 displacements at rank 1 end
+# in a short chunk of 2, and 512 columns, so a column path of 514
 # displacements ends in a short chunk of 2; scaling != 1 runs the in-place
 # scaling of every method there.
 @example(method="full", d=32, k=257, rank=1, scaling=0.5, seed=6, custom_step=False)
@@ -544,7 +559,8 @@ def test_fd_magnitude_and_input_grads_match_backward_at_a_cancelling_column(
 
 @pytest.mark.parametrize("method, d, k, r", [("dora", 64, 256, 8), ("dude", 12, 12, 12),
                                               ("dora", 32, 257, 1), ("dude", 32, 257, 8),
-                                              ("lora", 64, 256, 8), ("pissa", 32, 257, 8)])
+                                              ("lora", 64, 256, 8), ("pissa", 32, 257, 8),
+                                              ("full", 64, 256, 1), ("full", 256, 64, 1)])
 def test_fd_peak_memory_is_bounded_by_the_chunk_budget(method, d, k, r):
     # Stacked perturbations and their temporaries stay within a few chunk
     # budgets, plus the unperturbed direction v that b, m and x read.
@@ -628,6 +644,22 @@ def test_grad_check_detects_corruption():
         swapped = dataclasses.replace(ana, db=ana.db[[1, 0, 2, 3, 4]])
         report = compare_gradient_sets(swapped, fd)
         assert not report.passed and report.errors["db"] > 1e-5, method
+
+
+def test_compare_gradient_sets_rejects_mismatched_sets():
+    # Broadcasting a 4 x 1 db against a 4 x 2 one, or a length-1 dx against
+    # a length-6 one, would compare entries of different parameters.
+    state, x, gy = random_case("lora", 4, 6, 2, seed=3)
+    ana = backward(state, x, gy)
+    assert compare_gradient_sets(ana, ana).passed
+    with pytest.raises(ValueError, match="presence of dm"):
+        compare_gradient_sets(ana, dataclasses.replace(ana, dm=np.zeros(6)))
+    for name, cut in (("db", ana.db[:, :1]), ("dx", ana.dx[:1])):
+        want = re.escape(f"shape of {name}: {cut.shape}, {getattr(ana, name).shape}")
+        with pytest.raises(ValueError, match=want):
+            compare_gradient_sets(dataclasses.replace(ana, **{name: cut}), ana)
+        with pytest.raises(ValueError, match=f"shape of {name}"):
+            compare_gradient_sets(ana, dataclasses.replace(ana, **{name: cut}))
 
 
 def test_grad_check_deterministic_per_seed():
