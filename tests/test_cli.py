@@ -474,6 +474,18 @@ def test_svd_rank_out_of_range_exit_1(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [src]
 
 
+def test_svd_factors_not_orthonormal_exit_2(tmp_path, capsys):
+    # A column 1e-160 times smaller than the others defeats Jacobi's
+    # convergence test; svd fails loudly and writes no factor file.
+    w = np.random.default_rng(0).standard_normal((5, 3))
+    w[:, 2] *= 1e-160
+    src = tmp_path / "m.csv"
+    src.write_text("".join(",".join(repr(float(x)) for x in row) + "\n" for row in w))
+    assert main(["svd", "--in", str(src), "--rank", "2", "--out", str(tmp_path / "f")]) == 2
+    assert "not orthonormal" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [src]
+
+
 def test_read_matrix_rejects_nan_text(tmp_path):
     src = tmp_path / "m.csv"
     src.write_text("1,nan\n")

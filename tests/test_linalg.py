@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from peftlab import linalg
@@ -153,19 +153,35 @@ def test_svd_power_of_two_scaling_is_exact():
 
 
 def test_svd_nonconvergence_reports_offdiagonal_residual(monkeypatch):
-    import peftlab.linalg as linalg
+    # A few sweeps are not enough for a generic matrix; the failure carries
+    # the worst remaining off-diagonal ratio, and its digits equal the
+    # reference loop's, so both stop on the same sweep with the same m.
+    # At n = 16 the longer levels take the stacked path.
+    for n in (6, 16):
+        w = np.random.default_rng(2).standard_normal((n, n))
+        for sweeps in (1, 2, 3):
+            monkeypatch.setattr(linalg, "MAX_SWEEPS", sweeps)
+            with pytest.raises(NumericError, match="off-diagonal ratio") as got:
+                svd(w)
+            with mock.patch.object(linalg, "_jacobi_tall", _reference_jacobi_tall):
+                with pytest.raises(NumericError) as want:
+                    svd(w)
+            assert str(got.value) == str(want.value)
 
-    # One sweep is not enough for a generic matrix; the failure must carry
-    # the worst remaining off-diagonal ratio.
-    monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
-    w = np.random.default_rng(2).standard_normal((6, 6))
-    with pytest.raises(linalg.NumericError, match="off-diagonal ratio"):
-        linalg.svd(w)
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_svd_raises_on_factors_that_are_not_orthonormal(seed):
+    # Jacobi's convergence test underflows for a column 1e-160 times smaller
+    # than the others; its u is off by 2e-2, 4e-3 and 6e-3 at these seeds.
+    w = np.random.default_rng(seed).standard_normal((5, 3))
+    w[:, 2] *= 1e-160
+    with pytest.raises(NumericError, match=r"not orthonormal: .* = \d\.\d{3}e-0\d exceeds 1e-10"):
+        svd(w)
 
 
-# The straightforward Jacobi loop the optimized linalg._jacobi_tall must match
-# bit for bit: every Gram entry recomputed before each pair, m and v rotated
-# as separate arrays.
+# The straightforward row-cyclic Jacobi loop that linalg._jacobi_tall must
+# match bit for bit: every Gram entry recomputed before each pair, one pair
+# rotated at a time, m and v rotated as separate arrays.
 def _reference_jacobi_tall(w):
     m = w.copy()
     n_cols = m.shape[1]
@@ -177,7 +193,7 @@ def _reference_jacobi_tall(w):
                 gii = float(m[:, i] @ m[:, i])
                 gjj = float(m[:, j] @ m[:, j])
                 gij = float(m[:, i] @ m[:, j])
-                if abs(gij) <= JACOBI_TOL * math.sqrt(gii * gjj):
+                if gii == 0.0 or gjj == 0.0 or abs(gij) <= JACOBI_TOL * math.sqrt(gii * gjj):
                     continue
                 rotated = True
                 tau = (gjj - gii) / (2.0 * gij)
@@ -219,6 +235,8 @@ def _svd_or_error(w):
         return str(e)
 
 
+# The examples give levels of up to 32 pairs; 257 x 32 is the transposed
+# shape of a 32 x 257 gradcheck weight.
 @settings(max_examples=60, deadline=None)
 @given(
     d=st.integers(1, 24),
@@ -227,24 +245,42 @@ def _svd_or_error(w):
     seed=st.integers(0, 2**32 - 1),
     zero_col=st.booleans(),
     repeat_col=st.booleans(),
+    negative_zeros=st.booleans(),
+    tiny_col=st.none() | st.floats(100.0, 170.0),
 )
-def test_svd_bits_match_reference_loop(d, k, log_scale, seed, zero_col, repeat_col):
+@example(d=64, k=64, log_scale=0.0, seed=0, zero_col=False, repeat_col=False,
+         negative_zeros=False, tiny_col=None)
+@example(d=40, k=33, log_scale=3.0, seed=1, zero_col=False, repeat_col=True,
+         negative_zeros=True, tiny_col=None)
+@example(d=33, k=40, log_scale=-3.0, seed=2, zero_col=True, repeat_col=False,
+         negative_zeros=True, tiny_col=None)
+@example(d=257, k=32, log_scale=0.0, seed=3, zero_col=False, repeat_col=False,
+         negative_zeros=False, tiny_col=None)
+def test_svd_bits_match_reference_loop(d, k, log_scale, seed, zero_col, repeat_col,
+                                       negative_zeros, tiny_col):
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((d, k)) * 10.0 ** log_scale
     if zero_col:
         w[:, rng.integers(k)] = 0.0
     if repeat_col:
         w[:, rng.integers(k)] = w[:, rng.integers(k)]
+    if negative_zeros:
+        # Row r and column c are -0.0 but for w[r, c], so column c is
+        # orthogonal to the others, never rotated, and its -0.0 entries reach
+        # u: a skipped pair rotated by c = 1, s = 0 would flip their signs.
+        w[rng.random((d, k)) < 0.25] = -0.0
+        r, c = rng.integers(d), rng.integers(k)
+        w[r] = -0.0
+        w[:, c] = -0.0
+        w[r, c] = 10.0 ** log_scale
+    if tiny_col is not None:
+        w[:, rng.integers(k)] *= 10.0 ** -tiny_col
     got = _svd_or_error(w)
     with mock.patch.object(linalg, "_jacobi_tall", _reference_jacobi_tall):
         want = _svd_or_error(w)
-    if isinstance(want, str) and "did not converge" in want:
-        # The reference loop keeps rotating a pair whose Gram entry is 0.0
-        # (square matrices with two equal rows); svd counts it as converged.
-        assert not isinstance(got, str), got
-        assert frobenius_norm(reconstruct(got) - w) <= 1e-10 * frobenius_norm(w)
-        return
     if isinstance(want, str):
+        # Among others: where the reference loop's u is not orthonormal
+        # (a tiny column), svd raises with the same measured error.
         assert got == want
         return
     for name in ("u", "sigma", "v"):
