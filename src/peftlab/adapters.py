@@ -79,17 +79,18 @@ class AdapterConfig:
 class StepCache:
     """The step workspace an AdapterState owns as its cache field: what a
     step keeps besides the factors, since layer_forward and grad.param_grads
-    never form W', g = dL/dW' or h = dL/dv.
+    never form W', g = dL/dW' or h = dL/dv. step_cache refreshes it from the
+    state's trainables; it holds no input block.
 
       lora/pissa  nothing; every product goes through b and a.
       dora/dude*  v = base + scaling * b @ a, sq = ||v_j||^2,
-                  n = ||v_j|| + NORM_EPSILON, mn = m / n, scratch (the d x k
-                  buffer v * v is summed in) and xm = x * m / n of the block
-                  layer_forward last read.
+                  n = ||v_j|| + NORM_EPSILON, mn = m / n and scratch, the
+                  d x k buffer v * v is summed in.
       full        scratch, the d x k buffer that receives dL/dbase.
 
     effective_weight and the finite-difference oracle fill private ones
-    through the same formula (_weight).
+    through the same formula (_weight), and grad.backward fills that of a
+    copy of the state.
     """
 
     v: np.ndarray | None = None
@@ -97,7 +98,6 @@ class StepCache:
     n: np.ndarray | None = None
     mn: np.ndarray | None = None
     scratch: np.ndarray | None = None
-    xm: np.ndarray | None = None
 
 
 @dataclass
@@ -108,9 +108,10 @@ class AdapterState:
     w0 - scaling * b @ a for pissa/dude*, or the trainable weight for full.
     b (d x r) and a (r x k) are the low-rank factors; m (length k) is the
     per-column magnitude vector, present only for dora/dude*. cache is the
-    step workspace, allocated on the state's first step and released when
-    trainer.train, trainer.model_forward or grad.backward returns; a
-    dataclasses.replace copy gets a fresh one.
+    step workspace (StepCache), refreshed from the trainables by
+    layer_forward and released when trainer.train or trainer.model_forward
+    returns; a dataclasses.replace copy, which grad.backward works on, gets
+    a fresh one.
     """
 
     base: np.ndarray
@@ -193,8 +194,7 @@ def layer_forward(state: AdapterState, x: np.ndarray) -> np.ndarray:
 
     full: base @ x. lora/pissa: base @ x + scaling * b @ (a @ x).
     dora/dude*: v @ (x * m / n), the magnitudes folded into the input's rows,
-    with state.cache first refreshed by step_cache; x * m / n is left there
-    as xm for grad.param_grads.
+    with state.cache first refreshed by step_cache; x itself is not kept.
     """
     if state.method == "full":
         return np.dot(state.base, x)
@@ -203,8 +203,7 @@ def layer_forward(state: AdapterState, x: np.ndarray) -> np.ndarray:
         z += _scaled(np.dot(state.b, np.dot(state.a, x)), state.config.scaling)
         return z
     cache = step_cache(state)
-    cache.xm = x * cache.mn[:, None]
-    return np.dot(cache.v, cache.xm)
+    return np.dot(cache.v, x * cache.mn[:, None])
 
 
 def effective_weight(state: AdapterState) -> np.ndarray:

@@ -141,7 +141,6 @@ def write_metrics_csv(path: Path, records: list[MetricsRecord]) -> None:
 
 @dataclass
 class RunArtifact:
-    metrics_paths: list[Path]
     summary_path: Path
     config: dict
 
@@ -158,7 +157,6 @@ def run_experiment(config_path: str | Path, overrides: dict | None = None) -> Ru
     out_dir = Path(cfg["out_dir"])
     summary_path = out_dir / "summary.json"
 
-    metrics_paths = []
     run_entries = []
     for seed in cfg["seeds"]:
         task = make_task(cfg["task"], cfg["d"], cfg["k"], cfg["r_true"],
@@ -171,7 +169,6 @@ def run_experiment(config_path: str | Path, overrides: dict | None = None) -> Ru
         records = train(model, task, replace(tc, seed=seed))
         path = out_dir / f"metrics_{seed}.csv"
         write_metrics_csv(path, records)
-        metrics_paths.append(path)
         summary = summarize(records, higher_eval_is_better=model.loss == "cross_entropy")
         run_entries.append({"method": cfg["method"], "seed": seed, **asdict(summary)})
         print(f"seed {seed}: final_loss={summary.final_loss:.6g} -> {path}")
@@ -183,7 +180,7 @@ def run_experiment(config_path: str | Path, overrides: dict | None = None) -> Ru
         "runs": run_entries,
     }
     _write_atomic(summary_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return RunArtifact(metrics_paths, summary_path, cfg)
+    return RunArtifact(summary_path, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ exact-projection property. A zero column (v_j = 0) has c_j = 0.
 
 A lora/pissa step costs GEMMs of O(r (d + k) n + d k n) operations and forms
 no d x k array. The magnitude methods add the d x k passes of
-adapters.layer_forward that refresh v and its norms in the state's workspace
+adapters.step_cache that refresh v and its norms in the state's workspace
 (AdapterState.cache), which param_grads then reads, and the O(r d k) products
 b^T v and v (a c)^T; full's dbase = gz x^T goes into that workspace.
 
@@ -42,12 +42,12 @@ central differences of forwards instead; its docstring says how.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .adapters import NORM_EPSILON, AdapterState, StepCache, _as_vector, _direction, _scaled
-from .adapters import _weight, forward, layer_forward, trainable_params
+from .adapters import _weight, forward, step_cache, trainable_params
 from .linalg import NumericError
 
 __all__ = [
@@ -103,9 +103,10 @@ def param_grads(state: AdapterState, gz: np.ndarray, x: np.ndarray,
                 input_grad: bool = True) -> GradientSet:
     """The per-layer VJP: gradients of L through z = layer_forward(state, x),
     given the input block x (k x n) and gz = dL/dz (d x n), summed over the n
-    columns. dx is None unless input_grad. The state's last layer_forward
-    must have read x. full's dbase is a buffer of state.cache, valid until
-    the next param_grads on the state.
+    columns. dx is None unless input_grad. state.cache must have been
+    refreshed (by layer_forward or step_cache) since the trainables last
+    changed; it may have read any input block. full's dbase is a buffer of
+    state.cache, valid until the next param_grads on the state.
     """
     # np.dot rather than @: the same BLAS products with less per-call
     # overhead, which dominates a step at small d and k. full's d x k outer
@@ -124,7 +125,8 @@ def param_grads(state: AdapterState, gz: np.ndarray, x: np.ndarray,
             dx += _scaled(np.dot(a.T, bg), s)
         db, da = np.dot(gz, np.dot(a, x).T), np.dot(bg, x.T)
         return GradientSet(db=_scaled(db, s), da=_scaled(da, s), dx=dx)
-    v, mn, x_m = cache.v, cache.mn[:, None], cache.xm
+    v, mn = cache.v, cache.mn[:, None]
+    x_m = x * mn
     p = np.dot(v.T, gz)
     # proj_j = <v_j, g_j> once for dm and c.
     proj = np.add.reduce(x * p, axis=1)
@@ -139,15 +141,17 @@ def param_grads(state: AdapterState, gz: np.ndarray, x: np.ndarray,
 
 def backward(state: AdapterState, x, gy) -> GradientSet:
     """Exact gradients of L with respect to the trainables and the input,
-    given gy = dL/dy for y = effective_weight(state) @ x, in new arrays:
-    the state's workspace is released before it returns."""
+    given gy = dL/dy for y = effective_weight(state) @ x, in new arrays.
+    The state is only read: param_grads runs on a dataclasses.replace copy
+    whose fresh workspace step_cache fills, so state.cache, and a full
+    dbase that loss_and_grads returned from it, are left as they were."""
     d, k = state.base.shape
     x = _as_vector(x, k, "input")[:, None]
     gy = _as_vector(gy, d, "output-grad")[:, None]
-    layer_forward(state, x)
-    gs = param_grads(state, gy, x)
+    copy = replace(state)
+    step_cache(copy)
+    gs = param_grads(copy, gy, x)
     gs.dx = gs.dx[:, 0]
-    state.cache = StepCache()
     return gs
 
 

@@ -202,7 +202,9 @@ def make_model(task: Task, method: str, rank: int, scaling: float = 1.0,
 
 def model_forward(model: Model, x: np.ndarray) -> np.ndarray:
     """Apply every layer to a k x n input block, releasing each layer's
-    workspace once the layer has been applied."""
+    workspace once the layer has been applied. It uses the states' own
+    workspaces, not copies', so an eval inside train never holds a second
+    set of d x k buffers beside the step's."""
     cur = x
     for layer in model.layers:
         cur = layer_forward(layer.state, cur)
@@ -286,8 +288,7 @@ def evaluate(model: Model, task: Task) -> float:
     t = _targets(model, task.eval_t, task.eval_x.shape[1])
     y = model_forward(model, task.eval_x)
     if model.loss == "mse":
-        r = y - t
-        return float((r * r).sum()) / y.shape[1]
+        return _mse_loss_gy(y, t)[0]
     pred = y.argmax(axis=0)
     return float((pred == t).mean())
 
@@ -401,9 +402,10 @@ def training_stream(task: Task, seed: int) -> np.random.Generator:
 
 def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
     """Run cfg.steps optimization steps on trainables rebound to views of one
-    buffer, updated by one optimizer_step per step. Each layer's workspace
-    serves the steps up to the next eval, which releases it, and is released
-    when train returns or raises.
+    buffer, updated by one optimizer_step per step. Each layer's workspace,
+    refreshed from the trainables by every step, serves the steps up to the
+    next eval, which releases it, and is released when train returns or
+    raises.
 
     Every step records the pre-update batch loss, the global L2 norm over
     all trainable gradients, and the learning rate used; the held-out eval
@@ -417,7 +419,6 @@ def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
     gflat = np.empty_like(flat)
     gsq = np.empty_like(flat)
     cuts = np.cumsum([arr.size for *_, arr in named])[:-1]
-    gsq_segments = np.split(gsq, cuts)
     grad_views = []
     for (i, name, arr), view, gview in zip(named, np.split(flat, cuts), np.split(gflat, cuts)):
         setattr(model.layers[i].state, name, view.reshape(arr.shape))
@@ -434,9 +435,8 @@ def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
                 raise NumericError(f"numeric failure at step {step}: {e}") from e
             for i, key, view in grad_views:
                 view[...] = getattr(grads[i], key)
-            # Summed trainable by trainable: one sum over gsq would round differently.
             np.multiply(gflat, gflat, out=gsq)
-            grad_norm = float(np.sqrt(sum(np.add.reduce(seg) for seg in gsq_segments)))
+            grad_norm = float(np.sqrt(np.add.reduce(gsq)))
             if cfg.scheduler == "cosine":
                 lr = cosine_lr(step - 1, cfg.steps, cfg.warmup_frac, base_lr)
             else:

@@ -29,6 +29,7 @@ from peftlab.grad import (
     grad_check,
     param_grads,
 )
+from peftlab.trainer import Layer, Model, loss_and_grads
 
 
 def random_case(method, d, k, r, seed, scaling=1.0):
@@ -168,13 +169,87 @@ def test_doubling_magnitude_exactly_doubles_factor_grads():
 
 def test_backward_results_outlive_later_calls():
     # full's dbase comes from a buffer of the state's workspace that the
-    # next step would overwrite; backward releases the workspace instead.
+    # next step would overwrite; backward differentiates a copy instead.
     state, x, gy = random_case("full", 5, 4, 1, seed=2)
     first = backward(state, x, gy)
     kept = first.dbase.copy()
     second = backward(state, -2.0 * x, gy)
     assert np.array_equal(first.dbase, kept)
     assert not np.array_equal(second.dbase, kept)
+
+
+def gradient_bits(gs):
+    """(shape, bytes) of each array of a GradientSet, None where absent."""
+    return [None if a is None else (a.shape, a.tobytes())
+            for a in (gs.db, gs.da, gs.dm, gs.dx, gs.dbase)]
+
+
+def test_grad_check_leaves_the_dbase_loss_and_grads_returned():
+    # full's dbase is a buffer of the state's workspace; grad_check's
+    # backward differentiates a copy, so the returned dbase keeps its bytes.
+    state, _, _ = random_case("full", 6, 5, 1, seed=4)
+    rng = np.random.default_rng(4)
+    batch = rng.standard_normal((5, 3)), rng.standard_normal((6, 3))
+    _, grads = loss_and_grads(Model([Layer(state)], loss="mse"), batch)
+    kept = grads[0].dbase.copy()
+    assert grad_check(state, seed=4).passed
+    assert grads[0].dbase.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("method", ["dora", "dude", "dude_a", "dude_b"])
+def test_param_grads_reads_only_the_block_it_is_given(method):
+    # The workspace keeps no input block: the block the last layer_forward
+    # read does not reach param_grads' gradients for another one.
+    state, _, _ = random_case(method, 6, 5, 2, seed=5)
+    rng = np.random.default_rng(5)
+    x1, x2 = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
+    gz = rng.standard_normal((6, 3))
+    layer_forward(state, x2)
+    want = gradient_bits(param_grads(state, gz, x2))
+    layer_forward(state, x1)
+    assert gradient_bits(param_grads(state, gz, x2)) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    method=st.sampled_from(METHODS),
+    d=st.integers(1, 12),
+    k=st.integers(1, 12),
+    data=st.data(),
+    scaling=st.sampled_from([0.5, 3.0]),
+    zero_column=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_entry_points_leave_trainables_and_workspace_untouched(method, d, k, data, scaling,
+                                                                zero_column, seed):
+    # With the workspace filled by a training step, every single-vector entry
+    # point only reads the state: the trainables keep their bytes, and every
+    # StepCache buffer its identity and bytes.
+    r = data.draw(st.integers(1, min(d, k)), label="rank")
+    state, x, gy = random_case(method, d, k, r, seed, scaling=scaling)
+    if zero_column:
+        state = with_zero_column(state)
+    rng = np.random.default_rng(seed)
+    loss_and_grads(Model([Layer(state)], loss="mse"),
+                   (rng.standard_normal((k, 3)), rng.standard_normal((d, 3))))
+    cache, buffers = state.cache, dict(vars(state.cache))
+    if method not in ("lora", "pissa"):
+        assert buffers["scratch"] is not None
+
+    def snapshot():
+        return ([arr.tobytes() for _, arr in trainable_params(state)],
+                {name: None if buf is None else buf.tobytes() for name, buf in buffers.items()})
+
+    before = snapshot()
+    forward(state, x)
+    effective_weight(state)
+    merge(state)
+    backward(state, x, gy)
+    finite_diff_grads(state, x, gy)
+    grad_check(state, seed=seed)
+    assert state.cache is cache
+    assert all(vars(cache)[name] is buf for name, buf in buffers.items())
+    assert snapshot() == before
 
 
 def test_backward_shape_validation():

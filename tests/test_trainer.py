@@ -516,7 +516,7 @@ def _reference_train(model, task, cfg):
         loss, grads = _ref_loss_and_grads(model, x, t)
         if not math.isfinite(loss):
             raise NumericError(f"numeric failure at step {step}: non-finite loss")
-        grad_norm = float(np.sqrt(sum((g * g).sum() for g in grads)))
+        grad_norm = float(np.sqrt(np.add.reduce(np.concatenate([(g * g).ravel() for g in grads]))))
         if cfg.scheduler == "cosine":
             lr = cosine_lr(step - 1, cfg.steps, cfg.warmup_frac, base_lr)
         else:
