@@ -69,6 +69,10 @@ _STREAM_EVAL = 1
 _STREAM_MODEL = 2
 _STREAM_TRAIN = 3
 
+# Largest teacher-student draw Task.batches makes at once, in bytes: 64 KiB
+# holds 32 batches of the 16 x 16 trend config at batch 8.
+_DRAW_BYTES = 64 * 1024
+
 
 def _substream(*entropy: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
@@ -80,6 +84,11 @@ class Task:
 
     w0_factors is svd(w0) when make_task factored w0 (teacher_student with
     r_true > 0); make_model hands it to initialize, so a run factors w0 once.
+
+    A run's batches come from batches, which draws teacher_student batches a
+    chunk at a time; sample_batch draws one batch with the same bits, so
+    replaying a stream with per-step sample_batch calls reproduces train's
+    batches bit for bit.
     """
 
     kind: str
@@ -96,18 +105,46 @@ class Task:
     w0_factors: SvdFactors | None = field(default=None, repr=False)
 
     def sample_batch(self, rng: np.random.Generator, n: int):
-        """Draw n samples; returns (x, t) with x of shape k x n."""
+        """Draw n samples; returns (x, t) with x of shape k x n: the first
+        batch of batches(rng, n, 1), with its own copy of x, so a kept batch
+        (such as the eval set) holds no draw buffer."""
         if self.kind == "teacher_student":
-            x = rng.standard_normal((self.k, n))
-            t = self.w_target @ x
-            if self.sigma > 0.0:
-                t = t + self.sigma * rng.standard_normal((self.d, n))
-            return x, t
+            x, t = next(self.batches(rng, n, 1))
+            return x.copy(), t
         labels = rng.integers(0, self.d, size=n)
         x = self.centers[:, labels]
         if self.sigma > 0.0:
             x = x + self.sigma * rng.standard_normal((self.k, n))
         return x, labels
+
+    def batches(self, rng: np.random.Generator, n: int, count: int):
+        """Yield count batches of n samples, bit for bit those of count
+        sample_batch calls on the same rng, which it leaves in the same state.
+
+        A teacher_student batch is x, then (if sigma > 0) the noise of its
+        targets, all standard normals, so a run's draws are one stream that a
+        single standard_normal call of any size reproduces. Up to _DRAW_BYTES
+        of consecutive batches are drawn with one call, their targets formed
+        with one stacked matmul, and each batch yielded as views of the
+        chunk. A cluster_classify batch draws integer labels between its
+        normals, so its batches are drawn one sample_batch at a time.
+        """
+        if self.kind != "teacher_student":
+            for _ in range(count):
+                yield self.sample_batch(rng, n)
+            return
+        k = self.k
+        rows = k + self.d if self.sigma > 0.0 else k
+        per_chunk = max(1, _DRAW_BYTES // (rows * n * 8))
+        for start in range(0, count, per_chunk):
+            draw = rng.standard_normal((min(per_chunk, count - start), rows, n))
+            x = draw[:, :k]
+            t = np.matmul(self.w_target, x)
+            if self.sigma > 0.0:
+                noise = draw[:, k:]
+                noise *= self.sigma
+                t += noise
+            yield from zip(x, t)
 
 
 def make_task(kind: str, d: int, k: int, r_true: int = 0, sigma: float = 0.0,
@@ -396,7 +433,10 @@ class MetricsRecord:
 
 
 def training_stream(task: Task, seed: int) -> np.random.Generator:
-    """The batch-draw RNG a training run consumes, exposed for replay."""
+    """The batch-draw RNG a training run consumes, exposed for replay:
+    train takes its batches from task.batches on it, and one sample_batch
+    call per step on a second training_stream(task, seed) reproduces them
+    bit for bit."""
     return _substream(task.seed, _STREAM_TRAIN, seed)
 
 
@@ -406,6 +446,10 @@ def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
     refreshed from the trainables by every step, serves the steps up to the
     next eval, which releases it, and is released when train returns or
     raises.
+
+    Batches come from task.batches on training_stream(task, cfg.seed), so
+    teacher_student runs draw them a chunk at a time, with the bits of one
+    sample_batch call per step.
 
     Every step records the pre-update batch loss, the global L2 norm over
     all trainable gradients, and the learning rate used; the held-out eval
@@ -427,8 +471,7 @@ def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
     base_lr = cfg.resolved_lr()
     records: list[MetricsRecord] = []
     try:
-        for step in range(1, cfg.steps + 1):
-            batch = task.sample_batch(rng, cfg.batch_size)
+        for step, batch in enumerate(task.batches(rng, cfg.batch_size, cfg.steps), 1):
             try:
                 loss, grads = loss_and_grads(model, batch)
             except NumericError as e:

@@ -18,6 +18,7 @@ from peftlab.adapters import (
 from peftlab.grad import backward, finite_diff_grads, grad_check
 from peftlab.linalg import NumericError, svd
 from peftlab.trainer import (
+    _DRAW_BYTES,
     DEFAULT_SEEDS,
     Layer,
     MetricsRecord,
@@ -81,6 +82,74 @@ def test_eval_set_disjoint_from_training_stream():
     task = make_task("teacher_student", 4, 4, r_true=1, sigma=0.0, seed=0)
     x, _ = task.sample_batch(training_stream(task, 0), task.eval_x.shape[1])
     assert not np.array_equal(x, task.eval_x)
+
+
+def test_eval_set_owns_its_memory():
+    # The eval set is a batch of the chunked draw; its x is copied out, so
+    # the task keeps no draw buffer with a noise block beside it.
+    task = make_task("teacher_student", 6, 5, r_true=2, sigma=0.1, seed=4)
+    assert task.eval_x.base is None
+    assert task.eval_x.shape == (5, 256)
+
+
+def _draw_chunk(d, k, n, sigma):
+    """Batches per teacher-student draw: x and, with sigma > 0, noise."""
+    rows = k + d if sigma > 0.0 else k
+    return max(1, _DRAW_BYTES // (rows * n * 8))
+
+
+def _batch_bits(batches):
+    return [(x.dtype, x.tobytes(), t.dtype, t.tobytes()) for x, t in batches]
+
+
+def _per_step_batch(task, rng, n):
+    """One batch drawn on its own: a teacher-student batch written out as
+    x, then its targets' noise; a cluster batch from sample_batch."""
+    if task.kind != "teacher_student":
+        return task.sample_batch(rng, n)
+    x = rng.standard_normal((task.k, n))
+    t = task.w_target @ x
+    if task.sigma > 0.0:
+        t = t + task.sigma * rng.standard_normal((task.d, n))
+    return x, t
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["teacher_student", "cluster_classify"]),
+    d=st.integers(1, 70),
+    k=st.integers(1, 70),
+    n=st.integers(1, 40),
+    sigma=st.sampled_from([0.0, 0.3]),
+    count=st.integers(0, 3 * _DRAW_BYTES // 8),
+    seed=st.integers(0, 2**16),
+)
+# 16 x 16, n = 8, sigma > 0: a chunk of 32 batches, and one batch to either side.
+@example(kind="teacher_student", d=16, k=16, n=8, sigma=0.3, count=31, seed=1)
+@example(kind="teacher_student", d=16, k=16, n=8, sigma=0.3, count=32, seed=1)
+@example(kind="teacher_student", d=16, k=16, n=8, sigma=0.3, count=33, seed=1)
+# One batch of 64 x 64 at n = 256 exceeds the draw budget, so a chunk is one batch.
+@example(kind="teacher_student", d=64, k=64, n=256, sigma=0.3, count=3, seed=1)
+@example(kind="teacher_student", d=64, k=64, n=256, sigma=0.0, count=2, seed=1)
+def test_batches_are_the_bits_of_per_step_draws(kind, d, k, n, sigma, count, seed):
+    # One standard_normal call equals consecutive calls whose sizes add up to
+    # it, and a stacked np.matmul over the chunk's strided (c, k, n) view
+    # computes each item as the 2-D product does: the chunked stream must
+    # give the bytes and dtypes of count sample_batch calls and of count
+    # batches drawn one by one, and leave the rng in their state. Counts
+    # cover up to three chunks; 0 draws nothing.
+    count %= 3 * _draw_chunk(d, k, n, sigma) + 1
+    task = make_task(kind, d, k, r_true=min(d, k, 2) if kind == "teacher_student" else 0,
+                     sigma=sigma, seed=seed)
+    chunked, sampled, written = (training_stream(task, seed) for _ in range(3))
+    start = chunked.bit_generator.state
+    got = _batch_bits(task.batches(chunked, n, count))
+    assert got == _batch_bits(task.sample_batch(sampled, n) for _ in range(count))
+    assert got == _batch_bits(_per_step_batch(task, written, n) for _ in range(count))
+    assert chunked.bit_generator.state == sampled.bit_generator.state \
+        == written.bit_generator.state
+    if count == 0:
+        assert chunked.bit_generator.state == start
 
 
 def test_task_loss_follows_its_kind():
@@ -568,6 +637,15 @@ def _trainable_bits(model):
 @example(method="dude", kind="teacher_student", optimizer="adam", scheduler="cosine",
          d=16, k=16, r_true=2, rank=2, scaling=1.0, lr=2e-3, sigma=0.01, steps=600, batch=8,
          eval_every=50, seed=42, second_run_steps=0)
+# 64 x 64 at batch 1: without noise a draw chunk holds 128 batches of k rows,
+# with noise 64 batches of k + d rows, so these runs cross several chunks (the
+# second run, on its own stream, crosses one as well).
+@example(method="dora", kind="teacher_student", optimizer="adam", scheduler="cosine",
+         d=64, k=64, r_true=2, rank=4, scaling=1.0, lr=2e-3, sigma=0.0, steps=300, batch=1,
+         eval_every=50, seed=7, second_run_steps=0)
+@example(method="lora", kind="teacher_student", optimizer="sgd", scheduler="constant",
+         d=64, k=64, r_true=2, rank=4, scaling=1.0, lr=2e-3, sigma=0.1, steps=300, batch=1,
+         eval_every=50, seed=7, second_run_steps=70)
 # The wide256 benchmark shape (two layers, 256 hidden units, rank 8, batch 32):
 # 256-wide BLAS calls and d x k arrays of 128 KiB and 512 KiB.
 @example(method="lora", kind="cluster_classify", optimizer="adam", scheduler="cosine",
