@@ -135,7 +135,7 @@ class Task:
             return
         k = self.k
         rows = k + self.d if self.sigma > 0.0 else k
-        per_chunk = max(1, _DRAW_BYTES // (rows * n * 8))
+        per_chunk = max(1, _DRAW_BYTES // (rows * max(n, 1) * 8))
         for start in range(0, count, per_chunk):
             draw = rng.standard_normal((min(per_chunk, count - start), rows, n))
             x = draw[:, :k]

@@ -95,7 +95,7 @@ def test_eval_set_owns_its_memory():
 def _draw_chunk(d, k, n, sigma):
     """Batches per teacher-student draw: x and, with sigma > 0, noise."""
     rows = k + d if sigma > 0.0 else k
-    return max(1, _DRAW_BYTES // (rows * n * 8))
+    return max(1, _DRAW_BYTES // (rows * max(n, 1) * 8))
 
 
 def _batch_bits(batches):
@@ -119,7 +119,7 @@ def _per_step_batch(task, rng, n):
     kind=st.sampled_from(["teacher_student", "cluster_classify"]),
     d=st.integers(1, 70),
     k=st.integers(1, 70),
-    n=st.integers(1, 40),
+    n=st.integers(0, 40),
     sigma=st.sampled_from([0.0, 0.3]),
     count=st.integers(0, 3 * _DRAW_BYTES // 8),
     seed=st.integers(0, 2**16),
@@ -137,7 +137,7 @@ def test_batches_are_the_bits_of_per_step_draws(kind, d, k, n, sigma, count, see
     # computes each item as the 2-D product does: the chunked stream must
     # give the bytes and dtypes of count sample_batch calls and of count
     # batches drawn one by one, and leave the rng in their state. Counts
-    # cover up to three chunks; 0 draws nothing.
+    # cover up to three chunks; 0 draws nothing, and so do batches of n = 0.
     count %= 3 * _draw_chunk(d, k, n, sigma) + 1
     task = make_task(kind, d, k, r_true=min(d, k, 2) if kind == "teacher_student" else 0,
                      sigma=sigma, seed=seed)
