@@ -17,7 +17,7 @@ changes the layer's output before training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,27 +77,20 @@ class AdapterConfig:
 
 @dataclass
 class StepCache:
-    """The step workspace an AdapterState owns as its cache field: what a
-    step keeps besides the factors, since layer_forward and grad.param_grads
-    never form W', g = dL/dW' or h = dL/dv. step_cache refreshes it from the
-    state's trainables; it holds no input block.
-
-      lora/pissa  nothing; every product goes through b and a.
-      dora/dude*  v = base + scaling * b @ a, sq = ||v_j||^2,
-                  n = ||v_j|| + NORM_EPSILON, mn = m / n and scratch, the
-                  d x k buffer v * v is summed in.
-      full        scratch, the d x k buffer that receives dL/dbase.
-
-    effective_weight and the finite-difference oracle fill private ones
-    through the same formula (_weight), and grad.backward fills that of a
-    copy of the state.
+    """The direction of a dora/dude* weight at given trainables, the one
+    thing a step derives besides products with the factors, since
+    layer_forward and grad.param_grads never form W', g = dL/dW' or
+    h = dL/dv: v = base + scaling * b @ a, sq = ||v_j||^2,
+    n = ||v_j|| + NORM_EPSILON and mn = m / n. step_cache derives it once per
+    layer and step as a new value, which both kernels take; nothing keeps it
+    on the state. effective_weight and the finite-difference oracle derive
+    theirs through the same formula (_direction).
     """
 
     v: np.ndarray | None = None
     sq: np.ndarray | None = None
     n: np.ndarray | None = None
     mn: np.ndarray | None = None
-    scratch: np.ndarray | None = None
 
 
 @dataclass
@@ -107,11 +100,9 @@ class AdapterState:
     base is d x k: the frozen original weight for lora/dora, the frozen residual
     w0 - scaling * b @ a for pissa/dude*, or the trainable weight for full.
     b (d x r) and a (r x k) are the low-rank factors; m (length k) is the
-    per-column magnitude vector, present only for dora/dude*. cache is the
-    step workspace (StepCache), refreshed from the trainables by
-    layer_forward and released when trainer.train or trainer.model_forward
-    returns; a dataclasses.replace copy, which grad.backward works on, gets
-    a fresh one.
+    per-column magnitude vector, present only for dora/dude*. A state is
+    plain data: no entry point but trainer.train, which rebinds the
+    trainables to views of its flat buffer, assigns to its fields.
     """
 
     base: np.ndarray
@@ -119,7 +110,6 @@ class AdapterState:
     a: np.ndarray
     m: np.ndarray | None
     config: AdapterConfig
-    cache: StepCache = field(default_factory=StepCache, init=False, repr=False, compare=False)
 
     @property
     def method(self) -> str:
@@ -175,11 +165,13 @@ def initialize(w0, cfg: AdapterConfig, *, factors: SvdFactors | None = None) -> 
     return AdapterState(base, b, a, m, cfg)
 
 
-def step_cache(state: AdapterState) -> StepCache:
-    """Refresh state.cache in place from the state's current trainables; return it."""
-    if state.m is not None:
-        _direction(state.base, state.b, state.a, state.m, state.config, state.cache)
-    return state.cache
+def step_cache(state: AdapterState) -> StepCache | None:
+    """The direction of a dora/dude* state at its current trainables, as a
+    new StepCache; None for full, lora and pissa, whose kernels read the
+    state alone."""
+    if state.m is None:
+        return None
+    return _direction(state.base, state.b, state.a, state.m, state.config)
 
 
 def _scaled(arr: np.ndarray, s: float) -> np.ndarray:
@@ -189,12 +181,12 @@ def _scaled(arr: np.ndarray, s: float) -> np.ndarray:
     return arr
 
 
-def layer_forward(state: AdapterState, x: np.ndarray) -> np.ndarray:
-    """z = W' @ x for a k x n input block, without forming W'.
+def layer_forward(state: AdapterState, x: np.ndarray, cache: StepCache | None) -> np.ndarray:
+    """z = W' @ x for a k x n input block, without forming W'; cache is
+    step_cache(state).
 
     full: base @ x. lora/pissa: base @ x + scaling * b @ (a @ x).
-    dora/dude*: v @ (x * m / n), the magnitudes folded into the input's rows,
-    with state.cache first refreshed by step_cache; x itself is not kept.
+    dora/dude*: v @ (x * m / n), the magnitudes folded into the input's rows.
     """
     if state.method == "full":
         return np.dot(state.base, x)
@@ -202,7 +194,6 @@ def layer_forward(state: AdapterState, x: np.ndarray) -> np.ndarray:
         z = np.dot(state.base, x)
         z += _scaled(np.dot(state.b, np.dot(state.a, x)), state.config.scaling)
         return z
-    cache = step_cache(state)
     return np.dot(cache.v, x * cache.mn[:, None])
 
 
@@ -215,40 +206,38 @@ def effective_weight(state: AdapterState) -> np.ndarray:
     """
     if state.method == "full":
         return state.base.copy()
-    return _weight(state.base, state.b, state.a, state.m, state.config, StepCache())
+    return _weight(state.base, state.b, state.a, state.m, state.config)
 
 
 # The weight formula of every method but full, shared by step_cache,
 # effective_weight and the finite-difference oracle. Any argument may carry a
 # leading stack axis (b: ... x d x r, a: ... x r x k, m: ... x k), and the
-# workspace then holds one entry per stacked weight, each with the bits of the
+# result then holds one entry per stacked weight, each with the bits of the
 # unstacked call: the oracle evaluates its displaced copies this way.
 
-def _direction(base, b, a, m, cfg: AdapterConfig, ws: StepCache) -> None:
-    """Write v = base + scaling * b @ a into ws.v and, when m is given, the
-    column sums of squares sq (of ws.scratch = v * v, summed as
-    numpy.linalg.norm sums them), n = sqrt(sq) + NORM_EPSILON and mn = m / n
-    into ws's buffers of those names. A buffer that is None is allocated and
-    kept in ws."""
+def _direction(base, b, a, m, cfg: AdapterConfig) -> StepCache:
+    """v = base + scaling * b @ a and, when m is given, its column sums of
+    squares sq (of v * v, summed as numpy.linalg.norm sums them),
+    n = sqrt(sq) + NORM_EPSILON and mn = m / n, in new arrays."""
     # s * (b @ a) + base has the bits of base + s * (b @ a): both operations
     # commute.
-    ws.v = _scaled(np.matmul(b, a, out=ws.v), cfg.scaling)
-    ws.v += base
-    if m is not None:
-        ws.scratch = np.multiply(ws.v, ws.v, out=ws.scratch)
-        ws.sq = np.add.reduce(ws.scratch, axis=-2, out=ws.sq)
-        ws.n = np.sqrt(ws.sq, out=ws.n)
-        ws.n += NORM_EPSILON
-        ws.mn = np.divide(m, ws.n, out=ws.mn)
+    v = _scaled(np.matmul(b, a), cfg.scaling)
+    v += base
+    if m is None:
+        return StepCache(v=v)
+    sq = np.add.reduce(v * v, axis=-2)
+    n = np.sqrt(sq)
+    n += NORM_EPSILON
+    return StepCache(v, sq, n, m / n)
 
 
-def _weight(base, b, a, m, cfg: AdapterConfig, ws: StepCache) -> np.ndarray:
-    """The effective weight, in place in ws.v: v, with column j times
+def _weight(base, b, a, m, cfg: AdapterConfig) -> np.ndarray:
+    """The effective weight, as a new array: v, with column j times
     m_j / n_j when m is given."""
-    _direction(base, b, a, m, cfg, ws)
+    direction = _direction(base, b, a, m, cfg)
     if m is not None:
-        ws.v *= ws.mn[..., None, :]
-    return ws.v
+        direction.v *= direction.mn[..., None, :]
+    return direction.v
 
 
 def _as_vector(v, length: int, what: str) -> np.ndarray:

@@ -32,9 +32,9 @@ exact-projection property. A zero column (v_j = 0) has c_j = 0.
 
 A lora/pissa step costs GEMMs of O(r (d + k) n + d k n) operations and forms
 no d x k array. The magnitude methods add the d x k passes of
-adapters.step_cache that refresh v and its norms in the state's workspace
-(AdapterState.cache), which param_grads then reads, and the O(r d k) products
-b^T v and v (a c)^T; full's dbase = gz x^T goes into that workspace.
+adapters.step_cache, which derives v and its norms once per step as a value
+that layer_forward and param_grads both take, and the O(r d k) products
+b^T v and v (a c)^T. full's dbase = gz x^T is a new d x k array.
 
 finite_diff_grads, the oracle these formulas are checked against, takes
 central differences of forwards instead; its docstring says how.
@@ -42,7 +42,7 @@ central differences of forwards instead; its docstring says how.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,37 +85,34 @@ class GradientSet:
     dbase: np.ndarray | None = None
 
 
-def direction_gradient(state: AdapterState, proj: np.ndarray) -> np.ndarray:
+def direction_gradient(cache: StepCache, proj: np.ndarray) -> np.ndarray:
     """Column coefficients c of h = dL/dv for a magnitude/direction layer,
-    given proj_j = <v_j, g_j> for g = dL/dW' and the refreshed state.cache.
+    given its direction cache (adapters.step_cache) and proj_j = <v_j, g_j>
+    for g = dL/dW'.
 
     h_j = (m_j / n_j) * g_j - c_j * v_j with c_j = (m_j / n_j) * proj_j / ||v_j||^2:
     the scaled projection of g_j onto the orthogonal complement of v_j.
     """
-    sq = state.cache.sq
+    sq = cache.sq
     # A zero column contributes nothing to the projector (v_j is zero);
     # guard the denominator so it does not poison the whole column with NaN:
     # sq + (sq == 0) is sq, or 1 where sq is 0.
-    return state.cache.mn * proj / (sq + (sq == 0.0))
+    return cache.mn * proj / (sq + (sq == 0.0))
 
 
-def param_grads(state: AdapterState, gz: np.ndarray, x: np.ndarray,
+def param_grads(state: AdapterState, gz: np.ndarray, x: np.ndarray, cache: StepCache | None,
                 input_grad: bool = True) -> GradientSet:
-    """The per-layer VJP: gradients of L through z = layer_forward(state, x),
-    given the input block x (k x n) and gz = dL/dz (d x n), summed over the n
-    columns. dx is None unless input_grad. state.cache must have been
-    refreshed (by layer_forward or step_cache) since the trainables last
-    changed; it may have read any input block. full's dbase is a buffer of
-    state.cache, valid until the next param_grads on the state.
+    """The per-layer VJP: gradients of L through z = layer_forward(state, x,
+    cache), given the input block x (k x n), gz = dL/dz (d x n) and cache =
+    adapters.step_cache(state), summed over the n columns, in new arrays. dx
+    is None unless input_grad.
     """
     # np.dot rather than @: the same BLAS products with less per-call
     # overhead, which dominates a step at small d and k. full's d x k outer
     # product over the batch is the exception: np.matmul is faster there.
-    cache = state.cache
     if state.method == "full":
         dx = np.dot(state.base.T, gz) if input_grad else None
-        cache.scratch = np.matmul(gz, x.T, out=cache.scratch)
-        return GradientSet(dx=dx, dbase=cache.scratch)
+        return GradientSet(dx=dx, dbase=np.matmul(gz, x.T))
     s, b, a = state.config.scaling, state.b, state.a
     bg = np.dot(b.T, gz)
     if state.m is None:
@@ -130,7 +127,7 @@ def param_grads(state: AdapterState, gz: np.ndarray, x: np.ndarray,
     p = np.dot(v.T, gz)
     # proj_j = <v_j, g_j> once for dm and c.
     proj = np.add.reduce(x * p, axis=1)
-    c = direction_gradient(state, proj)
+    c = direction_gradient(cache, proj)
     db = np.dot(gz, np.dot(a, x_m).T)
     db -= np.dot(v, (a * c).T)
     da = np.dot(bg, x_m.T)
@@ -141,23 +138,18 @@ def param_grads(state: AdapterState, gz: np.ndarray, x: np.ndarray,
 
 def backward(state: AdapterState, x, gy) -> GradientSet:
     """Exact gradients of L with respect to the trainables and the input,
-    given gy = dL/dy for y = effective_weight(state) @ x, in new arrays.
-    The state is only read: param_grads runs on a dataclasses.replace copy
-    whose fresh workspace step_cache fills, so state.cache, and a full
-    dbase that loss_and_grads returned from it, are left as they were."""
+    given gy = dL/dy for y = effective_weight(state) @ x, in new arrays."""
     d, k = state.base.shape
     x = _as_vector(x, k, "input")[:, None]
     gy = _as_vector(gy, d, "output-grad")[:, None]
-    copy = replace(state)
-    step_cache(copy)
-    gs = param_grads(copy, gy, x)
+    gs = param_grads(state, gy, x, step_cache(state))
     gs.dx = gs.dx[:, 0]
     return gs
 
 
 def finite_diff_grads(state: AdapterState, x, gy) -> GradientSet:
     """Central-difference gradients of L = <gy, forward(state, x)>. The
-    caller's state and x are only read; state.cache is not touched.
+    caller's state and x are only read.
 
     Each trainable scalar theta, and each entry of x, is displaced by +-h with
     h = FD_BASE_STEP * (1 + |theta|), the one step rule, and its gradient is
@@ -191,11 +183,11 @@ def finite_diff_grads(state: AdapterState, x, gy) -> GradientSet:
     if "a" in params:
         grads.da = _central_differences(state, "a", params.pop("a"), x, gy, None)
     # The unperturbed layer that the other arrays read, built after a's
-    # chunks, whose workspace sets the peak; its v * v scratch is not read.
-    whole = StepCache(v=state.base if state.method == "full" else None)
-    if whole.v is None:
-        _direction(state.base, state.b, state.a, state.m, state.config, whole)
-        whole.scratch = None
+    # chunks, whose workspace sets the peak.
+    if state.method == "full":
+        whole = StepCache(v=state.base)
+    else:
+        whole = _direction(state.base, state.b, state.a, state.m, state.config)
     for name, arr in params.items():
         setattr(grads, "d" + name, _central_differences(state, name, arr, x, gy, whole))
     return grads
@@ -246,11 +238,10 @@ def _central_differences(state: AdapterState, name: str, arr: np.ndarray, x: np.
         part[moved][np.arange(c), entry] = (theta[:, None] + h[:, None] * [1.0, -1.0]).reshape(-1)
         if name == "a":
             ys = _weight(part["base"][:, :, None], state.b, part["a"][:, :, None],
-                         part.get("m"), cfg, StepCache())[..., 0]
+                         part.get("m"), cfg)[..., 0]
             ys *= part["x"]
         elif name == "b":
-            ys = _weight(part["base"][:, None], part["b"][:, None], state.a, None, cfg,
-                         StepCache())[:, 0]
+            ys = _weight(part["base"][:, None], part["b"][:, None], state.a, None, cfg)[:, 0]
             if m is not None:
                 # In place: delta in ys, sqrt(sq + delta (2 v_i + delta)) + eps
                 # in the gathered rows v_i, then q in ys.

@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapters import AdapterConfig, AdapterState, StepCache, initialize, layer_forward
+from .adapters import AdapterConfig, AdapterState, initialize, layer_forward, step_cache
 from .adapters import trainable_params
 from .grad import GradientSet, param_grads
-from .linalg import NumericError, SvdFactors, _check_choice, _check_int, _check_number
+from .linalg import _INT_MAX, NumericError, SvdFactors, _check_choice, _check_int, _check_number
 from .linalg import svd, truncate_svd
 
 __all__ = [
@@ -164,7 +164,8 @@ def make_task(kind: str, d: int, k: int, r_true: int = 0, sigma: float = 0.0,
     _check_choice("task", kind, TASK_KINDS)
     _check_int("d", d, 1)
     _check_int("k", k, 1)
-    _check_int("r_true", r_true, 0, min(d, k))
+    # Only the teacher reads r_true, so only it bounds r_true by the shape.
+    _check_int("r_true", r_true, 0, min(d, k) if kind == "teacher_student" else _INT_MAX)
     _check_number("sigma", sigma, 0.0)
     _check_int("seed", seed, 0)
     rng = _substream(seed, _STREAM_SETUP)
@@ -238,14 +239,11 @@ def make_model(task: Task, method: str, rank: int, scaling: float = 1.0,
 
 
 def model_forward(model: Model, x: np.ndarray) -> np.ndarray:
-    """Apply every layer to a k x n input block, releasing each layer's
-    workspace once the layer has been applied. It uses the states' own
-    workspaces, not copies', so an eval inside train never holds a second
-    set of d x k buffers beside the step's."""
+    """Apply every layer to a k x n input block, each with the direction
+    adapters.step_cache derives for it."""
     cur = x
     for layer in model.layers:
-        cur = layer_forward(layer.state, cur)
-        layer.state.cache = StepCache()
+        cur = layer_forward(layer.state, cur, step_cache(layer.state))
         if layer.relu:
             cur = np.maximum(cur, 0.0)
     return cur
@@ -293,19 +291,18 @@ def loss_and_grads(model: Model, batch) -> tuple[float, list[GradientSet]]:
     factored VJP (grad.param_grads), chains input gradients through ReLUs
     (subgradient 0 at exactly 0; relu(z) > 0 exactly where z > 0), and
     returns mean gradients so the learning rate is comparable across batch sizes.
-    The first layer's dx is None: nothing reads it. full's dbase is a
-    buffer of the layer's workspace, valid until the next step on its state,
-    so the workspaces stay filled; train releases them when it ends.
-    The targets are checked against model.loss (ValueError).
+    Each layer's direction (adapters.step_cache) is derived once, for the
+    forward and the VJP both. The first layer's dx is None: nothing reads
+    it. The targets are checked against model.loss (ValueError).
     """
     x, t = batch
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] < 1:
         raise ValueError(f"batch must be a k x n block with n >= 1, got shape {x.shape}")
     t = _targets(model, t, x.shape[1])
-    acts = [x]
-    for layer in model.layers:
-        z = layer_forward(layer.state, acts[-1])
+    acts, caches = [x], [step_cache(layer.state) for layer in model.layers]
+    for layer, cache in zip(model.layers, caches):
+        z = layer_forward(layer.state, acts[-1], cache)
         acts.append(np.maximum(z, 0.0) if layer.relu else z)
     loss, gy = (_mse_loss_gy if model.loss == "mse" else _xent_loss_gy)(acts[-1], t)
     if not math.isfinite(loss):
@@ -313,7 +310,8 @@ def loss_and_grads(model: Model, batch) -> tuple[float, list[GradientSet]]:
     grads: list[GradientSet] = [None] * len(model.layers)
     for idx in reversed(range(len(model.layers))):
         gz = gy * (acts[idx + 1] > 0.0) if model.layers[idx].relu else gy
-        grads[idx] = param_grads(model.layers[idx].state, gz, acts[idx], input_grad=idx > 0)
+        grads[idx] = param_grads(model.layers[idx].state, gz, acts[idx], caches[idx],
+                                 input_grad=idx > 0)
         gy = grads[idx].dx
     return loss, grads
 
@@ -442,10 +440,9 @@ def training_stream(task: Task, seed: int) -> np.random.Generator:
 
 def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
     """Run cfg.steps optimization steps on trainables rebound to views of one
-    buffer, updated by one optimizer_step per step. Each layer's workspace,
-    refreshed from the trainables by every step, serves the steps up to the
-    next eval, which releases it, and is released when train returns or
-    raises.
+    buffer, updated by one optimizer_step per step. The optimizer state and
+    the gradient buffers live for the call; nothing else is kept between
+    steps.
 
     Batches come from task.batches on training_stream(task, cfg.seed), so
     teacher_student runs draw them a chunk at a time, with the bits of one
@@ -470,26 +467,22 @@ def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
     opt = OptState(cfg.optimizer)
     base_lr = cfg.resolved_lr()
     records: list[MetricsRecord] = []
-    try:
-        for step, batch in enumerate(task.batches(rng, cfg.batch_size, cfg.steps), 1):
-            try:
-                loss, grads = loss_and_grads(model, batch)
-            except NumericError as e:
-                raise NumericError(f"numeric failure at step {step}: {e}") from e
-            for i, key, view in grad_views:
-                view[...] = getattr(grads[i], key)
-            np.multiply(gflat, gflat, out=gsq)
-            grad_norm = float(np.sqrt(np.add.reduce(gsq)))
-            if cfg.scheduler == "cosine":
-                lr = cosine_lr(step - 1, cfg.steps, cfg.warmup_frac, base_lr)
-            else:
-                lr = base_lr
-            optimizer_step(flat, gflat, opt, lr)
-            score = evaluate(model, task) if step % cfg.eval_every == 0 else None
-            records.append(MetricsRecord(step, loss, grad_norm, lr, score))
-    finally:
-        for layer in model.layers:
-            layer.state.cache = StepCache()
+    for step, batch in enumerate(task.batches(rng, cfg.batch_size, cfg.steps), 1):
+        try:
+            loss, grads = loss_and_grads(model, batch)
+        except NumericError as e:
+            raise NumericError(f"numeric failure at step {step}: {e}") from e
+        for i, key, view in grad_views:
+            view[...] = getattr(grads[i], key)
+        np.multiply(gflat, gflat, out=gsq)
+        grad_norm = float(np.sqrt(np.add.reduce(gsq)))
+        if cfg.scheduler == "cosine":
+            lr = cosine_lr(step - 1, cfg.steps, cfg.warmup_frac, base_lr)
+        else:
+            lr = base_lr
+        optimizer_step(flat, gflat, opt, lr)
+        score = evaluate(model, task) if step % cfg.eval_every == 0 else None
+        records.append(MetricsRecord(step, loss, grad_norm, lr, score))
     return records
 
 

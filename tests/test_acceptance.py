@@ -117,8 +117,7 @@ def _direction_gradient(state, v, g):
     """h = dL/dv for g = dL/dW', built column by column from the coefficients
     c that direction_gradient returns: h_j = (m_j / n_j) g_j - c_j v_j."""
     n = np.linalg.norm(v, axis=0) + NORM_EPSILON
-    step_cache(state)
-    c = direction_gradient(state, (v * g).sum(axis=0))
+    c = direction_gradient(step_cache(state), (v * g).sum(axis=0))
     return (state.m / n) * g - c * v
 
 

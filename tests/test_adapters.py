@@ -16,6 +16,7 @@ from peftlab.adapters import (
     kaiming_uniform,
     layer_forward,
     merge,
+    step_cache,
     trainable_params,
 )
 from peftlab.linalg import ConfigError, SvdFactors, frobenius_norm, svd
@@ -352,7 +353,7 @@ def test_merge_matches_layer_forward_at_extreme_input_scales(method, d, k, data,
     size = np.abs(state.base) @ x_abs
     if method != "full":
         size += scaling * (np.abs(state.b) @ (np.abs(state.a) @ x_abs))
-    got, want = merge(state) @ x, layer_forward(state, x)
+    got, want = merge(state) @ x, layer_forward(state, x, step_cache(state))
     assert np.all(np.isfinite(got)) and np.all(np.isfinite(size))
     assert np.all(np.abs(got - want) <= 1e-14 * size), np.abs(got - want).max()
 

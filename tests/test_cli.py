@@ -147,6 +147,17 @@ def test_run_oversized_rank_exits_1(tmp_path, capsys):
     assert "'rank'" in capsys.readouterr().err
 
 
+def test_run_checks_r_true_against_the_shape_for_teacher_student_only(tmp_path, capsys):
+    # cluster_classify never reads r_true, so the default of 2 is no error at
+    # d = 3, k = 1; the teacher-student task still rejects it there.
+    small = dict(d=3, k=1, rank=1, steps=2, seeds=[42])
+    path = write_config(tmp_path, task="cluster_classify", **small)
+    assert main(["run", "--config", str(path)]) == 0
+    path = write_config(tmp_path, "ts.json", task="teacher_student", **small)
+    assert main(["run", "--config", str(path)]) == 1
+    assert "'r_true'" in capsys.readouterr().err
+
+
 def test_run_numeric_failure_exits_2_naming_step(tmp_path, capsys):
     path = write_config(tmp_path, method="full", lr=1e12, optimizer="sgd",
                         scheduler="constant", seeds=[42])

@@ -29,7 +29,7 @@ from peftlab.grad import (
     grad_check,
     param_grads,
 )
-from peftlab.trainer import Layer, Model, loss_and_grads
+from peftlab.trainer import Layer, Model, Task, evaluate, loss_and_grads, model_forward
 
 
 def random_case(method, d, k, r, seed, scaling=1.0):
@@ -54,8 +54,7 @@ def direction_from_coefficients(state, v, g):
     """h = dL/dv for g = dL/dW', built column by column from the coefficients
     c that direction_gradient returns: h_j = (m_j / n_j) g_j - c_j v_j."""
     n = np.linalg.norm(v, axis=0) + NORM_EPSILON
-    step_cache(state)
-    c = direction_gradient(state, (v * g).sum(axis=0))
+    c = direction_gradient(step_cache(state), (v * g).sum(axis=0))
     return (state.m / n) * g - c * v
 
 
@@ -102,10 +101,11 @@ def with_zero_column(state):
 
 def assert_reused_cache_gives_fresh_bytes(method, d, k, r, scaling, zero_column, seed):
     """layer_forward, then param_grads and direction_gradient, on a state
-    whose workspace last served other trainables and another input block,
-    its trainables since changed in place as train changes them: every
-    result has the bits of a dataclasses.replace copy, whose workspace is
-    fresh."""
+    whose kernels last ran on other trainables and another input block, its
+    trainables since changed in place as train changes them: with
+    step_cache(state) taken now, every result has the bits of a
+    dataclasses.replace copy's, which no kernel has seen. Nothing of the
+    earlier call is kept anywhere."""
     state, _, _ = random_case(method, d, k, r, seed, scaling=scaling)
     if zero_column:
         state = with_zero_column(state)
@@ -115,23 +115,24 @@ def assert_reused_cache_gives_fresh_bytes(method, d, k, r, scaling, zero_column,
     saved = [arr.copy() for arr in params]
     for arr in params:
         arr += 0.1 * rng.standard_normal(arr.shape)
-    stale_x = rng.standard_normal((k, 5))
-    layer_forward(state, stale_x)
-    param_grads(state, rng.standard_normal((d, 5)), stale_x)
+    stale_x, stale = rng.standard_normal((k, 5)), step_cache(state)
+    layer_forward(state, stale_x, stale)
+    param_grads(state, rng.standard_normal((d, 5)), stale_x, stale)
     for arr, old in zip(params, saved):
         arr[...] = old
     fresh = dataclasses.replace(state)
-    assert fresh.cache is not state.cache
+    cache, fresh_cache = step_cache(state), step_cache(fresh)
 
     def bits(gs):
         arrays = [gs] if isinstance(gs, np.ndarray) else [gs.db, gs.da, gs.dm, gs.dx, gs.dbase]
         return [None if a is None else (a.shape, a.tobytes()) for a in arrays]
 
-    assert bits(layer_forward(state, x)) == bits(layer_forward(fresh, x))
-    assert bits(param_grads(state, gz, x)) == bits(param_grads(fresh, gz, x))
+    assert bits(layer_forward(state, x, cache)) == bits(layer_forward(fresh, x, fresh_cache))
+    assert bits(param_grads(state, gz, x, cache)) == bits(param_grads(fresh, gz, x, fresh_cache))
     if state.m is not None:
         proj = rng.standard_normal(k)
-        assert bits(direction_gradient(state, proj)) == bits(direction_gradient(fresh, proj))
+        assert bits(direction_gradient(cache, proj)) == \
+            bits(direction_gradient(fresh_cache, proj))
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -168,8 +169,7 @@ def test_doubling_magnitude_exactly_doubles_factor_grads():
 
 
 def test_backward_results_outlive_later_calls():
-    # full's dbase comes from a buffer of the state's workspace that the
-    # next step would overwrite; backward differentiates a copy instead.
+    # full's dbase is a new array, which a later backward leaves as it was.
     state, x, gy = random_case("full", 5, 4, 1, seed=2)
     first = backward(state, x, gy)
     kept = first.dbase.copy()
@@ -185,8 +185,8 @@ def gradient_bits(gs):
 
 
 def test_grad_check_leaves_the_dbase_loss_and_grads_returned():
-    # full's dbase is a buffer of the state's workspace; grad_check's
-    # backward differentiates a copy, so the returned dbase keeps its bytes.
+    # full's dbase is a new array, so grad_check's own backward leaves the
+    # one loss_and_grads returned with its bytes.
     state, _, _ = random_case("full", 6, 5, 1, seed=4)
     rng = np.random.default_rng(4)
     batch = rng.standard_normal((5, 3)), rng.standard_normal((6, 3))
@@ -198,16 +198,17 @@ def test_grad_check_leaves_the_dbase_loss_and_grads_returned():
 
 @pytest.mark.parametrize("method", ["dora", "dude", "dude_a", "dude_b"])
 def test_param_grads_reads_only_the_block_it_is_given(method):
-    # The workspace keeps no input block: the block the last layer_forward
+    # The direction holds no input block: the block the last layer_forward
     # read does not reach param_grads' gradients for another one.
     state, _, _ = random_case(method, 6, 5, 2, seed=5)
     rng = np.random.default_rng(5)
     x1, x2 = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
     gz = rng.standard_normal((6, 3))
-    layer_forward(state, x2)
-    want = gradient_bits(param_grads(state, gz, x2))
-    layer_forward(state, x1)
-    assert gradient_bits(param_grads(state, gz, x2)) == want
+    cache = step_cache(state)
+    layer_forward(state, x2, cache)
+    want = gradient_bits(param_grads(state, gz, x2, cache))
+    layer_forward(state, x1, cache)
+    assert gradient_bits(param_grads(state, gz, x2, cache)) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -220,36 +221,37 @@ def test_param_grads_reads_only_the_block_it_is_given(method):
     zero_column=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_entry_points_leave_trainables_and_workspace_untouched(method, d, k, data, scaling,
-                                                                zero_column, seed):
-    # With the workspace filled by a training step, every single-vector entry
-    # point only reads the state: the trainables keep their bytes, and every
-    # StepCache buffer its identity and bytes.
+def test_no_entry_point_writes_to_a_state(method, d, k, data, scaling, zero_column, seed):
+    # Every entry point that takes a state only reads it: afterwards the
+    # state has the same fields, each bound to the same object, and every
+    # array keeps its bytes.
     r = data.draw(st.integers(1, min(d, k)), label="rank")
     state, x, gy = random_case(method, d, k, r, seed, scaling=scaling)
     if zero_column:
         state = with_zero_column(state)
     rng = np.random.default_rng(seed)
-    loss_and_grads(Model([Layer(state)], loss="mse"),
-                   (rng.standard_normal((k, 3)), rng.standard_normal((d, 3))))
-    cache, buffers = state.cache, dict(vars(state.cache))
-    if method not in ("lora", "pissa"):
-        assert buffers["scratch"] is not None
-
-    def snapshot():
-        return ([arr.tobytes() for _, arr in trainable_params(state)],
-                {name: None if buf is None else buf.tobytes() for name, buf in buffers.items()})
-
-    before = snapshot()
+    xs, ts = rng.standard_normal((k, 3)), rng.standard_normal((d, 3))
+    model = Model([Layer(state)], loss="mse")
+    task = Task("teacher_student", d, k, 0, 0.0, seed, eval_x=xs, eval_t=ts)
+    before = {name: (value, value.tobytes() if isinstance(value, np.ndarray) else None)
+              for name, value in vars(state).items()}
+    cache = step_cache(state)
+    layer_forward(state, xs, cache)
+    param_grads(state, ts, xs, cache)
+    loss_and_grads(model, (xs, ts))
+    model_forward(model, xs)
+    evaluate(model, task)
     forward(state, x)
     effective_weight(state)
     merge(state)
     backward(state, x, gy)
     finite_diff_grads(state, x, gy)
     grad_check(state, seed=seed)
-    assert state.cache is cache
-    assert all(vars(cache)[name] is buf for name, buf in buffers.items())
-    assert snapshot() == before
+    assert vars(state).keys() == before.keys()
+    for name, (value, data_bytes) in before.items():
+        assert vars(state)[name] is value, name
+        if data_bytes is not None:
+            assert value.tobytes() == data_bytes, name
 
 
 def test_backward_shape_validation():
@@ -872,8 +874,7 @@ def test_factored_grads_match_the_dense_oracle(method, d, k, data, n, scaling, z
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((k, n)) * 10.0 ** exponent
     gz = rng.standard_normal((d, n))
-    layer_forward(state, x)
-    gs = param_grads(state, gz, x)
+    gs = param_grads(state, gz, x, step_cache(state))
     got = [a for a in (gs.db, gs.da, gs.dm, gs.dbase) if a is not None] + [gs.dx]
     want = _ref_param_grads(state, gz @ x.T) + [_ref_weight(state).T @ gz]
     names = [name for name, _ in trainable_params(state)] + ["x"]
