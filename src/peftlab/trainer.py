@@ -300,9 +300,10 @@ def loss_and_grads(model: Model, batch) -> tuple[float, list[GradientSet]]:
     if x.ndim != 2 or x.shape[1] < 1:
         raise ValueError(f"batch must be a k x n block with n >= 1, got shape {x.shape}")
     t = _targets(model, t, x.shape[1])
-    acts, caches = [x], [step_cache(layer.state) for layer in model.layers]
-    for layer, cache in zip(model.layers, caches):
-        z = layer_forward(layer.state, acts[-1], cache)
+    acts, caches = [x], []
+    for layer in model.layers:
+        caches.append(step_cache(layer.state))
+        z = layer_forward(layer.state, acts[-1], caches[-1])
         acts.append(np.maximum(z, 0.0) if layer.relu else z)
     loss, gy = (_mse_loss_gy if model.loss == "mse" else _xent_loss_gy)(acts[-1], t)
     if not math.isfinite(loss):

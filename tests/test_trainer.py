@@ -489,9 +489,9 @@ def test_convergence_trend_dude_vs_lora_three_seeds():
 
 
 # ---------------------------------------------------------------------------
-# bit-identity oracle: the step without workspaces and the per-array optimizer
+# bit-identity oracle: the step from the formulas and the per-array optimizer
 
-# A training step without the step cache or the flat buffer, kept as the
+# A training step without step_cache or the flat buffer, kept as the
 # oracle train must match bit for bit. It follows the factored formulas of
 # grad.param_grads (see the grad module docstring) operation for operation;
 # the forward, the gradients and the eval each compute v = base + s * b @ a
