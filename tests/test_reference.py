@@ -27,10 +27,6 @@ CASES = [(workload, op.method, seed) for workload in workloads.RUN_SETTINGS
          for op in workloads.run_ops(workload) for seed in op.seeds]
 
 
-def _rel(value: float, ref: float) -> float:
-    return abs(value - ref) / abs(ref) if ref != 0.0 else abs(value)
-
-
 @pytest.mark.parametrize("workload, method, seed", CASES)
 def test_training_matches_the_benchmark_reference(workload, method, seed):
     cfg = workloads.RUN_SETTINGS[workload][0]
@@ -44,5 +40,5 @@ def test_training_matches_the_benchmark_reference(workload, method, seed):
     evals = [r.eval for r in records if r.eval is not None]
     assert len(evals) == len(ref["evals"])
     pairs = [(records[-1].loss, ref["final_loss"])] + list(zip(evals, ref["evals"]))
-    drift = max(_rel(value, want) for value, want in pairs)
+    drift = max(workloads._rel(value, want) for value, want in pairs)
     assert drift <= workloads.REL_TOL, drift
