@@ -65,7 +65,7 @@ FD_BASE_STEP = 1e-5
 # grad_check passes when every max relative error is at most this.
 GRAD_CHECK_TOLERANCE = 1e-5
 # Bytes of stacked rows or columns the finite-difference oracle evaluates at
-# once: the size of each stacked buffer of its workspace, and so what bounds
+# once: the size of each array a chunk gathers or computes, and so what bounds
 # the oracle's memory.
 _FD_CHUNK_BYTES = 128 * 1024
 
@@ -170,8 +170,8 @@ def finite_diff_grads(state: AdapterState, x, gy) -> GradientSet:
 
     The unperturbed layer is built once per call; no displacement forms a
     d x k weight. Scalars go in chunks of at most 128 KiB of units (8 d bytes
-    per column, 8 k per row, two per scalar), gathered into buffers made once
-    per array. Units are computed by the operations of effective_weight
+    per column, 8 k per row, two per scalar), each gathered by indexing its
+    array. Units are computed by the operations of effective_weight
     (adapters._weight) in the same order, and the losses by np.matmul over
     stacked 1 x n . n x 1 items, which numpy computes with the routine of
     ndarray.dot (a matrix-vector product would sum in another order).
@@ -183,7 +183,7 @@ def finite_diff_grads(state: AdapterState, x, gy) -> GradientSet:
     if "a" in params:
         grads.da = _central_differences(state, "a", params.pop("a"), x, gy, None)
     # The unperturbed layer that the other arrays read, built after a's
-    # chunks, whose workspace sets the peak.
+    # chunks, which do not read it, so that it adds nothing to their peak.
     if state.method == "full":
         whole = StepCache(v=state.base)
     else:
@@ -218,7 +218,6 @@ def _central_differences(state: AdapterState, name: str, arr: np.ndarray, x: np.
     flat = arr.reshape(-1)
     grads = np.empty(flat.size)
     size = min(max(1, _FD_CHUNK_BYTES // (16 * width)), flat.size)
-    stacks = {key: np.empty((2 * size, rows.shape[1])) for key, rows in inputs.items()}
     for start in range(0, flat.size, size):
         theta = flat[start:start + size]
         h = FD_BASE_STEP * (1.0 + np.abs(theta))
@@ -231,10 +230,7 @@ def _central_differences(state: AdapterState, name: str, arr: np.ndarray, x: np.
             unit, entry = np.divmod(scalar, state.b.shape[1])
         else:
             entry, unit = np.divmod(scalar, k)
-        # mode="clip" takes straight into out (the default mode buffers it);
-        # every index is in range, x and gy having been checked.
-        part = {key: np.take(rows, unit, axis=0, out=stacks[key][:c], mode="clip")
-                for key, rows in inputs.items()}
+        part = {key: rows[unit] for key, rows in inputs.items()}
         part[moved][np.arange(c), entry] = (theta[:, None] + h[:, None] * [1.0, -1.0]).reshape(-1)
         if name == "a":
             ys = _weight(part["base"][:, :, None], state.b, part["a"][:, :, None],
@@ -256,13 +252,14 @@ def _central_differences(state: AdapterState, name: str, arr: np.ndarray, x: np.
                 ys *= gy[unit][:, None]
                 ys += g
                 ys /= den
+                del den
         else:
             ys = part["v"]
             if m is not None:
                 ys *= part["m"] / part["n"]
             ys *= part["x"]
         losses = np.matmul(ys[:, None], w[:, None])[:, 0, 0]
-        del ys  # the chunk's workspace goes before the next chunk's is built
+        del ys, part  # the chunk's arrays go before the next chunk's are gathered
         if name == "b" and m is None:
             losses *= gy[unit]
         grads[start:start + theta.size] = (losses[0::2] - losses[1::2]) / (2.0 * h)

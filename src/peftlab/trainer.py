@@ -349,48 +349,40 @@ def cosine_lr(step: int, total_steps: int, warmup_frac: float, base_lr: float) -
 @dataclass
 class OptState:
     """SGD or bias-corrected Adam (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) of one
-    parameter array: the first optimizer_step creates the moments m and v
-    (Adam only) and the scratch pair (t, u) that holds every intermediate of
-    an update, all shaped like its parameter, which every later step must
-    match."""
+    parameter array: the first optimizer_step records its shape, which every
+    later step must match, and creates the moments m and v (Adam only)."""
 
     optimizer: str
     step: int = field(default=0, init=False)
+    shape: tuple[int, ...] | None = field(default=None, init=False)
     m: np.ndarray | None = field(default=None, init=False)
     v: np.ndarray | None = field(default=None, init=False)
-    scratch: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False)
 
     def __post_init__(self):
         _check_choice("optimizer", self.optimizer, OPTIMIZERS)
 
 
 def optimizer_step(p: np.ndarray, g: np.ndarray, opt: OptState, lr: float) -> None:
-    """One in-place update of p from its gradient g; allocates nothing after
-    the first call. p must have the shape of the first call's on opt."""
-    if opt.scratch is None:
-        opt.scratch = (np.empty_like(p), np.empty_like(p))
+    """One in-place update of p from its gradient g. p must have the shape of
+    the first call's on opt."""
+    if opt.shape is None:
+        opt.shape = p.shape
         if opt.optimizer == "adam":
             opt.m, opt.v = np.zeros_like(p), np.zeros_like(p)
-    t, u = opt.scratch
-    if not p.shape == g.shape == t.shape:
+    if not p.shape == g.shape == opt.shape:
         raise ValueError(f"shape mismatch: param {p.shape}, grad {g.shape}, "
-                         f"optimizer state {t.shape}")
+                         f"optimizer state {opt.shape}")
     opt.step += 1
     if opt.optimizer == "sgd":
-        p -= np.multiply(g, lr, out=t)
+        p -= lr * g
         return
     bc1 = 1.0 - ADAM_BETA1 ** opt.step
     bc2 = 1.0 - ADAM_BETA2 ** opt.step
-    # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), element for element, with
-    # the moments m = beta1 * m + (1 - beta1) * g, v = beta2 * v + (1 - beta2) * g * g.
     opt.m *= ADAM_BETA1
-    opt.m += np.multiply(g, 1.0 - ADAM_BETA1, out=t)
+    opt.m += (1.0 - ADAM_BETA1) * g
     opt.v *= ADAM_BETA2
-    opt.v += np.multiply(np.multiply(g, g, out=t), 1.0 - ADAM_BETA2, out=t)
-    np.multiply(np.divide(opt.m, bc1, out=t), lr, out=t)
-    np.sqrt(np.divide(opt.v, bc2, out=u), out=u)
-    u += ADAM_EPS
-    p -= np.divide(t, u, out=t)
+    opt.v += (1.0 - ADAM_BETA2) * (g * g)
+    p -= lr * (opt.m / bc1) / (np.sqrt(opt.v / bc2) + ADAM_EPS)
 
 
 @dataclass
@@ -459,7 +451,6 @@ def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
              for name, arr in trainable_params(layer.state)]
     flat = np.concatenate([arr.reshape(-1) for *_, arr in named])
     gflat = np.empty_like(flat)
-    gsq = np.empty_like(flat)
     cuts = np.cumsum([arr.size for *_, arr in named])[:-1]
     grad_views = []
     for (i, name, arr), view, gview in zip(named, np.split(flat, cuts), np.split(gflat, cuts)):
@@ -475,8 +466,7 @@ def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
             raise NumericError(f"numeric failure at step {step}: {e}") from e
         for i, key, view in grad_views:
             view[...] = getattr(grads[i], key)
-        np.multiply(gflat, gflat, out=gsq)
-        grad_norm = float(np.sqrt(np.add.reduce(gsq)))
+        grad_norm = float(np.sqrt(np.add.reduce(gflat * gflat)))
         if cfg.scheduler == "cosine":
             lr = cosine_lr(step - 1, cfg.steps, cfg.warmup_frac, base_lr)
         else:

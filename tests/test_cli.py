@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -217,6 +218,36 @@ def test_run_factors_w0_at_most_once(tmp_path, monkeypatch, method, r_true, call
     path = write_config(tmp_path, method=method, r_true=r_true, seeds=[42], steps=2)
     run_experiment(path)
     assert len(seen) == calls
+
+
+def test_run_trains_each_seeds_model_once_in_seed_order(tmp_path, monkeypatch):
+    # perfbench wraps cli.make_model and cli.train: it counts tc.steps per
+    # train call and looks up the base it snapshotted at make_model by
+    # id(model), so every seed's model must reach cli.train once, positionally.
+    made, trained = [], []
+    real_make_model, real_train = cli.make_model, cli.train
+
+    def recording_make_model(*args, **kwargs):
+        model = real_make_model(*args, **kwargs)
+        seed = inspect.signature(real_make_model).bind(*args, **kwargs).arguments["seed"]
+        made.append((seed, model))
+        return model
+
+    def recording_train(*args, **kwargs):
+        trained.append((args, kwargs))
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "make_model", recording_make_model)
+    monkeypatch.setattr(cli, "train", recording_train)
+    seeds = [78, 42]
+    run_experiment(write_config(tmp_path, seeds=seeds, steps=3))
+    assert [seed for seed, _ in made] == seeds
+    assert len(trained) == len(seeds)
+    for (seed, model), (args, kwargs) in zip(made, trained):
+        assert kwargs == {} and len(args) == 3
+        assert args[0] is model
+        assert isinstance(args[1], trainer.Task) and args[1].seed == seed
+        assert (args[2].seed, args[2].steps) == (seed, 3)
 
 
 def test_failed_rerun_leaves_no_summary_for_compare(tmp_path, capsys):
