@@ -34,7 +34,9 @@ A lora/pissa step costs GEMMs of O(r (d + k) n + d k n) operations and forms
 no d x k array. The magnitude methods add the d x k passes of
 adapters.step_cache, which derives v and its norms once per step as a value
 that layer_forward and param_grads both take, and the O(r d k) products
-b^T v and v (a c)^T. full's dbase = gz x^T is a new d x k array.
+b^T v and v (a c)^T. full's dbase = gz x^T is a d x k array: a new one, or
+the caller's (param_grads' out, as trainer.train passes views of its flat
+gradient buffer).
 
 finite_diff_grads, the oracle these formulas are checked against, takes
 central differences of forwards instead; its docstring says how.
@@ -101,18 +103,23 @@ def direction_gradient(cache: StepCache, proj: np.ndarray) -> np.ndarray:
 
 
 def param_grads(state: AdapterState, gz: np.ndarray, x: np.ndarray, cache: StepCache | None,
-                input_grad: bool = True) -> GradientSet:
+                input_grad: bool = True, out: GradientSet | None = None) -> GradientSet:
     """The per-layer VJP: gradients of L through z = layer_forward(state, x,
     cache), given the input block x (k x n), gz = dL/dz (d x n) and cache =
-    adapters.step_cache(state), summed over the n columns, in new arrays. dx
-    is None unless input_grad.
+    adapters.step_cache(state), summed over the n columns. dx is None unless
+    input_grad.
+
+    The parameter gradients go into new arrays, or, given out, into out's
+    arrays of the same names (C-contiguous float64 of the parameters'
+    shapes), which the returned set then holds; dx is always a new array.
     """
+    o = out if out is not None else GradientSet()
     # np.dot rather than @: the same BLAS products with less per-call
     # overhead, which dominates a step at small d and k. full's d x k outer
     # product over the batch is the exception: np.matmul is faster there.
     if state.method == "full":
         dx = np.dot(state.base.T, gz) if input_grad else None
-        return GradientSet(dx=dx, dbase=np.matmul(gz, x.T))
+        return GradientSet(dx=dx, dbase=np.matmul(gz, x.T, out=o.dbase))
     s, b, a = state.config.scaling, state.b, state.a
     bg = np.dot(b.T, gz)
     if state.m is None:
@@ -120,7 +127,7 @@ def param_grads(state: AdapterState, gz: np.ndarray, x: np.ndarray, cache: StepC
         if input_grad:
             dx = np.dot(state.base.T, gz)
             dx += _scaled(np.dot(a.T, bg), s)
-        db, da = np.dot(gz, np.dot(a, x).T), np.dot(bg, x.T)
+        db, da = np.dot(gz, np.dot(a, x).T, o.db), np.dot(bg, x.T, o.da)
         return GradientSet(db=_scaled(db, s), da=_scaled(da, s), dx=dx)
     v, mn = cache.v, cache.mn[:, None]
     x_m = x * mn
@@ -128,12 +135,13 @@ def param_grads(state: AdapterState, gz: np.ndarray, x: np.ndarray, cache: StepC
     # proj_j = <v_j, g_j> once for dm and c.
     proj = np.add.reduce(x * p, axis=1)
     c = direction_gradient(cache, proj)
-    db = np.dot(gz, np.dot(a, x_m).T)
+    db = np.dot(gz, np.dot(a, x_m).T, o.db)
     db -= np.dot(v, (a * c).T)
-    da = np.dot(bg, x_m.T)
+    da = np.dot(bg, x_m.T, o.da)
     da -= np.dot(b.T, v) * c
+    dm = np.divide(proj, cache.n, out=o.dm)
     dx = np.multiply(p, mn, out=p) if input_grad else None
-    return GradientSet(db=_scaled(db, s), da=_scaled(da, s), dm=proj / cache.n, dx=dx)
+    return GradientSet(db=_scaled(db, s), da=_scaled(da, s), dm=dm, dx=dx)
 
 
 def backward(state: AdapterState, x, gy) -> GradientSet:

@@ -251,9 +251,10 @@ def model_forward(model: Model, x: np.ndarray) -> np.ndarray:
 
 def _mse_loss_gy(y: np.ndarray, t: np.ndarray):
     # Per-sample squared error summed over outputs, averaged over the batch.
+    # np.add.reduce over every axis is what ndarray.sum calls.
     n = y.shape[1]
     r = y - t
-    return float((r * r).sum()) / n, (2.0 / n) * r
+    return float(np.add.reduce(r * r, axis=None)) / n, (2.0 / n) * r
 
 
 def _targets(model: Model, t, n: int) -> np.ndarray:
@@ -293,13 +294,22 @@ def loss_and_grads(model: Model, batch) -> tuple[float, list[GradientSet]]:
     returns mean gradients so the learning rate is comparable across batch sizes.
     Each layer's direction (adapters.step_cache) is derived once, for the
     forward and the VJP both. The first layer's dx is None: nothing reads
-    it. The targets are checked against model.loss (ValueError).
+    it. x must be a k x n block with n >= 1, and the targets are checked
+    against model.loss (ValueError).
     """
     x, t = batch
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] < 1:
         raise ValueError(f"batch must be a k x n block with n >= 1, got shape {x.shape}")
-    t = _targets(model, t, x.shape[1])
+    return _loss_and_grads(model, x, _targets(model, t, x.shape[1]))
+
+
+def _loss_and_grads(model: Model, x: np.ndarray, t: np.ndarray,
+                    out: list[GradientSet] | None = None) -> tuple[float, list[GradientSet]]:
+    """loss_and_grads of a batch that passes its checks, unchecked: x a
+    float64 k x n block, t targets as _targets returns them. Given out, one
+    GradientSet per layer, each layer's parameter gradients are written into
+    its arrays (grad.param_grads' out)."""
     acts, caches = [x], []
     for layer in model.layers:
         caches.append(step_cache(layer.state))
@@ -312,7 +322,7 @@ def loss_and_grads(model: Model, batch) -> tuple[float, list[GradientSet]]:
     for idx in reversed(range(len(model.layers))):
         gz = gy * (acts[idx + 1] > 0.0) if model.layers[idx].relu else gy
         grads[idx] = param_grads(model.layers[idx].state, gz, acts[idx], caches[idx],
-                                 input_grad=idx > 0)
+                                 input_grad=idx > 0, out=None if out is None else out[idx])
         gy = grads[idx].dx
     return loss, grads
 
@@ -433,9 +443,10 @@ def training_stream(task: Task, seed: int) -> np.random.Generator:
 
 def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
     """Run cfg.steps optimization steps on trainables rebound to views of one
-    buffer, updated by one optimizer_step per step. The optimizer state and
-    the gradient buffers live for the call; nothing else is kept between
-    steps.
+    buffer, updated by one optimizer_step per step from a gradient twin of
+    that buffer, which grad.param_grads writes through views of the same
+    shapes. The optimizer state and the gradient buffer live for the call;
+    nothing else is kept between steps.
 
     Batches come from task.batches on training_stream(task, cfg.seed), so
     teacher_student runs draw them a chunk at a time, with the bits of one
@@ -452,21 +463,21 @@ def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
     flat = np.concatenate([arr.reshape(-1) for *_, arr in named])
     gflat = np.empty_like(flat)
     cuts = np.cumsum([arr.size for *_, arr in named])[:-1]
-    grad_views = []
+    grads = [GradientSet() for _ in model.layers]
     for (i, name, arr), view, gview in zip(named, np.split(flat, cuts), np.split(gflat, cuts)):
         setattr(model.layers[i].state, name, view.reshape(arr.shape))
-        grad_views.append((i, "d" + name, gview.reshape(arr.shape)))
+        setattr(grads[i], "d" + name, gview.reshape(arr.shape))
     opt = OptState(cfg.optimizer)
     base_lr = cfg.resolved_lr()
     records: list[MetricsRecord] = []
-    for step, batch in enumerate(task.batches(rng, cfg.batch_size, cfg.steps), 1):
+    # Every batch of Task.batches passes loss_and_grads' checks, so a step
+    # takes the unchecked call.
+    for step, (x, t) in enumerate(task.batches(rng, cfg.batch_size, cfg.steps), 1):
         try:
-            loss, grads = loss_and_grads(model, batch)
+            loss, _ = _loss_and_grads(model, x, t, grads)
         except NumericError as e:
             raise NumericError(f"numeric failure at step {step}: {e}") from e
-        for i, key, view in grad_views:
-            view[...] = getattr(grads[i], key)
-        grad_norm = float(np.sqrt(np.add.reduce(gflat * gflat)))
+        grad_norm = math.sqrt(np.add.reduce(gflat * gflat))
         if cfg.scheduler == "cosine":
             lr = cosine_lr(step - 1, cfg.steps, cfg.warmup_frac, base_lr)
         else:
