@@ -34,9 +34,8 @@ A lora/pissa step costs GEMMs of O(r (d + k) n + d k n) operations and forms
 no d x k array. The magnitude methods add the d x k passes of
 adapters.step_cache, which derives v and its norms once per step as a value
 that layer_forward and param_grads both take, and the O(r d k) products
-b^T v and v (a c)^T. full's dbase = gz x^T is a d x k array: a new one, or
-the caller's (param_grads' out, as trainer.train passes views of its flat
-gradient buffer).
+b^T v and v (a c)^T. full's dbase = gz x^T is a d x k array, new unless
+param_grads is given out (trainer.train's flat gradient buffer).
 
 finite_diff_grads, the oracle these formulas are checked against, takes
 central differences of forwards instead; its docstring says how.
@@ -107,11 +106,8 @@ def param_grads(state: AdapterState, gz: np.ndarray, x: np.ndarray, cache: StepC
     """The per-layer VJP: gradients of L through z = layer_forward(state, x,
     cache), given the input block x (k x n), gz = dL/dz (d x n) and cache =
     adapters.step_cache(state), summed over the n columns. dx is None unless
-    input_grad.
-
-    The parameter gradients go into new arrays, or, given out, into out's
-    arrays of the same names (C-contiguous float64 of the parameters'
-    shapes), which the returned set then holds; dx is always a new array.
+    input_grad. The parameter gradients go into out's arrays (C-contiguous
+    float64) when out is given, else into new arrays; dx is always new.
     """
     o = out if out is not None else GradientSet()
     # np.dot rather than @: the same BLAS products with less per-call

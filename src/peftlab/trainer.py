@@ -306,10 +306,9 @@ def loss_and_grads(model: Model, batch) -> tuple[float, list[GradientSet]]:
 
 def _loss_and_grads(model: Model, x: np.ndarray, t: np.ndarray,
                     out: list[GradientSet] | None = None) -> tuple[float, list[GradientSet]]:
-    """loss_and_grads of a batch that passes its checks, unchecked: x a
-    float64 k x n block, t targets as _targets returns them. Given out, one
-    GradientSet per layer, each layer's parameter gradients are written into
-    its arrays (grad.param_grads' out)."""
+    """loss_and_grads without its checks: x a float64 k x n block, t as
+    _targets returns it. out, one GradientSet per layer, is each layer's
+    grad.param_grads out."""
     acts, caches = [x], []
     for layer in model.layers:
         caches.append(step_cache(layer.state))

@@ -22,6 +22,7 @@ from peftlab.adapters import (
     trainable_params,
 )
 from peftlab.grad import (
+    GradientSet,
     backward,
     compare_gradient_sets,
     direction_gradient,
@@ -209,6 +210,52 @@ def test_param_grads_reads_only_the_block_it_is_given(method):
     want = gradient_bits(param_grads(state, gz, x2, cache))
     layer_forward(state, x1, cache)
     assert gradient_bits(param_grads(state, gz, x2, cache)) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    method=st.sampled_from(METHODS),
+    d=st.integers(1, 12),
+    k=st.integers(1, 12),
+    rank=st.integers(1, 12),
+    n=st.integers(1, 6),
+    scaling=st.sampled_from([0.5, 3.0]),
+    input_grad=st.booleans(),
+    zero_column=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(method="dude", d=1, k=7, rank=1, n=3, scaling=0.5, input_grad=True,
+         zero_column=False, seed=1)
+@example(method="lora", d=7, k=1, rank=1, n=1, scaling=3.0, input_grad=False,
+         zero_column=False, seed=2)
+@example(method="dora", d=5, k=8, rank=5, n=4, scaling=3.0, input_grad=True,
+         zero_column=True, seed=3)
+@example(method="full", d=1, k=1, rank=1, n=2, scaling=0.5, input_grad=True,
+         zero_column=False, seed=4)
+def test_param_grads_into_out_gives_the_bits_of_new_arrays(method, d, k, rank, n, scaling,
+                                                           input_grad, zero_column, seed):
+    # out's arrays are views of one NaN-filled flat buffer, as train passes
+    # them: the returned set holds those very arrays, every entry written
+    # with the bits of the call without out, and dx is a new array.
+    state, _, _ = random_case(method, d, k, min(rank, d, k), seed, scaling=scaling)
+    if zero_column:
+        state = with_zero_column(state)
+    rng = np.random.default_rng(seed)
+    x, gz = rng.standard_normal((k, n)), rng.standard_normal((d, n))
+    cache = step_cache(state)
+    want = param_grads(state, gz, x, cache, input_grad=input_grad)
+    params = trainable_params(state)
+    flat = np.full(sum(arr.size for _, arr in params), np.nan)
+    cuts = np.cumsum([arr.size for _, arr in params])[:-1]
+    out = GradientSet(**{"d" + name: view.reshape(arr.shape)
+                         for (name, arr), view in zip(params, np.split(flat, cuts))})
+    got = param_grads(state, gz, x, cache, input_grad=input_grad, out=out)
+    for name, _ in params:
+        assert getattr(got, "d" + name) is getattr(out, "d" + name), name
+    assert gradient_bits(got) == gradient_bits(want)
+    assert (got.dx is None) == (not input_grad)
+    if input_grad:
+        assert got.dx.base is None and not np.shares_memory(got.dx, flat)
 
 
 @settings(max_examples=60, deadline=None)

@@ -25,6 +25,8 @@ from peftlab.trainer import (
     Model,
     OptState,
     TrainConfig,
+    _loss_and_grads,
+    _targets,
     cosine_lr,
     evaluate,
     loss_and_grads,
@@ -150,6 +152,47 @@ def test_batches_are_the_bits_of_per_step_draws(kind, d, k, n, sigma, count, see
         == written.bit_generator.state
     if count == 0:
         assert chunked.bit_generator.state == start
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["teacher_student", "cluster_classify"]),
+    d=st.integers(1, 40),
+    k=st.integers(1, 40),
+    n=st.integers(1, 40),
+    sigma=st.sampled_from([0.0, 0.3]),
+    count=st.integers(1, 2 * _DRAW_BYTES // 8),
+    seed=st.integers(0, 2**16),
+)
+@example(kind="teacher_student", d=16, k=16, n=8, sigma=0.3, count=33, seed=1)
+@example(kind="teacher_student", d=16, k=16, n=8, sigma=0.0, count=65, seed=2)
+@example(kind="cluster_classify", d=5, k=16, n=8, sigma=0.0, count=3, seed=3)
+def test_every_drawn_batch_passes_the_checks_train_skips(kind, d, k, n, sigma, count, seed):
+    # train takes the unchecked _loss_and_grads on the batches of
+    # Task.batches: each must be a batch loss_and_grads' checks pass and
+    # leave as it is, x a float64 k x n block and t the model's targets
+    # (mse: float64 d x n; cross-entropy: n integer labels in [0, d)).
+    # Counts reach past the first draw chunk.
+    count = 1 + (count - 1) % (2 * _draw_chunk(d, k, n, sigma) + 1)
+    task = make_task(kind, d, k, sigma=sigma, seed=seed)
+    model = make_model(task, "lora", rank=1, seed=seed)
+    drawn = 0
+    for x, t in task.batches(training_stream(task, seed), n, count):
+        assert type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (k, n)
+        assert np.asarray(x, dtype=np.float64) is x
+        assert _targets(model, t, n) is t
+        if kind == "teacher_student":
+            assert t.dtype == np.float64 and t.shape == (d, n)
+        else:
+            assert np.issubdtype(t.dtype, np.integer) and t.shape == (n,)
+            assert 0 <= t.min() and t.max() < d
+        if drawn == 0:
+            loss, grads = loss_and_grads(model, (x, t))
+            want_loss, want = _loss_and_grads(model, x, t)
+            assert float(loss).hex() == float(want_loss).hex()
+            assert [g.da.tobytes() for g in grads] == [g.da.tobytes() for g in want]
+        drawn += 1
+    assert drawn == count
 
 
 def test_task_loss_follows_its_kind():
