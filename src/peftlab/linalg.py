@@ -4,7 +4,9 @@ Everything operates on 2-D float64 numpy arrays. The SVD is hand-rolled
 rather than delegated to LAPACK because the adapter initializations (and
 their tests) need bit-reproducible factors with a fixed sign convention;
 cyclic one-sided Jacobi is simple and extremely accurate at the matrix
-sizes this package targets (tens of rows/columns).
+sizes this package targets (tens of rows/columns). LAPACK enters only for an
+exactly rank-deficient input: one Householder QR completes the left singular
+vectors of its zero singular values.
 
 The sweeps rotate the row-cyclic pairs a level of equal i + j at a time,
 with one stacked dot product and one slice rotation per level; _jacobi_tall
@@ -279,12 +281,16 @@ def _jacobi_tall(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     order = np.argsort(-norms, kind="stable")
     sigma = norms[order]
     v = v[:, order]
-    # Zero norms sort last; their columns of u are completed in order.
+    # Zero norms sort last. Their columns of u, which only an exactly
+    # rank-deficient w has, complete the first p to an orthonormal set: the
+    # Q of a Householder QR is orthonormal by construction, and its first p
+    # columns span u[:, :p]. Adding 0.0 turns Q's -0.0 entries into +0.0.
     p = np.count_nonzero(sigma)
-    u = np.zeros_like(m)
+    u = np.empty_like(m)
     np.divide(m[:, order[:p]], sigma[:p], out=u[:, :p])
-    for idx in range(p, n_cols):
-        u[:, idx] = _orthonormal_completion(u)
+    if p < n_cols:
+        q = np.linalg.qr(np.hstack([u[:, :p], np.eye(rows, n_cols - p)]))[0]
+        u[:, p:] = q[:, p:] + 0.0
     return u, sigma, v
 
 
@@ -308,29 +314,6 @@ def _worst_offdiag(m: np.ndarray) -> float:
     ratios = np.abs(g) / np.where(scale > 0.0, scale, 1.0)
     np.fill_diagonal(ratios, 0.0)
     return float(ratios.max())
-
-
-def _orthonormal_completion(u: np.ndarray) -> np.ndarray:
-    """Deterministic unit vector orthogonal to the (partial) columns of u.
-
-    Only reached for exactly rank-deficient inputs, where some columns of
-    the rotated matrix are zero and carry no direction of their own.
-    """
-    best = None
-    best_norm = 0.0
-    for basis in range(u.shape[0]):
-        cand = np.zeros(u.shape[0])
-        cand[basis] = 1.0
-        cand -= u @ (u.T @ cand)
-        norm = float(np.linalg.norm(cand))
-        if norm > best_norm + 1e-12:
-            best, best_norm = cand, norm
-    if best is None or best_norm == 0.0:
-        raise NumericError("cannot extend singular basis: no orthogonal direction left")
-    best /= best_norm
-    # One re-orthogonalization pass keeps the completion at working precision.
-    best -= u @ (u.T @ best)
-    return best / np.linalg.norm(best)
 
 
 def truncate_svd(f: SvdFactors, r: int) -> SvdFactors:

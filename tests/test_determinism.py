@@ -9,9 +9,12 @@ from pathlib import Path
 import peftlab
 
 # Run in a fresh process, since BLAS reads its thread count when numpy loads.
-# Prints one sha256 over the factor bytes of svd at four shapes and the
-# records of three 30-step runs: both cluster_classify layers of lora and dora
-# at 64 x 256, and dude's one 64 x 64 layer, which make_task factors.
+# Prints one sha256 over the factor bytes of svd at four shapes and at a
+# 256 x 64 input with a zero column and two equal columns 0 and 1, which the
+# sweep's first rotation turns into a second zero column, so that two columns
+# of u come from the QR completion; then over the records of three 30-step
+# runs: both cluster_classify layers of lora and dora at 64 x 256, and dude's
+# one 64 x 64 layer, which make_task factors.
 CHILD = """
 import hashlib
 import numpy as np
@@ -20,8 +23,12 @@ from peftlab.trainer import TrainConfig, make_model, make_task, train
 
 digest = hashlib.sha256()
 rng = np.random.default_rng(11)
-for shape in [(64, 64), (256, 64), (32, 257), (128, 128)]:
-    f = svd(rng.standard_normal(shape))
+inputs = [rng.standard_normal(shape) for shape in [(64, 64), (256, 64), (32, 257), (128, 128)]]
+deficient = rng.standard_normal((256, 64))
+deficient[:, 5] = 0.0
+deficient[:, 1] = deficient[:, 0]
+for w in inputs + [deficient]:
+    f = svd(w)
     for arr in (f.u, f.sigma, f.v):
         digest.update(arr.tobytes())
 for kind, d, k, method, rank in [("cluster_classify", 64, 256, "dora", 8),

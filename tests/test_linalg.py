@@ -266,8 +266,12 @@ def _reference_jacobi_tall(w):
     for idx, col in enumerate(order):
         if sigma[idx] > 0.0:
             u[:, idx] = m[:, col] / sigma[idx]
-        else:
-            u[:, idx] = linalg._orthonormal_completion(u)
+    # The columns of zero singular values, completed by the one Householder
+    # QR that _jacobi_tall calls, with its -0.0 entries made +0.0.
+    p = np.count_nonzero(sigma)
+    if p < n_cols:
+        q = np.linalg.qr(np.hstack([u[:, :p], np.eye(len(m), n_cols - p)]))[0]
+        u[:, p:] = q[:, p:] + 0.0
     return u, sigma, v
 
 
@@ -365,10 +369,14 @@ def test_svd_square_matrix_with_two_equal_rows_converges(n):
 
 
 def test_svd_zero_matrix_has_orthonormal_factors():
-    f = svd(np.zeros((4, 3)))
-    assert np.array_equal(f.sigma, np.zeros(3))
-    assert np.abs(f.u.T @ f.u - np.eye(3)).max() <= 1e-12
-    assert np.abs(f.v.T @ f.v - np.eye(3)).max() <= 1e-12
+    # The factors are identity columns, bit for bit: no entry is -0.0, which
+    # the QR completion leaves and svd turns into +0.0.
+    for shape in [(4, 3), (3, 4), (1, 1), (5, 5)]:
+        p = min(shape)
+        f = svd(np.zeros(shape))
+        assert f.sigma.tobytes() == np.zeros(p).tobytes()
+        assert f.u.tobytes() == np.eye(shape[0], p).tobytes()
+        assert f.v.tobytes() == np.eye(shape[1], p).tobytes()
 
 
 def test_svd_rank_deficient():
@@ -381,6 +389,27 @@ def test_svd_rank_deficient():
     assert f.sigma[0] == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v), rel=1e-12)
     assert f.sigma[1] <= 1e-12 * f.sigma[0]
     assert frobenius_norm(reconstruct(f) - w) <= 1e-12 * frobenius_norm(w)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (64, 64), (257, 32), (32, 257)])
+def test_svd_completes_the_columns_of_zero_singular_values(shape):
+    # A zero column, and equal columns 0 and 1, which the sweep's first
+    # rotation turns into a second zero column (rows of a wide w, which is
+    # iterated transposed): the QR completion fills two columns of u.
+    w = np.random.default_rng(sum(shape)).standard_normal(shape)
+    tall = w if shape[0] >= shape[1] else w.T
+    tall[:, 5] = 0.0
+    tall[:, 1] = tall[:, 0]
+    f = svd(w)
+    assert np.count_nonzero(f.sigma == 0.0) == 2
+    p = f.sigma.size
+    assert np.abs(f.u.T @ f.u - np.eye(p)).max() <= linalg.ORTHONORMAL_TOL
+    assert np.abs(f.v.T @ f.v - np.eye(p)).max() <= linalg.ORTHONORMAL_TOL
+    assert frobenius_norm(reconstruct(f) - w) <= 1e-13 * frobenius_norm(w)
+    with mock.patch.object(linalg, "_jacobi_tall", _reference_jacobi_tall):
+        want = svd(w)
+    for name in ("u", "sigma", "v"):
+        assert getattr(f, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_svd_wide_matrix_uses_transposed_iteration():

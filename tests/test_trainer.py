@@ -19,6 +19,8 @@ from peftlab.grad import backward, finite_diff_grads, grad_check
 from peftlab.linalg import NumericError, svd
 from peftlab.trainer import (
     _DRAW_BYTES,
+    ADAM_BETA1,
+    ADAM_BETA2,
     DEFAULT_SEEDS,
     Layer,
     MetricsRecord,
@@ -366,6 +368,79 @@ def test_adam_first_step_is_lr_times_sign():
     p = np.array([1.0])
     optimizer_step(p, np.array([2.0]), OptState("adam"), lr=0.1)
     assert p[0] == pytest.approx(0.9, rel=1e-8)
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def adam_step_bound(lr, t):
+    """The largest move of one coordinate at Adam's step t:
+    lr (1 - b1) sqrt((1 - rho^t) / (1 - rho)) sqrt(1 - b2^t) / ((1 - b1^t) sqrt(1 - b2))
+    with rho = b1^2 / b2. By Cauchy-Schwarz over the moment sums,
+    |m_t| <= (1 - b1) sqrt((1 - rho^t) / (1 - rho)) sqrt(v_t / (1 - b2)), and
+    the denominator's eps only shrinks the step. It is lr at t = 1."""
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    rho = b1 * b1 / b2
+    return (lr * (1.0 - b1) * math.sqrt((1.0 - rho ** t) / (1.0 - rho)) * math.sqrt(1.0 - b2 ** t)
+            / ((1.0 - b1 ** t) * math.sqrt(1.0 - b2)))
+
+
+def adam_moves(grads, lr):
+    """|step| of every coordinate at every step of Adam on the gradient rows
+    of grads. p is reset to 0 before each step, so that -p is the step itself:
+    0 - step rounds to nothing."""
+    opt = OptState("adam")
+    moves = []
+    for g in grads:
+        p = np.zeros(g.shape)
+        optimizer_step(p, g, opt, lr)
+        moves.append(np.abs(p))
+    return np.array(moves)
+
+
+def extremal_gradients(steps):
+    """The sequence that makes the bound tight at the last step: Cauchy-Schwarz
+    holds with equality when |g_i| is proportional to (b1 / b2)^(t - i), all
+    of one sign."""
+    return (ADAM_BETA1 / ADAM_BETA2) ** np.arange(steps - 1.0, -1.0, -1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    steps=st.integers(1, 100),
+    coords=st.integers(1, 4),
+    kind=st.sampled_from(["normal", "signs", "sparse", "extremal"]),
+    exponent=st.floats(-100.0, 100.0),
+    lr=st.floats(1e-6, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(steps=1, coords=1, kind="signs", exponent=0.0, lr=1.0, seed=0)
+@example(steps=100, coords=2, kind="extremal", exponent=100.0, lr=1e-3, seed=1)
+@example(steps=100, coords=2, kind="sparse", exponent=-100.0, lr=2e-3, seed=2)
+def test_adam_step_is_bounded_by_the_moment_budget(steps, coords, kind, exponent, lr, seed):
+    # Gradient sequences at scale 10^exponent with random signs: normal
+    # draws, constant magnitude, bursts after zeros, or the extremal
+    # sequence. The moments round once or twice per step, so the bound gets
+    # a margin of a few eps per step.
+    rng = np.random.default_rng(seed)
+    signs = rng.choice([-1.0, 1.0], size=(steps, coords))
+    if kind == "normal":
+        g = rng.standard_normal((steps, coords))
+    elif kind == "signs":
+        g = signs
+    elif kind == "sparse":
+        g = signs * (rng.random((steps, coords)) < 0.1) * rng.exponential(size=(steps, coords))
+    else:
+        g = signs[0] * extremal_gradients(steps)[:, None]
+    moves = adam_moves(g * 10.0 ** exponent, lr)
+    for t, move in enumerate(moves, 1):
+        assert move.max() <= adam_step_bound(lr, t) * (1.0 + 4.0 * (t + 2) * EPS), t
+
+
+@pytest.mark.parametrize("steps", [1, 10, 600])
+def test_adam_step_bound_is_attained(steps):
+    move = adam_moves(extremal_gradients(steps)[:, None], 1.0)[-1, 0]
+    assert 1.0 - 1e-6 <= move / adam_step_bound(1.0, steps) <= 1.0 + 4.0 * (steps + 2) * EPS
 
 
 def test_zero_gradient_keeps_params():
