@@ -129,9 +129,10 @@ def initialize(w0, cfg: AdapterConfig, *, factors: SvdFactors | None = None) -> 
     effective weight equals w0, up to the NORM_EPSILON guard of the
     magnitude methods; the base is read-only except for full.
 
-    factors, if given, must be svd(w0): the SVD-initialized methods use it
-    instead of factoring w0 again, with identical results, and the other
-    methods ignore it. Its shapes are checked against w0; its values are not.
+    factors, if given, must be an SVD of w0 in svd's sign convention: the
+    SVD-initialized methods use it instead of factoring w0 with svd, and the
+    other methods ignore it. Its shapes are checked against w0; its values
+    are not.
     """
     w0 = as_matrix(w0, "w0")
     d, k = w0.shape

@@ -1,12 +1,15 @@
-"""Dense matrix helpers and a one-sided Jacobi SVD.
+"""Dense matrix helpers and two thin SVDs.
 
-Everything operates on 2-D float64 numpy arrays. The SVD is hand-rolled
-rather than delegated to LAPACK because the adapter initializations (and
-their tests) need bit-reproducible factors with a fixed sign convention;
-cyclic one-sided Jacobi is simple and extremely accurate at the matrix
-sizes this package targets (tens of rows/columns). LAPACK enters only for an
-exactly rank-deficient input: one Householder QR completes the left singular
-vectors of its zero singular values.
+Everything operates on 2-D float64 numpy arrays. svd, which every caller but
+make_task uses, is LAPACK's (np.linalg.svd). _jacobi_svd, a hand-rolled cyclic
+one-sided Jacobi, serves make_task alone: the teacher weights and
+Task.w0_factors, and through them the benchmark's reference losses and the
+tests' factor digests, rest on its bits, so it stays until those are
+regenerated. It is also the oracle the tests hold svd to. Both share one
+wrapper: a power-of-two prescale, a fixed sign convention and an
+orthonormality check, so each gives bit-reproducible factors. Jacobi enters
+LAPACK only for an exactly rank-deficient input: one Householder QR completes
+the left singular vectors of its zero singular values.
 
 The sweeps rotate the row-cyclic pairs a level of equal i + j at a time,
 with one stacked dot product and one slice rotation per level; _jacobi_tall
@@ -127,26 +130,53 @@ class SvdFactors:
 
 
 def svd(w) -> SvdFactors:
-    """Thin SVD via cyclic one-sided Jacobi.
+    """Thin SVD by LAPACK (np.linalg.svd, divide and conquer).
 
-    The iteration always runs on the tall orientation (the input is
-    transposed internally when d < k). Signs are normalized so the
-    largest-magnitude entry of each left singular vector is positive
-    (first such entry on ties), making the output deterministic and
-    directly comparable across runs. Raises NumericError when the sweeps do
-    not converge, or when u or v is not orthonormal to ORTHONORMAL_TOL.
+    Signs are normalized so the largest-magnitude entry of each left singular
+    vector is positive (first such entry on ties), making the output
+    deterministic and directly comparable across runs. Raises NumericError
+    when LAPACK does not converge, or when u or v is not orthonormal to
+    ORTHONORMAL_TOL.
     """
+    return _factored(w, _lapack)
+
+
+def _jacobi_svd(w) -> SvdFactors:
+    """Thin SVD via cyclic one-sided Jacobi, in svd's sign convention.
+
+    make_task's factors, whose bits the reference losses pin; every other
+    caller uses svd. The iteration always runs on the tall orientation (the
+    input is transposed internally when d < k). Raises NumericError when the
+    sweeps do not converge, or when u or v is not orthonormal to
+    ORTHONORMAL_TOL.
+    """
+    return _factored(w, _jacobi)
+
+
+def _lapack(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    try:
+        u, sigma, vt = np.linalg.svd(w, full_matrices=False)
+    except np.linalg.LinAlgError as e:
+        # LinAlgError is a ValueError, which the CLI reports as an input error.
+        raise NumericError(f"LAPACK svd failed: {e}") from None
+    return u, sigma, vt.T
+
+
+def _jacobi(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    if w.shape[0] >= w.shape[1]:
+        return _jacobi_tall(w)
+    v, sigma, u = _jacobi_tall(w.T)
+    return u, sigma, v
+
+
+def _factored(w, kernel) -> SvdFactors:
+    """kernel's (u, sigma, v) of w, prescaled, sign-normalized and checked."""
     w = as_matrix(w)
-    d, k = w.shape
     # Jacobi's Gram entries square w's entries and under- or overflow far inside
-    # the float64 range, so iterate on w / 2**e with max|w / 2**e| in [0.5, 1):
-    # a power-of-two scaling is exact, so u and v keep their bits at any scale.
+    # the float64 range, so factor w / 2**e with max|w / 2**e| in [0.5, 1): a
+    # power-of-two scaling is exact, so u and v keep their bits at any scale.
     _, e = np.frexp(np.abs(w).max())
-    w = np.ldexp(w, -e)
-    if d >= k:
-        u, sigma, v = _jacobi_tall(w)
-    else:
-        v, sigma, u = _jacobi_tall(w.T)
+    u, sigma, v = kernel(np.ldexp(w, -e))
     sigma = np.ldexp(sigma, e)
     p = sigma.size
     flip = u[np.abs(u).argmax(axis=0), np.arange(p)] < 0.0

@@ -25,7 +25,7 @@ from .adapters import AdapterConfig, AdapterState, initialize, layer_forward, st
 from .adapters import trainable_params
 from .grad import GradientSet, param_grads
 from .linalg import _INT_MAX, NumericError, SvdFactors, _check_choice, _check_int, _check_number
-from .linalg import svd, truncate_svd
+from .linalg import _jacobi_svd, truncate_svd
 
 __all__ = [
     "DEFAULT_SEEDS",
@@ -82,8 +82,11 @@ def _substream(*entropy: int) -> np.random.Generator:
 class Task:
     """A seeded synthetic data source with a fixed held-out eval set.
 
-    w0_factors is svd(w0) when make_task factored w0 (teacher_student with
-    r_true > 0); make_model hands it to initialize, so a run factors w0 once.
+    w0_factors is the SVD of w0 that make_task built the teacher from
+    (teacher_student with r_true > 0), by linalg._jacobi_svd, whose bits the
+    benchmark's reference losses pin. make_model hands it to initialize, so a
+    run factors w0 once and its SVD-initialized adapter starts from the
+    teacher's own factors.
 
     A run's batches come from batches, which draws teacher_student batches a
     chunk at a time; sample_batch draws one batch with the same bits, so
@@ -174,7 +177,7 @@ def make_task(kind: str, d: int, k: int, r_true: int = 0, sigma: float = 0.0,
         w_target = w0.copy()
         factors = None
         if r_true > 0:
-            factors = svd(w0)
+            factors = _jacobi_svd(w0)
             top = truncate_svd(factors, r_true)
             strengths = rng.uniform(0.5, 1.5, size=r_true)
             w_target = w0 + (top.u * strengths) @ top.v.T

@@ -205,19 +205,23 @@ def test_run_bad_value_exits_1_before_any_output(tmp_path, capsys, overrides, fi
     (m, r, 1) for m in ("pissa", "dude", "dude_a", "dude_b") for r in (0, 2)
 ] + [("lora", 2, 1), ("lora", 0, 0), ("full", 0, 0)])
 def test_run_factors_w0_at_most_once(tmp_path, monkeypatch, method, r_true, calls):
-    # make_task factors w0 for the teacher (r_true > 0) and make_model hands
-    # the factors on; without a teacher, only an SVD-initialized method factors.
+    # make_task factors w0 for the teacher (r_true > 0) with the Jacobi, and
+    # make_model hands the factors on; without a teacher, only an
+    # SVD-initialized method factors, with svd.
     seen = []
 
-    def counting_svd(w):
-        seen.append(w)
-        return svd(w)
+    def counting(name, factor):
+        def counted(w):
+            seen.append(name)
+            return factor(w)
+        return counted
 
-    for module in (linalg, trainer, adapters, cli):
-        monkeypatch.setattr(module, "svd", counting_svd)
+    for module in (linalg, adapters, cli):
+        monkeypatch.setattr(module, "svd", counting("svd", svd))
+    monkeypatch.setattr(trainer, "_jacobi_svd", counting("jacobi", linalg._jacobi_svd))
     path = write_config(tmp_path, method=method, r_true=r_true, seeds=[42], steps=2)
     run_experiment(path)
-    assert len(seen) == calls
+    assert seen == ([] if calls == 0 else ["jacobi" if r_true > 0 else "svd"])
 
 
 def test_run_trains_each_seeds_model_once_in_seed_order(tmp_path, monkeypatch):
@@ -516,15 +520,31 @@ def test_svd_rank_out_of_range_exit_1(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [src]
 
 
-def test_svd_factors_not_orthonormal_exit_2(tmp_path, capsys):
-    # A column 1e-160 times smaller than the others defeats Jacobi's
-    # convergence test; svd fails loudly and writes no factor file.
+def test_svd_tiny_column_exits_0_with_orthonormal_factors(tmp_path):
+    # A column 1e-160 times smaller than the others defeats the Jacobi's
+    # convergence test, but not LAPACK's, which the svd subcommand calls.
     w = np.random.default_rng(0).standard_normal((5, 3))
     w[:, 2] *= 1e-160
     src = tmp_path / "m.csv"
     src.write_text("".join(",".join(repr(float(x)) for x in row) + "\n" for row in w))
-    assert main(["svd", "--in", str(src), "--rank", "2", "--out", str(tmp_path / "f")]) == 2
-    assert "not orthonormal" in capsys.readouterr().err
+    prefix = tmp_path / "f"
+    assert main(["svd", "--in", str(src), "--rank", "2", "--out", str(prefix)]) == 0
+    for name in ("U", "V"):
+        f = read_matrix_csv(tmp_path / f"f_{name}.csv")
+        assert np.abs(f.T @ f - np.eye(2)).max() <= 1e-12, name
+
+
+def test_svd_lapack_failure_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # np.linalg.LinAlgError is a ValueError, which would exit 1; svd raises
+    # NumericError instead, and no factor file is written.
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    src = tmp_path / "m.csv"
+    src.write_text("1,2\n3,4\n")
+    assert main(["svd", "--in", str(src), "--rank", "1", "--out", str(tmp_path / "f")]) == 2
+    assert "SVD did not converge" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [src]
 
 

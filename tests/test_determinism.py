@@ -1,5 +1,6 @@
-"""Bits do not depend on the BLAS thread count: the SVD's factors and the
-records of short training runs hash the same at one and at two threads."""
+"""Bits do not depend on the BLAS thread count: the factors of both SVDs
+and the records of short training runs hash the same at one and at two
+threads."""
 
 import os
 import subprocess
@@ -9,16 +10,17 @@ from pathlib import Path
 import peftlab
 
 # Run in a fresh process, since BLAS reads its thread count when numpy loads.
-# Prints one sha256 over the factor bytes of svd at four shapes and at a
-# 256 x 64 input with a zero column and two equal columns 0 and 1, which the
-# sweep's first rotation turns into a second zero column, so that two columns
-# of u come from the QR completion; then over the records of three 30-step
-# runs: both cluster_classify layers of lora and dora at 64 x 256, and dude's
-# one 64 x 64 layer, which make_task factors.
+# Prints one sha256 over the factor bytes of svd (LAPACK) and of the Jacobi
+# that make_task calls, each at four shapes and at a 256 x 64 input with a
+# zero column and two equal columns 0 and 1, which the Jacobi's first
+# rotation turns into a second zero column, so that two columns of its u come
+# from the QR completion; then over the records of three 30-step runs: both
+# cluster_classify layers of lora and dora at 64 x 256, and dude's one
+# 64 x 64 layer, which make_task factors.
 CHILD = """
 import hashlib
 import numpy as np
-from peftlab.linalg import svd
+from peftlab.linalg import _jacobi_svd, svd
 from peftlab.trainer import TrainConfig, make_model, make_task, train
 
 digest = hashlib.sha256()
@@ -27,10 +29,11 @@ inputs = [rng.standard_normal(shape) for shape in [(64, 64), (256, 64), (32, 257
 deficient = rng.standard_normal((256, 64))
 deficient[:, 5] = 0.0
 deficient[:, 1] = deficient[:, 0]
-for w in inputs + [deficient]:
-    f = svd(w)
-    for arr in (f.u, f.sigma, f.v):
-        digest.update(arr.tobytes())
+for factor in (svd, _jacobi_svd):
+    for w in inputs + [deficient]:
+        f = factor(w)
+        for arr in (f.u, f.sigma, f.v):
+            digest.update(arr.tobytes())
 for kind, d, k, method, rank in [("cluster_classify", 64, 256, "dora", 8),
                                  ("cluster_classify", 64, 256, "lora", 8),
                                  ("teacher_student", 64, 64, "dude", 4)]:

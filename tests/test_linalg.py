@@ -19,7 +19,12 @@ from peftlab.linalg import (
     svd,
     truncate_svd,
 )
-from peftlab.trainer import make_task
+from peftlab.adapters import AdapterConfig, initialize
+from peftlab.trainer import make_model, make_task
+
+# svd (LAPACK) serves every caller but make_task, which factors with the
+# Jacobi; the contract tests hold both to one sign convention and accuracy.
+SVDS = (svd, linalg._jacobi_svd)
 
 
 def reconstruct(f: SvdFactors) -> np.ndarray:
@@ -94,30 +99,50 @@ def _random_shapes(rng, count, lo=1, hi=16):
 
 
 def test_svd_reconstruction_and_orthogonality_random():
-    rng = np.random.default_rng(11)
-    for d, k in _random_shapes(rng, 60):
-        w = rng.standard_normal((d, k))
-        f = svd(w)
-        p = min(d, k)
-        rel = frobenius_norm(reconstruct(f) - w) / max(1.0, frobenius_norm(w))
-        assert rel <= 1e-10
-        assert np.abs(f.u.T @ f.u - np.eye(p)).max() <= 1e-10
-        assert np.abs(f.v.T @ f.v - np.eye(p)).max() <= 1e-10
-        assert np.all(np.diff(f.sigma) <= 0.0)
-        assert np.all(f.sigma >= 0.0)
+    for factor in SVDS:
+        rng = np.random.default_rng(11)
+        for d, k in _random_shapes(rng, 60):
+            w = rng.standard_normal((d, k))
+            f = factor(w)
+            p = min(d, k)
+            rel = frobenius_norm(reconstruct(f) - w) / max(1.0, frobenius_norm(w))
+            assert rel <= 1e-10
+            assert np.abs(f.u.T @ f.u - np.eye(p)).max() <= 1e-10
+            assert np.abs(f.v.T @ f.v - np.eye(p)).max() <= 1e-10
+            assert np.all(np.diff(f.sigma) <= 0.0)
+            assert np.all(f.sigma >= 0.0)
 
 
 def test_svd_matches_numpy_singular_values():
+    # The Jacobi's singular values against LAPACK's bidiagonal route.
     rng = np.random.default_rng(3)
     for d, k in _random_shapes(rng, 40):
         w = rng.standard_normal((d, k))
-        assert np.allclose(svd(w).sigma, np.linalg.svd(w, compute_uv=False), atol=1e-10)
+        assert np.allclose(linalg._jacobi_svd(w).sigma, np.linalg.svd(w, compute_uv=False),
+                           atol=1e-10)
 
 
-# The agreement a LAPACK svd must keep with Jacobi once Jacobi is its test
-# oracle. The subspace bound has Davis-Kahan's form, an error over the gap:
-# Jacobi stops at off-diagonal ratios of JACOBI_TOL (1e-12), and 3000 draws of
-# this strategy measured at most 6.2e-13 * sigma_max / gap.
+def _assert_factors_agree(u, sigma, u_ref, sigma_ref):
+    """sigma within 1e-13 * sigma_max of sigma_ref's leading entries, and the
+    top-r projector of u within 1e-11 * sigma_max / gap (spectral norm) of
+    u_ref's, for every r up to u's columns where the gap sigma_r - sigma_{r+1}
+    of sigma_ref, the full spectrum, is at least 1e-3 * sigma_max
+    (sigma_{p+1} = 0)."""
+    top = sigma_ref[0]
+    q = u.shape[1]
+    assert np.abs(sigma[:q] - sigma_ref[:q]).max() <= 1e-13 * top
+    below = np.append(sigma_ref[1:], 0.0)
+    for r in range(1, q + 1):
+        gap = sigma_ref[r - 1] - below[r - 1]
+        if gap >= 1e-3 * top > 0.0:
+            diff = u[:, :r] @ u[:, :r].T - u_ref[:, :r] @ u_ref[:, :r].T
+            assert np.linalg.norm(diff, 2) <= 1e-11 * top / gap, r
+
+
+# LAPACK's svd against its oracle, the Jacobi. The subspace bound has
+# Davis-Kahan's form, an error over the gap: Jacobi stops at off-diagonal
+# ratios of JACOBI_TOL (1e-12), and 3000 draws of this strategy measured at
+# most 6.2e-13 * sigma_max / gap.
 @settings(max_examples=100, deadline=None)
 @given(
     d=st.integers(1, 24),
@@ -132,9 +157,6 @@ def test_svd_matches_numpy_singular_values():
          repeat_col=False)
 @example(d=24, k=7, log_scale=-100.0, seed=1, product_rank=3, zero_col=True, repeat_col=True)
 def test_svd_agrees_with_lapack(d, k, log_scale, seed, product_rank, zero_col, repeat_col):
-    # sigma within 1e-13 * sigma_max, and the top-r left projector within
-    # 1e-11 * sigma_max / gap (spectral norm) wherever the gap
-    # sigma_r - sigma_{r+1} is at least 1e-3 * sigma_max (sigma_{p+1} = 0).
     rng = np.random.default_rng(seed)
     if product_rank is None:
         w = rng.standard_normal((d, k))
@@ -147,53 +169,77 @@ def test_svd_agrees_with_lapack(d, k, log_scale, seed, product_rank, zero_col, r
         w[:, rng.integers(k)] = w[:, rng.integers(k)]
     w *= 10.0 ** log_scale
     f = svd(w)
-    u, sigma, _ = np.linalg.svd(w, full_matrices=False)
-    top = sigma[0]
-    assert np.abs(f.sigma - sigma).max() <= 1e-13 * top
-    below = np.append(sigma[1:], 0.0)
-    for r in range(1, sigma.size + 1):
-        gap = sigma[r - 1] - below[r - 1]
-        if gap >= 1e-3 * top > 0.0:
-            diff = f.u[:, :r] @ f.u[:, :r].T - u[:, :r] @ u[:, :r].T
-            assert np.linalg.norm(diff, 2) <= 1e-11 * top / gap, r
+    want = linalg._jacobi_svd(w)
+    _assert_factors_agree(f.u, f.sigma, want.u, want.sigma)
+
+
+def _adapter_factors(state):
+    """(u, sigma, v) of an SVD-initialized adapter: b = u * sigma**p and
+    a = sigma**(1 - p) * v^T, so sigma_j = |b_j| |a_j|, and the columns of b
+    and the rows of a, normalized, are u and v."""
+    b_norms = np.linalg.norm(state.b, axis=0)
+    a_norms = np.linalg.norm(state.a, axis=1)
+    return state.b / b_norms, b_norms * a_norms, state.a.T / a_norms
+
+
+# An SVD-initialized model of a teacher-student task starts from make_task's
+# Jacobi factors, while initialize on its own factors w0 with svd: the two
+# adapters agree within the bounds above.
+@pytest.mark.parametrize("method", ["pissa", "dude", "dude_a", "dude_b"])
+@pytest.mark.parametrize("d, k", [(16, 16), (12, 20), (20, 12)])
+def test_make_model_init_agrees_with_initialize(method, d, k):
+    task = make_task("teacher_student", d, k, 2, 0.01, seed=d + k)
+    rank = min(d, k)
+    jacobi = make_model(task, method, rank).layers[0].state
+    lapack = initialize(task.w0, AdapterConfig(method, rank))
+    u, sigma, v = _adapter_factors(lapack)
+    u_ref, _, v_ref = _adapter_factors(jacobi)
+    _assert_factors_agree(u, sigma, u_ref, task.w0_factors.sigma)
+    _assert_factors_agree(v, sigma, v_ref, task.w0_factors.sigma)
+    if lapack.m is not None:
+        assert lapack.m.tobytes() == jacobi.m.tobytes()
 
 
 def test_svd_sign_convention():
-    rng = np.random.default_rng(5)
-    for d, k in _random_shapes(rng, 20, lo=2, hi=12):
-        f = svd(rng.standard_normal((d, k)))
-        for i in range(f.sigma.size):
-            col = f.u[:, i]
-            assert col[np.argmax(np.abs(col))] > 0.0
+    for factor in SVDS:
+        rng = np.random.default_rng(5)
+        for d, k in _random_shapes(rng, 20, lo=2, hi=12):
+            f = factor(rng.standard_normal((d, k)))
+            for i in range(f.sigma.size):
+                col = f.u[:, i]
+                assert col[np.argmax(np.abs(col))] > 0.0
 
 
 def test_svd_deterministic_bitwise():
     rng = np.random.default_rng(9)
     w = rng.standard_normal((7, 5))
-    f1 = svd(w)
-    f2 = svd(w)
-    assert f1.u.tobytes() == f2.u.tobytes()
-    assert f1.sigma.tobytes() == f2.sigma.tobytes()
-    assert f1.v.tobytes() == f2.v.tobytes()
+    for factor in SVDS:
+        f1 = factor(w)
+        f2 = factor(w)
+        assert f1.u.tobytes() == f2.u.tobytes()
+        assert f1.sigma.tobytes() == f2.sigma.tobytes()
+        assert f1.v.tobytes() == f2.v.tobytes()
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e100, 1e200])
 def test_svd_reconstructs_across_the_float_range(scale):
     w = np.random.default_rng(17).standard_normal((7, 5)) * scale
-    f = svd(w)
-    assert np.abs(reconstruct(f) - w).max() <= 1e-12 * np.abs(w).max()
-    assert np.abs(f.u.T @ f.u - np.eye(5)).max() <= 1e-12
-    assert np.abs(f.v.T @ f.v - np.eye(5)).max() <= 1e-12
+    for factor in SVDS:
+        f = factor(w)
+        assert np.abs(reconstruct(f) - w).max() <= 1e-12 * np.abs(w).max()
+        assert np.abs(f.u.T @ f.u - np.eye(5)).max() <= 1e-12
+        assert np.abs(f.v.T @ f.v - np.eye(5)).max() <= 1e-12
 
 
 def test_svd_power_of_two_scaling_is_exact():
     w = np.random.default_rng(19).standard_normal((4, 6))
-    f = svd(w)
-    for e in (-700, 700):
-        g = svd(np.ldexp(w, e))
-        assert g.u.tobytes() == f.u.tobytes()
-        assert g.v.tobytes() == f.v.tobytes()
-        assert g.sigma.tobytes() == np.ldexp(f.sigma, e).tobytes()
+    for factor in SVDS:
+        f = factor(w)
+        for e in (-700, 700):
+            g = factor(np.ldexp(w, e))
+            assert g.u.tobytes() == f.u.tobytes()
+            assert g.v.tobytes() == f.v.tobytes()
+            assert g.sigma.tobytes() == np.ldexp(f.sigma, e).tobytes()
 
 
 def test_svd_nonconvergence_reports_offdiagonal_residual(monkeypatch):
@@ -206,10 +252,10 @@ def test_svd_nonconvergence_reports_offdiagonal_residual(monkeypatch):
         for sweeps in (1, 2, 3):
             monkeypatch.setattr(linalg, "MAX_SWEEPS", sweeps)
             with pytest.raises(NumericError, match="off-diagonal ratio") as got:
-                svd(w)
+                linalg._jacobi_svd(w)
             with mock.patch.object(linalg, "_jacobi_tall", _reference_jacobi_tall):
                 with pytest.raises(NumericError) as want:
-                    svd(w)
+                    linalg._jacobi_svd(w)
             assert str(got.value) == str(want.value)
 
 
@@ -220,7 +266,29 @@ def test_svd_raises_on_factors_that_are_not_orthonormal(seed):
     w = np.random.default_rng(seed).standard_normal((5, 3))
     w[:, 2] *= 1e-160
     with pytest.raises(NumericError, match=r"not orthonormal: .* = \d\.\d{3}e-0\d exceeds 1e-10"):
-        svd(w)
+        linalg._jacobi_svd(w)
+
+
+# LAPACK has no such limit: svd factors a matrix with one column up to
+# 1e-300 times smaller than the others.
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 24),
+    k=st.integers(1, 24),
+    tiny=st.floats(100.0, 300.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=5, k=3, tiny=160.0, seed=0)
+@example(d=3, k=24, tiny=300.0, seed=1)
+def test_svd_factors_a_matrix_with_a_tiny_column(d, k, tiny, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((d, k))
+    w[:, rng.integers(k)] *= 10.0 ** -tiny
+    f = svd(w)
+    p = min(d, k)
+    assert np.abs(f.u.T @ f.u - np.eye(p)).max() <= 1e-12
+    assert np.abs(f.v.T @ f.v - np.eye(p)).max() <= 1e-12
+    assert np.abs(reconstruct(f) - w).max() <= 1e-12 * np.abs(w).max()
 
 
 # The straightforward row-cyclic Jacobi loop that linalg._jacobi_tall must
@@ -276,9 +344,9 @@ def _reference_jacobi_tall(w):
 
 
 def _svd_or_error(w):
-    """svd(w), or the message of the NumericError it raised."""
+    """_jacobi_svd(w), or the message of the NumericError it raised."""
     try:
-        return svd(w)
+        return linalg._jacobi_svd(w)
     except NumericError as e:
         return str(e)
 
@@ -328,7 +396,7 @@ def test_svd_bits_match_reference_loop(d, k, log_scale, seed, zero_col, repeat_c
         want = _svd_or_error(w)
     if isinstance(want, str):
         # Among others: where the reference loop's u is not orthonormal
-        # (a tiny column), svd raises with the same measured error.
+        # (a tiny column), _jacobi_svd raises with the same measured error.
         assert got == want
         return
     for name in ("u", "sigma", "v"):
@@ -336,9 +404,9 @@ def test_svd_bits_match_reference_loop(d, k, log_scale, seed, zero_col, repeat_c
         assert (a.shape, a.strides, a.tobytes()) == (b.shape, b.strides, b.tobytes()), name
 
 
-# sha256 of u, sigma and v bytes of the teacher-student base weights, as the
-# reference loop above factors them with the float64 BLAS dot of numpy's
-# bundled OpenBLAS on x86-64.
+# sha256 of u, sigma and v bytes of the factors make_task keeps of the
+# teacher-student base weights, as the reference loop above factors them with
+# the float64 BLAS dot of numpy's bundled OpenBLAS on x86-64.
 SVD_DIGESTS = {
     16: "2bbfa68b9381f6b994257ccec3cde4d985d2ba12a16203e40a665f21092244f6",
     64: "daf427369851f333e0739335299f3c604b060b2c6be39e0a40a4350109a5c5f2",
@@ -347,7 +415,7 @@ SVD_DIGESTS = {
 
 @pytest.mark.parametrize("d", sorted(SVD_DIGESTS))
 def test_svd_digest_of_task_weight_is_pinned(d):
-    f = svd(make_task("teacher_student", d, d, 2, 0.01, 42).w0)
+    f = make_task("teacher_student", d, d, 2, 0.01, 42).w0_factors
     digest = hashlib.sha256(f.u.tobytes() + f.sigma.tobytes() + f.v.tobytes()).hexdigest()
     assert digest == SVD_DIGESTS[d]
 
@@ -360,23 +428,25 @@ def test_svd_square_matrix_with_two_equal_rows_converges(n):
     w = rng.standard_normal((n, n))
     i, j = rng.choice(n, 2, replace=False)
     w[i] = w[j]
-    for m in (w, w.T):
-        f = svd(m)
-        assert frobenius_norm(reconstruct(f) - m) <= 1e-13 * frobenius_norm(m)
-        assert np.abs(f.u.T @ f.u - np.eye(n)).max() <= 1e-10
-        assert np.abs(f.v.T @ f.v - np.eye(n)).max() <= 1e-10
-        assert f.sigma[-1] <= 1e-13 * f.sigma[0]
+    for factor in SVDS:
+        for m in (w, w.T):
+            f = factor(m)
+            assert frobenius_norm(reconstruct(f) - m) <= 1e-13 * frobenius_norm(m)
+            assert np.abs(f.u.T @ f.u - np.eye(n)).max() <= 1e-10
+            assert np.abs(f.v.T @ f.v - np.eye(n)).max() <= 1e-10
+            assert f.sigma[-1] <= 1e-13 * f.sigma[0]
 
 
 def test_svd_zero_matrix_has_orthonormal_factors():
     # The factors are identity columns, bit for bit: no entry is -0.0, which
-    # the QR completion leaves and svd turns into +0.0.
-    for shape in [(4, 3), (3, 4), (1, 1), (5, 5)]:
-        p = min(shape)
-        f = svd(np.zeros(shape))
-        assert f.sigma.tobytes() == np.zeros(p).tobytes()
-        assert f.u.tobytes() == np.eye(shape[0], p).tobytes()
-        assert f.v.tobytes() == np.eye(shape[1], p).tobytes()
+    # the Jacobi's QR completion leaves and it turns into +0.0.
+    for factor in SVDS:
+        for shape in [(4, 3), (3, 4), (1, 1), (5, 5)]:
+            p = min(shape)
+            f = factor(np.zeros(shape))
+            assert f.sigma.tobytes() == np.zeros(p).tobytes()
+            assert f.u.tobytes() == np.eye(shape[0], p).tobytes()
+            assert f.v.tobytes() == np.eye(shape[1], p).tobytes()
 
 
 def test_svd_rank_deficient():
@@ -395,19 +465,19 @@ def test_svd_rank_deficient():
 def test_svd_completes_the_columns_of_zero_singular_values(shape):
     # A zero column, and equal columns 0 and 1, which the sweep's first
     # rotation turns into a second zero column (rows of a wide w, which is
-    # iterated transposed): the QR completion fills two columns of u.
+    # iterated transposed): the Jacobi's QR completion fills two columns of u.
     w = np.random.default_rng(sum(shape)).standard_normal(shape)
     tall = w if shape[0] >= shape[1] else w.T
     tall[:, 5] = 0.0
     tall[:, 1] = tall[:, 0]
-    f = svd(w)
+    f = linalg._jacobi_svd(w)
     assert np.count_nonzero(f.sigma == 0.0) == 2
     p = f.sigma.size
     assert np.abs(f.u.T @ f.u - np.eye(p)).max() <= linalg.ORTHONORMAL_TOL
     assert np.abs(f.v.T @ f.v - np.eye(p)).max() <= linalg.ORTHONORMAL_TOL
     assert frobenius_norm(reconstruct(f) - w) <= 1e-13 * frobenius_norm(w)
     with mock.patch.object(linalg, "_jacobi_tall", _reference_jacobi_tall):
-        want = svd(w)
+        want = linalg._jacobi_svd(w)
     for name in ("u", "sigma", "v"):
         assert getattr(f, name).tobytes() == getattr(want, name).tobytes(), name
 
@@ -415,10 +485,11 @@ def test_svd_completes_the_columns_of_zero_singular_values(shape):
 def test_svd_wide_matrix_uses_transposed_iteration():
     rng = np.random.default_rng(21)
     w = rng.standard_normal((3, 9))
-    f = svd(w)
-    assert f.u.shape == (3, 3)
-    assert f.v.shape == (9, 3)
-    assert frobenius_norm(reconstruct(f) - w) <= 1e-10 * frobenius_norm(w)
+    for factor in SVDS:
+        f = factor(w)
+        assert f.u.shape == (3, 3)
+        assert f.v.shape == (9, 3)
+        assert frobenius_norm(reconstruct(f) - w) <= 1e-10 * frobenius_norm(w)
 
 
 def test_svd_one_dimensional_edge_cases():
