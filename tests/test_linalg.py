@@ -114,7 +114,7 @@ def test_svd_reconstruction_and_orthogonality_random():
 
 
 def test_svd_matches_numpy_singular_values():
-    # The Jacobi's singular values against LAPACK's bidiagonal route.
+    # The Jacobi's singular values against numpy's, from LAPACK.
     rng = np.random.default_rng(3)
     for d, k in _random_shapes(rng, 40):
         w = rng.standard_normal((d, k))
