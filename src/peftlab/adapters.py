@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ConfigError, SvdFactors, _check_choice, _check_int, _check_number
-from .linalg import as_matrix, column_norms, svd, truncate_svd
+from .linalg import ConfigError, NumericError, SvdFactors, _check_choice, _check_int
+from .linalg import _check_number, as_matrix, column_norms, svd, truncate_svd
 
 __all__ = [
     "METHODS",
@@ -133,6 +133,10 @@ def initialize(w0, cfg: AdapterConfig, *, factors: SvdFactors | None = None) -> 
     SVD-initialized methods use it instead of factoring w0 with svd, and the
     other methods ignore it. Its shapes are checked against w0; its values
     are not.
+
+    Raises NumericError naming the field when the state is not finite, as a
+    finite w0 can give: m squares w0's entries (dora/dude* overflow above a
+    scale of about 1e154), and a huge scaling overflows pissa/dude*'s base.
     """
     w0 = as_matrix(w0, "w0")
     d, k = w0.shape
@@ -163,6 +167,9 @@ def initialize(w0, cfg: AdapterConfig, *, factors: SvdFactors | None = None) -> 
     if has_magnitude:
         m = column_norms(w0)
         m[m == 0.0] = NORM_EPSILON
+    for name, arr in (("b", b), ("a", a), ("m", m), ("base", base)):
+        if arr is not None and not np.isfinite(arr).all():
+            raise NumericError(f"initialize: {cfg.method} '{name}' is not finite")
     return AdapterState(base, b, a, m, cfg)
 
 

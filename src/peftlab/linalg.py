@@ -135,8 +135,8 @@ def svd(w) -> SvdFactors:
     Signs are normalized so the largest-magnitude entry of each left singular
     vector is positive (first such entry on ties), making the output
     deterministic and directly comparable across runs. Raises NumericError
-    when LAPACK does not converge, or when u or v is not orthonormal to
-    ORTHONORMAL_TOL.
+    when LAPACK does not converge, when the largest singular value overflows
+    float64, or when u or v is not orthonormal to ORTHONORMAL_TOL.
     """
     return _factored(w, _lapack)
 
@@ -147,8 +147,7 @@ def _jacobi_svd(w) -> SvdFactors:
     make_task's factors, whose bits the reference losses pin; every other
     caller uses svd. The iteration always runs on the tall orientation (the
     input is transposed internally when d < k). Raises NumericError when the
-    sweeps do not converge, or when u or v is not orthonormal to
-    ORTHONORMAL_TOL.
+    sweeps do not converge, and as svd does for the rest.
     """
     return _factored(w, _jacobi)
 
@@ -176,8 +175,13 @@ def _factored(w, kernel) -> SvdFactors:
     # the float64 range, so factor w / 2**e with max|w / 2**e| in [0.5, 1): a
     # power-of-two scaling is exact, so u and v keep their bits at any scale.
     _, e = np.frexp(np.abs(w).max())
-    u, sigma, v = kernel(np.ldexp(w, -e))
-    sigma = np.ldexp(sigma, e)
+    u, scaled, v = kernel(np.ldexp(w, -e))
+    # Finite entries can still have a norm past the float64 range.
+    with np.errstate(over="ignore"):
+        sigma = np.ldexp(scaled, e)
+    if not np.isfinite(sigma[0]):
+        raise NumericError(f"the largest singular value, {float(scaled[0])!r} * 2**{e}, "
+                           "overflows float64")
     p = sigma.size
     flip = u[np.abs(u).argmax(axis=0), np.arange(p)] < 0.0
     np.negative(u, out=u, where=flip)

@@ -19,7 +19,7 @@ from peftlab.adapters import (
     step_cache,
     trainable_params,
 )
-from peftlab.linalg import ConfigError, SvdFactors, frobenius_norm, svd
+from peftlab.linalg import ConfigError, NumericError, SvdFactors, frobenius_norm, svd
 
 ADAPTER_METHODS = tuple(m for m in METHODS if m != "full")
 
@@ -191,6 +191,19 @@ def test_rank_out_of_range_rejected():
     w0 = np.zeros((4, 3))
     with pytest.raises(ValueError, match="'rank' must be <= 3, got 4"):
         initialize(w0, AdapterConfig("lora", 4, seed=0))
+
+
+def test_initialize_raises_on_a_non_finite_state_from_a_finite_w0():
+    # m's column sums of squares overflow at entries of 1e160; pissa/dude*'s
+    # base at scaling 1e308.
+    w0 = np.random.default_rng(0).standard_normal((6, 5))
+    with np.errstate(over="ignore"):
+        for method in ("dora", "dude", "dude_a", "dude_b"):
+            with pytest.raises(NumericError, match=f"{method} 'm' is not finite"):
+                initialize(w0 * 1e160, AdapterConfig(method, 2))
+        for method in ("pissa", "dude", "dude_a", "dude_b"):
+            with pytest.raises(NumericError, match=f"{method} 'base' is not finite"):
+                initialize(w0, AdapterConfig(method, 2, scaling=1e308))
 
 
 @pytest.mark.parametrize("d, k", [(7, 4), (4, 7), (5, 5)])

@@ -429,50 +429,58 @@ def test_compare_corrupt_summary_names_path(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # gradcheck subcommand
 
+def gradcheck_argv(method="dude", d=5, k=4, rank=2, seed=0):
+    return ["gradcheck", "--method", method, "--d", str(d), "--k", str(k), "--rank", str(rank),
+            "--seed", str(seed)]
+
+
 def test_gradcheck_dude_passes(capsys):
-    assert main(["gradcheck", "--method", "dude", "--d", "5", "--k", "4",
-                 "--rank", "2", "--seed", "42"]) == 0
+    assert main(gradcheck_argv(seed=42)) == 0
     out = capsys.readouterr().out
     assert "gradcheck PASS (tolerance 1e-05)" in out.splitlines()
     assert "max relative error" in out
 
 
 def test_gradcheck_all_methods_pass():
-    for method in ("full", "lora", "dora", "pissa", "dude", "dude_a", "dude_b"):
-        assert main(["gradcheck", "--method", method, "--d", "6", "--k", "5",
-                     "--rank", "2", "--seed", "3"]) == 0, method
+    # Beside 6 x 5, shapes at which the FD oracle's 128 KiB chunks cover part
+    # of an array (at rank 1 each scalar of b has a row of its own), which
+    # tests/test_determinism.py also runs at one and two BLAS threads.
+    for d, k, rank, seed in [(6, 5, 2, 3), (64, 256, 8, 1), (256, 64, 8, 1),
+                             (32, 257, 8, 1), (64, 256, 1, 1)]:
+        for method in adapters.METHODS:
+            assert main(gradcheck_argv(method, d, k, rank, seed)) == 0, (method, d, k, rank)
 
 
 def test_gradcheck_invalid_dims_exit_1(capsys):
-    assert main(["gradcheck", "--method", "dude", "--d", "0", "--k", "4",
-                 "--rank", "2"]) == 1
+    assert main(gradcheck_argv(d=0)) == 1
     assert "field 'd' must be >= 1, got 0" in capsys.readouterr().err
-    assert main(["gradcheck", "--method", "dude", "--d", "4", "--k", "-1",
-                 "--rank", "2"]) == 1
+    assert main(gradcheck_argv(k=-1)) == 1
     assert "field 'k' must be >= 1, got -1" in capsys.readouterr().err
-    assert main(["gradcheck", "--method", "dude", "--d", "4", "--k", "4",
-                 "--rank", "2", "--seed", "-1"]) == 1
+    assert main(gradcheck_argv(seed=-1)) == 1
     assert "field 'seed' must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_gradcheck_bad_method_exit_1():
-    assert main(["gradcheck", "--method", "nope", "--d", "4", "--k", "4",
-                 "--rank", "2"]) == 1
+    assert main(gradcheck_argv("nope")) == 1
 
 
 def test_gradcheck_oversized_rank_exit_1():
-    assert main(["gradcheck", "--method", "lora", "--d", "4", "--k", "4",
-                 "--rank", "5"]) == 1
+    assert main(gradcheck_argv("lora", 4, 4, 5)) == 1
 
 
 # ---------------------------------------------------------------------------
 # svd subcommand
 
+def svd_main(tmp_path, text, rank, out="f"):
+    """Write text to tmp_path / "m.csv" and run `peftlab svd` on it with the
+    output prefix tmp_path / out; the exit code."""
+    (tmp_path / "m.csv").write_text(text)
+    return main(["svd", "--in", str(tmp_path / "m.csv"), "--rank", str(rank),
+                 "--out", str(tmp_path / out)])
+
+
 def test_svd_identity_full_rank_residual_zero(tmp_path):
-    src = tmp_path / "m.csv"
-    src.write_text("1,0\n0,1\n")
-    prefix = tmp_path / "fac"
-    assert main(["svd", "--in", str(src), "--rank", "2", "--out", str(prefix)]) == 0
+    assert svd_main(tmp_path, "1,0\n0,1\n", 2, "fac") == 0
     residual = float((tmp_path / "fac_residual.txt").read_text())
     assert residual <= 1e-10
     u = read_matrix_csv(tmp_path / "fac_U.csv")
@@ -483,41 +491,33 @@ def test_svd_identity_full_rank_residual_zero(tmp_path):
 
 
 def test_svd_rank_one_residual_is_sigma_two(tmp_path):
-    src = tmp_path / "m.csv"
-    src.write_text("1,2\n3,4\n")
     sigma2 = math.sqrt(15.0 - math.sqrt(221.0))
     # The second prefix lies in directories that do not exist yet.
-    for prefix in (tmp_path / "fac", tmp_path / "new" / "deeper" / "fac"):
-        assert main(["svd", "--in", str(src), "--rank", "1", "--out", str(prefix)]) == 0
-        residual = float(prefix.with_name("fac_residual.txt").read_text())
+    for out in ("fac", "new/deeper/fac"):
+        assert svd_main(tmp_path, "1,2\n3,4\n", 1, out) == 0
+        residual = float((tmp_path / f"{out}_residual.txt").read_text())
         assert residual == pytest.approx(sigma2, rel=1e-10)
     assert sorted(p.name for p in (tmp_path / "new" / "deeper").iterdir()) == [
         "fac_U.csv", "fac_V.csv", "fac_residual.txt", "fac_sigma.csv"]
 
 
 def test_svd_non_numeric_cell_names_location(tmp_path, capsys):
-    src = tmp_path / "m.csv"
-    src.write_text("1,2\n3,oops\n")
-    assert main(["svd", "--in", str(src), "--rank", "1", "--out", str(tmp_path / "f")]) == 1
+    assert svd_main(tmp_path, "1,2\n3,oops\n", 1) == 1
     err = capsys.readouterr().err
     assert "row 2" in err and "column 2" in err
 
 
 def test_svd_ragged_rows_exit_1(tmp_path, capsys):
-    src = tmp_path / "m.csv"
-    src.write_text("1,2\n3\n")
-    assert main(["svd", "--in", str(src), "--rank", "1", "--out", str(tmp_path / "f")]) == 1
+    assert svd_main(tmp_path, "1,2\n3\n", 1) == 1
     assert "ragged" in capsys.readouterr().err
 
 
 def test_svd_rank_out_of_range_exit_1(tmp_path, capsys):
-    src = tmp_path / "m.csv"
-    src.write_text("1,2\n3,4\n")
-    assert main(["svd", "--in", str(src), "--rank", "3", "--out", str(tmp_path / "f")]) == 1
+    assert svd_main(tmp_path, "1,2\n3,4\n", 3) == 1
     assert "field 'rank' must be <= 2, got 3" in capsys.readouterr().err
-    assert main(["svd", "--in", str(src), "--rank", "0", "--out", str(tmp_path / "f")]) == 1
+    assert svd_main(tmp_path, "1,2\n3,4\n", 0) == 1
     assert "field 'rank' must be >= 1, got 0" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == [src]
+    assert list(tmp_path.iterdir()) == [tmp_path / "m.csv"]
 
 
 def test_svd_tiny_column_exits_0_with_orthonormal_factors(tmp_path):
@@ -525,10 +525,8 @@ def test_svd_tiny_column_exits_0_with_orthonormal_factors(tmp_path):
     # convergence test, but not LAPACK's, which the svd subcommand calls.
     w = np.random.default_rng(0).standard_normal((5, 3))
     w[:, 2] *= 1e-160
-    src = tmp_path / "m.csv"
-    src.write_text("".join(",".join(repr(float(x)) for x in row) + "\n" for row in w))
-    prefix = tmp_path / "f"
-    assert main(["svd", "--in", str(src), "--rank", "2", "--out", str(prefix)]) == 0
+    text = "".join(",".join(repr(float(x)) for x in row) + "\n" for row in w)
+    assert svd_main(tmp_path, text, 2) == 0
     for name in ("U", "V"):
         f = read_matrix_csv(tmp_path / f"f_{name}.csv")
         assert np.abs(f.T @ f - np.eye(2)).max() <= 1e-12, name
@@ -541,11 +539,16 @@ def test_svd_lapack_failure_exits_2_and_writes_nothing(tmp_path, capsys, monkeyp
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
-    src = tmp_path / "m.csv"
-    src.write_text("1,2\n3,4\n")
-    assert main(["svd", "--in", str(src), "--rank", "1", "--out", str(tmp_path / "f")]) == 2
+    assert svd_main(tmp_path, "1,2\n3,4\n", 1) == 2
     assert "SVD did not converge" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == [src]
+    assert list(tmp_path.iterdir()) == [tmp_path / "m.csv"]
+
+
+def test_svd_overflowing_singular_value_exits_2_and_writes_nothing(tmp_path, capsys):
+    # Finite entries whose sigma_1, sqrt(6) * 1e308, is not.
+    assert svd_main(tmp_path, "1e308,1e308,1e308\n1e308,1e308,1e308\n", 1) == 2
+    assert "overflows float64" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "m.csv"]
 
 
 def test_read_matrix_rejects_nan_text(tmp_path):
@@ -571,15 +574,9 @@ def run_module(argv):
 
 
 def test_python_dash_m_entry_point():
-    code, out, err = run_module(["gradcheck", "--method", "pissa", "--d", "4", "--k", "4",
-                                 "--rank", "2", "--seed", "1"])
+    code, out, err = run_module(gradcheck_argv("pissa", 4, 4, 2, seed=1))
     assert code == 0, err
     assert b"PASS" in out
-
-
-def gradcheck_argv(seed):
-    return ["gradcheck", "--method", "dude", "--d", "5", "--k", "4", "--rank", "2",
-            "--seed", str(seed)]
 
 
 USAGE_ERROR = ["gradcheck", "--method", "dude", "--d", "5"]  # no --k, --rank
@@ -593,8 +590,8 @@ def main_in_process(argv, capsys):
 
 def test_main_builds_its_parser_once_per_process(capsys):
     cli._build_parser.cache_clear()
-    argvs = [gradcheck_argv(42), USAGE_ERROR, gradcheck_argv(7), USAGE_ERROR,
-             gradcheck_argv(42)]
+    argvs = [gradcheck_argv(seed=42), USAGE_ERROR, gradcheck_argv(seed=7), USAGE_ERROR,
+             gradcheck_argv(seed=42)]
     results = [main_in_process(argv, capsys) for argv in argvs]
     info = cli._build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 4)
@@ -608,7 +605,7 @@ def test_main_builds_its_parser_once_per_process(capsys):
 def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
     # Help and usage lines wrap at the terminal width; pin it for both sides.
     monkeypatch.setenv("COLUMNS", "80")
-    argvs = [USAGE_ERROR, ["--help"], gradcheck_argv(42), USAGE_ERROR]
+    argvs = [USAGE_ERROR, ["--help"], gradcheck_argv(seed=42), USAGE_ERROR]
     in_process = [main_in_process(argv, capsys) for argv in argvs]
     fresh = [run_module(argv) for argv in argvs]
     assert [r[0] for r in fresh] == [1, 0, 0, 1]

@@ -1,6 +1,5 @@
-"""Bits do not depend on the BLAS thread count: the factors of both SVDs
-and the records of short training runs hash the same at one and at two
-threads."""
+"""Bits do not depend on the BLAS thread count: SVD factors, training
+records and CLI output hash the same at one and at two threads."""
 
 import os
 import subprocess
@@ -10,16 +9,22 @@ from pathlib import Path
 import peftlab
 
 # Run in a fresh process, since BLAS reads its thread count when numpy loads.
-# Prints one sha256 over the factor bytes of svd (LAPACK) and of the Jacobi
-# that make_task calls, each at four shapes and at a 256 x 64 input with a
-# zero column and two equal columns 0 and 1, which the Jacobi's first
-# rotation turns into a second zero column, so that two columns of its u come
-# from the QR completion; then over the records of three 30-step runs: both
-# cluster_classify layers of lora and dora at 64 x 256, and dude's one
-# 64 x 64 layer, which make_task factors.
+# Prints one sha256 over the factors of svd (LAPACK) and make_task's Jacobi at
+# four shapes and at a 256 x 64 input whose zero column and equal columns 0
+# and 1 send two columns of the Jacobi's u through the QR completion; the
+# records of 30-step runs of lora and dora (64 x 256 cluster_classify) and of
+# dude (make_task's 64 x 64); and the stdout and files of cli.main for every
+# method's gradcheck at the wide and tall shapes of tests/test_cli.py and for
+# svd --rank 64 at 64 x 256. Each call must exit 0, as gradcheck does on PASS.
 CHILD = """
+import contextlib
 import hashlib
+import io
+import tempfile
+from pathlib import Path
 import numpy as np
+from peftlab.adapters import METHODS
+from peftlab.cli import main
 from peftlab.linalg import _jacobi_svd, svd
 from peftlab.trainer import TrainConfig, make_model, make_task, train
 
@@ -43,6 +48,24 @@ for kind, d, k, method, rank in [("cluster_classify", 64, 256, "dora", 8),
     for r in records:
         fields = (r.loss, r.grad_norm, r.lr) + (() if r.eval is None else (r.eval,))
         digest.update(repr((r.step,) + tuple(float(f).hex() for f in fields)).encode())
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0, argv
+    digest.update(out.getvalue().encode())
+
+for d, k, rank in [(64, 256, 8), (256, 64, 8), (32, 257, 8), (64, 256, 1)]:
+    for method in METHODS:
+        run("gradcheck", "--method", method, "--d", str(d), "--k", str(k), "--rank", str(rank),
+            "--seed", "1")
+with tempfile.TemporaryDirectory() as tmp:
+    tmp = Path(tmp)
+    np.savetxt(tmp / "w.csv", np.random.default_rng(0).standard_normal((64, 256)),
+               delimiter=",", fmt="%.17g")
+    run("svd", "--in", str(tmp / "w.csv"), "--rank", "64", "--out", str(tmp / "f"))
+    for name in ("U.csv", "sigma.csv", "V.csv", "residual.txt"):
+        digest.update((tmp / f"f_{name}").read_bytes())
 print(digest.hexdigest())
 """
 

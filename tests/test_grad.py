@@ -31,6 +31,7 @@ from peftlab.grad import (
     grad_check,
     param_grads,
 )
+from peftlab.linalg import NumericError
 from peftlab.trainer import Layer, Model, Task, evaluate, loss_and_grads, model_forward
 
 
@@ -803,6 +804,15 @@ def test_grad_check_with_nondefault_scaling():
         state = initialize(w0, AdapterConfig(method, 2, scaling=0.5, seed=1))
         state.b += 0.2 * rng.standard_normal(state.b.shape)
         assert grad_check(state, seed=3).passed, method
+
+
+def test_grad_check_raises_when_the_forward_overflows():
+    # Every entry of the state is finite, but y = 1e308 * sum(x) is not: at
+    # seed 0, sum(x) = 2.82.
+    for method in ("full", "lora"):
+        state = initialize(np.full((2, 8), 1e308), AdapterConfig(method, 1, seed=0))
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="non-finite"):
+            grad_check(state, seed=0)
 
 
 @settings(max_examples=60, deadline=None)

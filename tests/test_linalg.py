@@ -231,6 +231,14 @@ def test_svd_reconstructs_across_the_float_range(scale):
         assert np.abs(f.v.T @ f.v - np.eye(5)).max() <= 1e-12
 
 
+def test_svd_raises_when_the_largest_singular_value_overflows():
+    # Finite entries whose sigma_1, sqrt(6) * 1e308, is not; at 5e307 it is.
+    for factor in SVDS:
+        with pytest.raises(NumericError, match=r"largest singular value, .* overflows float64"):
+            factor(np.full((2, 3), 1e308))
+        assert factor(np.full((2, 3), 5e307)).sigma[0] == pytest.approx(math.sqrt(6) * 5e307)
+
+
 def test_svd_power_of_two_scaling_is_exact():
     w = np.random.default_rng(19).standard_normal((4, 6))
     for factor in SVDS:
