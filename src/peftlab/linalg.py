@@ -107,13 +107,24 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
 
 def column_norms(w) -> np.ndarray:
     """Euclidean norm of every column of w."""
+    # Not prescaled: initialize raises on a non-finite m, and that keeps a
+    # state whose step would square v's entries to inf from training.
     w = np.asarray(w, dtype=np.float64)
     return np.linalg.norm(w, axis=0)
 
 
 def frobenius_norm(w) -> float:
-    w = np.asarray(w, dtype=np.float64)
-    return float(np.sqrt((w * w).sum()))
+    """Frobenius norm of w, whose squares _prescaled keeps from overflowing."""
+    scaled, e = _prescaled(np.asarray(w, dtype=np.float64))
+    return float(np.ldexp(np.sqrt((scaled * scaled).sum()), e))
+
+
+def _prescaled(w: np.ndarray) -> tuple[np.ndarray, int]:
+    """(w / 2**e, e) with max|w / 2**e| in [0.5, 1), or e = 0 for a zero w.
+    Squares of w / 2**e cannot overflow, and only those negligible beside the
+    largest underflow; the exact scaling keeps results' bits at any scale."""
+    _, e = np.frexp(np.abs(w).max(initial=0.0))
+    return np.ldexp(w, -e), int(e)
 
 
 @dataclass
@@ -170,12 +181,8 @@ def _jacobi(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _factored(w, kernel) -> SvdFactors:
     """kernel's (u, sigma, v) of w, prescaled, sign-normalized and checked."""
-    w = as_matrix(w)
-    # Jacobi's Gram entries square w's entries and under- or overflow far inside
-    # the float64 range, so factor w / 2**e with max|w / 2**e| in [0.5, 1): a
-    # power-of-two scaling is exact, so u and v keep their bits at any scale.
-    _, e = np.frexp(np.abs(w).max())
-    u, scaled, v = kernel(np.ldexp(w, -e))
+    w, e = _prescaled(as_matrix(w))  # Jacobi's Gram entries square w's entries
+    u, scaled, v = kernel(w)
     # Finite entries can still have a norm past the float64 range.
     with np.errstate(over="ignore"):
         sigma = np.ldexp(scaled, e)
@@ -222,7 +229,9 @@ def _jacobi_tall(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     dot. (Gathering the columns into a contiguous copy would change the BLAS
     path and the bits.) Every factor bit thus depends only on w. The diagonal
     Gram entries are cached and recomputed, with the same dot, for the
-    columns a level rotates.
+    columns a level rotates. A level of at most _PER_PAIR_MAX pairs rotates
+    each pair's cached column views, a longer one each run of consecutive
+    rotating pairs as two slices, both with _rotate's five ops.
     """
     rows, n_cols = w.shape
     mv = np.empty((rows + n_cols, n_cols))
@@ -233,16 +242,13 @@ def _jacobi_tall(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     m_cols = [m[:, i] for i in range(n_cols)]
     mv_cols = [mv[:, i] for i in range(n_cols)]
     gram = [float(col.dot(col)) for col in m_cols]
-    dots = np.empty((n_cols, 1, 1))
-    s_old = np.empty(rows + n_cols)
-    s_cj = np.empty(rows + n_cols)
     for _ in range(MAX_SWEEPS):
         rotated = False
         for l, lo, hi, pairs in _levels(n_cols):
             stacked = pairs is None
             if stacked:
-                np.matmul(mt[lo:hi, None], mt[l - lo::-1][:hi - lo, :, None], out=dots[:hi - lo])
-                gijs = dots[:hi - lo].ravel().tolist()
+                gijs = np.matmul(mt[lo:hi, None],
+                                 mt[l - lo::-1][:hi - lo, :, None]).ravel().tolist()
                 pairs = zip(range(lo, hi), range(l - lo, l - hi, -1))
             runs = []  # [first i, c's, s's] of consecutive rotating pairs
             for i, j in pairs:
@@ -261,47 +267,28 @@ def _jacobi_tall(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = c * t
-                if stacked:
-                    if runs and runs[-1][0] + len(runs[-1][1]) == i:
-                        runs[-1][1].append(c)
-                        runs[-1][2].append(s)
-                    else:
-                        runs.append([i, [c], [s]])
-                    continue
-                # col_i, col_j = c*old - s*col_j, s*old + c*col_j, where old
-                # is col_i before the update; each product rounds on its own.
-                col_i = mv_cols[i]
-                col_j = mv_cols[j]
-                np.multiply(col_i, s, out=s_old)
-                np.multiply(col_i, c, out=col_i)
-                np.multiply(col_j, s, out=s_cj)
-                np.subtract(col_i, s_cj, out=col_i)
-                np.multiply(col_j, c, out=col_j)
-                np.add(s_old, col_j, out=col_j)
-                gram[i] = float(m_cols[i].dot(m_cols[i]))
-                gram[j] = float(m_cols[j].dot(m_cols[j]))
+                if not stacked:
+                    _rotate(mv_cols[i], mv_cols[j], c, s)
+                    gram[i] = float(m_cols[i].dot(m_cols[i]))
+                    gram[j] = float(m_cols[j].dot(m_cols[j]))
+                elif runs and runs[-1][0] + len(runs[-1][1]) == i:
+                    runs[-1][1].append(c)
+                    runs[-1][2].append(s)
+                else:
+                    runs.append([i, [c], [s]])
             if not runs:
                 continue
-            # The same six ops on a run's columns as slices, with c and s as
-            # arrays. A skipped pair is left alone: rotating it by c = 1,
-            # s = 0 would turn -0.0 - 0.0*b into +0.0 for b < 0.
+            # A run rotates its columns as slices, with c and s as arrays. A
+            # skipped pair is left alone: rotating it by c = 1, s = 0 would
+            # turn -0.0 - 0.0*b into +0.0 for b < 0.
             for a, c, s in runs:
                 q = len(c)
-                c = np.array(c)
-                s = np.array(s)
-                cols_i = mv[:, a:a + q]
-                cols_j = mv[:, l - a:l - a - q:-1]
-                s_olds = cols_i * s
-                np.multiply(cols_i, c, out=cols_i)
-                np.subtract(cols_i, cols_j * s, out=cols_i)
-                np.multiply(cols_j, c, out=cols_j)
-                np.add(s_olds, cols_j, out=cols_j)
+                _rotate(mv[:, a:a + q], mv[:, l - a:l - a - q:-1], np.array(c), np.array(s))
             # Every rotated column lies in [a, l - a]; an unrotated one gets
             # its cached entry back.
             a = runs[0][0]
             span = mt[a:l - a + 1]
-            np.matmul(span[:, None], span[:, :, None], out=dots[:len(span)])
-            gram[a:l - a + 1] = dots[:len(span)].ravel().tolist()
+            gram[a:l - a + 1] = np.matmul(span[:, None], span[:, :, None]).ravel().tolist()
         if not rotated:
             break
     else:
@@ -326,6 +313,16 @@ def _jacobi_tall(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         q = np.linalg.qr(np.hstack([u[:, :p], np.eye(rows, n_cols - p)]))[0]
         u[:, p:] = q[:, p:] + 0.0
     return u, sigma, v
+
+
+def _rotate(cols_i, cols_j, c, s) -> None:
+    """cols_i, cols_j = c*old - s*cols_j, s*old + c*cols_j in place, where old
+    is cols_i before the update; each product rounds on its own."""
+    old = cols_i * s
+    cols_i *= c
+    cols_i -= cols_j * s
+    cols_j *= c
+    cols_j += old
 
 
 @functools.cache

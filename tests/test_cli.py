@@ -551,6 +551,17 @@ def test_svd_overflowing_singular_value_exits_2_and_writes_nothing(tmp_path, cap
     assert list(tmp_path.iterdir()) == [tmp_path / "m.csv"]
 
 
+def test_svd_of_large_entries_writes_a_finite_residual(tmp_path):
+    # Entries whose squares overflow float64 while the residual does not.
+    w = np.array([[1e200, -2e200, 3e200], [-3e200, 1e200, 2e200]])
+    text = "".join(",".join(repr(float(x)) for x in row) + "\n" for row in w)
+    assert svd_main(tmp_path, text, 1) == 0
+    residual = float((tmp_path / "f_residual.txt").read_text())
+    sigma2 = np.linalg.svd(w / 1e200, compute_uv=False)[1] * 1e200
+    assert math.isfinite(residual)
+    assert residual == pytest.approx(sigma2, rel=1e-10)
+
+
 def test_read_matrix_rejects_nan_text(tmp_path):
     src = tmp_path / "m.csv"
     src.write_text("1,nan\n")

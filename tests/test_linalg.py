@@ -52,6 +52,23 @@ def test_frobenius_norm_values():
     assert frobenius_norm([[3.0, 4.0]]) == pytest.approx(5.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_frobenius_norm_keeps_the_unscaled_bits_at_unit_scale(seed):
+    # The power-of-two prescale is exact where no square under- or overflows.
+    w = np.random.default_rng(seed).standard_normal((7, 5))
+    assert frobenius_norm(w) == float(np.sqrt((w * w).sum()))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_frobenius_norm_does_not_overflow_or_underflow(scale):
+    # The entries' squares leave the float64 range; the norm does not. The
+    # sum of n squares rounds by at most n eps relative (a bound for any
+    # summation order), and its square root and math.hypot by about 1 eps.
+    w = np.random.default_rng(3).standard_normal((6, 4)) * scale
+    want = math.hypot(*w.ravel())
+    assert abs(frobenius_norm(w) - want) <= (w.size + 2) * np.finfo(float).eps * want
+
+
 # ---------------------------------------------------------------------------
 # matrix validation
 
@@ -360,7 +377,8 @@ def _svd_or_error(w):
 
 
 # The examples give levels of up to 32 pairs; 257 x 32 is the transposed
-# shape of a 32 x 257 gradcheck weight.
+# shape of a 32 x 257 gradcheck weight. At 9 x 7 every level has at most
+# _PER_PAIR_MAX pairs, so each rotation is a per-pair one.
 @settings(max_examples=60, deadline=None)
 @given(
     d=st.integers(1, 24),
@@ -380,6 +398,8 @@ def _svd_or_error(w):
          negative_zeros=True, tiny_col=None)
 @example(d=257, k=32, log_scale=0.0, seed=3, zero_col=False, repeat_col=False,
          negative_zeros=False, tiny_col=None)
+@example(d=9, k=7, log_scale=0.0, seed=4, zero_col=True, repeat_col=False,
+         negative_zeros=True, tiny_col=None)
 def test_svd_bits_match_reference_loop(d, k, log_scale, seed, zero_col, repeat_col,
                                        negative_zeros, tiny_col):
     rng = np.random.default_rng(seed)

@@ -13,6 +13,7 @@ from peftlab.adapters import (
     AdapterConfig,
     effective_weight,
     initialize,
+    merge,
     trainable_params,
 )
 from peftlab.grad import backward, finite_diff_grads, grad_check
@@ -924,6 +925,95 @@ def test_train_leaves_writeable_trainables_and_read_only_bases(method):
             if method != "full":
                 assert layer.state.base.tobytes() == bits
                 assert not layer.state.base.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# exact risk of a teacher-student layer
+#
+# For x ~ N(0, I_k) and t = w_target x + sigma * noise, a layer W' has the
+# expected per-sample loss ||W' - w_target||_F^2 + d sigma^2 exactly. Only
+# the Monte-Carlo test needs a sampling bound.
+
+def _trained_teacher_student(method, d, k, r_true, rank, scaling, sigma, steps, lr, seed):
+    task = make_task("teacher_student", d, k, r_true, sigma, seed)
+    model = make_model(task, method, rank, scaling, seed=seed)
+    train(model, task, TrainConfig(steps=steps, batch_size=8, base_lr=lr, eval_every=steps,
+                                   seed=seed))
+    return task, model
+
+
+def _excess_risk(model, task):
+    """||merge - w_target||_F^2, summed as the mse loss sums."""
+    r = merge(model.layers[0].state) - task.w_target
+    return float(np.add.reduce(r * r, axis=None))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    method=st.sampled_from(METHODS),
+    d=st.integers(1, 24),
+    k=st.integers(1, 24),
+    r_true=st.integers(1, 24),
+    rank=st.integers(1, 24),
+    scaling=st.sampled_from([1.0, 0.5, 2.0]),
+    steps=st.integers(1, 30),
+    seed=st.integers(0, 2**16),
+)
+@example(method="dude", d=16, k=16, r_true=2, rank=2, scaling=1.0, steps=30, seed=1)
+@example(method="dora", d=3, k=20, r_true=3, rank=1, scaling=2.0, steps=1, seed=2)
+def test_identity_batch_loss_is_the_exact_excess_risk(method, d, k, r_true, rank, scaling, steps,
+                                                      seed):
+    # The k unit vectors as one batch with targets w_target: the forward
+    # reproduces merge column by column, so k times the mean loss is
+    # ||merge - w_target||_F^2 up to the rounding of dividing by k and
+    # multiplying back, eps/2 relative each.
+    task, model = _trained_teacher_student(method, d, k, min(r_true, d, k), min(rank, d, k),
+                                           scaling, 0.1, steps, 5e-3, seed)
+    excess = _excess_risk(model, task)
+    loss, _ = loss_and_grads(model, (np.eye(k), task.w_target))
+    assert abs(loss * k - excess) <= 2 * np.finfo(float).eps * excess
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_monte_carlo_risk_agrees_with_the_exact_risk(method):
+    # 2^16 samples from the task's own sampler: their mean loss lies within
+    # 5 standard errors of ||W' - w_target||_F^2 + d sigma^2.
+    d, sigma = 16, 0.3
+    task, model = _trained_teacher_student(method, d, d, 2, 2, 1.0, sigma, 200, 2e-3, 7)
+    exact = _excess_risk(model, task) + d * sigma**2
+    x, t = task.sample_batch(np.random.default_rng(11), 2**16)
+    r = model_forward(model, x) - t
+    per_sample = (r * r).sum(axis=0)
+    stderr = per_sample.std(ddof=1) / math.sqrt(per_sample.size)
+    assert abs(per_sample.mean() - exact) <= 5.0 * stderr
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    method=st.sampled_from(["lora", "pissa"]),
+    d=st.integers(2, 16),
+    k=st.integers(2, 16),
+    r_true=st.integers(1, 16),
+    rank=st.integers(1, 16),
+    scaling=st.sampled_from([1.0, 0.5]),
+    sigma=st.sampled_from([0.0, 0.1]),
+    lr=st.sampled_from([5e-3, 2e-2]),
+    seed=st.integers(0, 2**16),
+)
+@example(method="lora", d=16, k=16, r_true=4, rank=2, scaling=1.0, sigma=0.0, lr=2e-2, seed=1)
+@example(method="pissa", d=16, k=16, r_true=4, rank=2, scaling=1.0, sigma=0.0, lr=2e-2, seed=1)
+def test_trained_low_rank_layers_stay_above_the_eckart_young_floor(method, d, k, r_true, rank,
+                                                                   scaling, sigma, lr, seed):
+    # W' = base + s b a with rank(b a) <= r, so by Eckart-Young its excess
+    # risk is at least the sum of sigma_i(w_target - base)^2 over i > r. The
+    # margin covers the SVD's and the sums' rounding, 16 p eps of the total.
+    rank = min(rank, d, k)
+    task, model = _trained_teacher_student(method, d, k, min(r_true, d, k), rank, scaling, sigma,
+                                           200, lr, seed)
+    gap = svd(task.w_target - model.layers[0].state.base).sigma
+    floor = float((gap[rank:] ** 2).sum())
+    margin = 16 * gap.size * np.finfo(float).eps * float((gap**2).sum())
+    assert _excess_risk(model, task) >= floor - margin
 
 
 # ---------------------------------------------------------------------------
