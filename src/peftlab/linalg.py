@@ -12,8 +12,10 @@ LAPACK only for an exactly rank-deficient input: one Householder QR completes
 the left singular vectors of its zero singular values.
 
 The sweeps rotate the row-cyclic pairs a level of equal i + j at a time,
-with one stacked dot product and one slice rotation per level; _jacobi_tall
-says why that keeps every bit of the pair-at-a-time loop.
+with one stacked dot product and one rotation of whole rows per run of
+pairs: each column of the iterate is held as a row at a stride of two
+floats, which BLAS dots as it dots a column. _jacobi_tall says why that
+keeps every bit of the pair-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -220,70 +222,86 @@ def _jacobi_tall(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     order as in the row-cyclic loop, and every Gram entry, c and s keeps its
     bits.
 
-    m (rows x n) and v (n x n) are stacked in one C-order array, so a single
-    set of elementwise ops rotates both, while a column of m keeps the stride
-    n * 8 bytes of a plain rows x n array. A level's i-columns are a forward
-    slice and its j-columns a backward slice of m.T, views at that stride, so
-    its dots are one np.matmul of 1 x rows . rows x 1 items, which numpy
-    computes with the routine of ndarray.dot at the stride of a single column
-    dot. (Gathering the columns into a contiguous copy would change the BLAS
-    path and the bits.) Every factor bit thus depends only on w. The diagonal
-    Gram entries are cached and recomputed, with the same dot, for the
-    columns a level rotates. A level of at most _PER_PAIR_MAX pairs rotates
-    each pair's cached column views, a longer one each run of consecutive
-    rotating pairs as two slices, both with _rotate's five ops.
+    [m; v] (rows + n rows, n columns) is held transposed, one row per column,
+    in mvt, with its entries at a stride of two floats: the even slots of an
+    n x (rows + n) x 2 array. A rotation then runs along whole rows, and one
+    set of elementwise ops rotates a column of m and of v together. A column
+    dot stays at a non-unit stride, as a column of a plain rows x n array is,
+    so BLAS takes it with the same strided ddot. A level's i-columns are a
+    forward and its j-columns a backward slice of the rows of mt (m
+    transposed), so its dots are one np.matmul of 1 x rows . rows x 1 items,
+    which numpy computes with the routine of ndarray.dot. (A contiguous row
+    would take BLAS's vectorized kernel and change the bits.) Every factor
+    bit thus depends only on w. The diagonal Gram entries are cached and
+    recomputed, with the same dot, for the columns a level rotates. A level
+    of at most _PER_PAIR_MAX pairs rotates each pair's cached rows, a longer
+    one each run of consecutive rotating pairs as two blocks of rows, both
+    with _rotate's five ops. After the sweeps m is copied to C order once,
+    and the norms, u and the non-convergence message read that copy.
     """
     rows, n_cols = w.shape
-    mv = np.empty((rows + n_cols, n_cols))
-    mv[:rows] = w
-    mv[rows:] = np.eye(n_cols)
-    m = mv[:rows]
-    mt = m.T
-    m_cols = [m[:, i] for i in range(n_cols)]
-    mv_cols = [mv[:, i] for i in range(n_cols)]
-    gram = [float(col.dot(col)) for col in m_cols]
+    mvt = np.zeros((n_cols, rows + n_cols, 2))[..., 0]
+    mvt[:, :rows] = w.T
+    mvt[:, rows:] = np.eye(n_cols)
+    mt = mvt[:, :rows]
+    m_rows = list(mt)
+    mv_rows = list(mvt)
+    gram = [float(row.dot(row)) for row in m_rows]
+    sqrt, hypot, copysign = math.sqrt, math.hypot, math.copysign
     for _ in range(MAX_SWEEPS):
         rotated = False
         for l, lo, hi, pairs in _levels(n_cols):
-            stacked = pairs is None
-            if stacked:
-                gijs = np.matmul(mt[lo:hi, None],
-                                 mt[l - lo::-1][:hi - lo, :, None]).ravel().tolist()
-                pairs = zip(range(lo, hi), range(l - lo, l - hi, -1))
+            if pairs is not None:
+                for i, j in pairs:
+                    gii = gram[i]
+                    gjj = gram[j]
+                    mi = m_rows[i]
+                    mj = m_rows[j]
+                    gij = float(mi.dot(mj))
+                    # A column whose Gram entry underflows to 0.0 is
+                    # converged: its gij can stay subnormal, so the relative
+                    # test below would never hold and the same pair would
+                    # rotate every sweep.
+                    if gii == 0.0 or gjj == 0.0 or abs(gij) <= JACOBI_TOL * sqrt(gii * gjj):
+                        continue
+                    rotated = True
+                    # Rotation angle from t^2 + 2*tau*t - 1 = 0; the smaller
+                    # root in magnitude avoids cancellation.
+                    tau = (gjj - gii) / (2.0 * gij)
+                    t = copysign(1.0, tau) / (abs(tau) + hypot(1.0, tau))
+                    c = 1.0 / sqrt(1.0 + t * t)
+                    _rotate(mv_rows[i], mv_rows[j], c, c * t)
+                    gram[i] = float(mi.dot(mi))
+                    gram[j] = float(mj.dot(mj))
+                continue
+            gijs = np.matmul(mt[lo:hi, None], mt[l - lo::-1][:hi - lo, :, None]).ravel().tolist()
             runs = []  # [first i, c's, s's] of consecutive rotating pairs
-            for i, j in pairs:
+            for i in range(lo, hi):
                 gii = gram[i]
-                gjj = gram[j]
-                gij = gijs[i - lo] if stacked else float(m_cols[i].dot(m_cols[j]))
-                # A column whose Gram entry underflows to 0.0 is converged: its
-                # gij can stay subnormal, so the relative test below would never
-                # hold and the same pair would rotate every sweep.
-                if gii == 0.0 or gjj == 0.0 or abs(gij) <= JACOBI_TOL * math.sqrt(gii * gjj):
+                gjj = gram[l - i]
+                gij = gijs[i - lo]
+                # The same test and angle as a per-pair level's.
+                if gii == 0.0 or gjj == 0.0 or abs(gij) <= JACOBI_TOL * sqrt(gii * gjj):
                     continue
                 rotated = True
-                # Rotation angle from t^2 + 2*tau*t - 1 = 0; the smaller
-                # root in magnitude avoids cancellation.
                 tau = (gjj - gii) / (2.0 * gij)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
+                t = copysign(1.0, tau) / (abs(tau) + hypot(1.0, tau))
+                c = 1.0 / sqrt(1.0 + t * t)
                 s = c * t
-                if not stacked:
-                    _rotate(mv_cols[i], mv_cols[j], c, s)
-                    gram[i] = float(m_cols[i].dot(m_cols[i]))
-                    gram[j] = float(m_cols[j].dot(m_cols[j]))
-                elif runs and runs[-1][0] + len(runs[-1][1]) == i:
+                if runs and runs[-1][0] + len(runs[-1][1]) == i:
                     runs[-1][1].append(c)
                     runs[-1][2].append(s)
                 else:
                     runs.append([i, [c], [s]])
             if not runs:
                 continue
-            # A run rotates its columns as slices, with c and s as arrays. A
-            # skipped pair is left alone: rotating it by c = 1, s = 0 would
-            # turn -0.0 - 0.0*b into +0.0 for b < 0.
+            # A run rotates its columns as two blocks of rows, with c and s
+            # as columns. A skipped pair is left alone: rotating it by c = 1,
+            # s = 0 would turn -0.0 - 0.0*b into +0.0 for b < 0.
             for a, c, s in runs:
                 q = len(c)
-                _rotate(mv[:, a:a + q], mv[:, l - a:l - a - q:-1], np.array(c), np.array(s))
+                _rotate(mvt[a:a + q], mvt[l - a:l - a - q:-1],
+                        np.array(c)[:, None], np.array(s)[:, None])
             # Every rotated column lies in [a, l - a]; an unrotated one gets
             # its cached entry back.
             a = runs[0][0]
@@ -294,14 +312,14 @@ def _jacobi_tall(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     else:
         raise NumericError(
             "svd did not converge within "
-            f"{MAX_SWEEPS} sweeps; worst off-diagonal ratio {_worst_offdiag(m):.3e}"
+            f"{MAX_SWEEPS} sweeps; worst off-diagonal ratio {_worst_offdiag(mt.T.copy()):.3e}"
         )
+    m = mt.T.copy()
 
-    v = mv[rows:]
     norms = np.linalg.norm(m, axis=0)
     order = np.argsort(-norms, kind="stable")
     sigma = norms[order]
-    v = v[:, order]
+    v = mvt[order, rows:].T
     # Zero norms sort last. Their columns of u, which only an exactly
     # rank-deficient w has, complete the first p to an orthonormal set: the
     # Q of a Householder QR is orthonormal by construction, and its first p
@@ -315,14 +333,15 @@ def _jacobi_tall(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, sigma, v
 
 
-def _rotate(cols_i, cols_j, c, s) -> None:
-    """cols_i, cols_j = c*old - s*cols_j, s*old + c*cols_j in place, where old
-    is cols_i before the update; each product rounds on its own."""
-    old = cols_i * s
-    cols_i *= c
-    cols_i -= cols_j * s
-    cols_j *= c
-    cols_j += old
+def _rotate(xi, xj, c, s) -> None:
+    """xi, xj = c*old - s*xj, s*old + c*xj in place, where old is xi before
+    the update; each product rounds on its own. xi and xj are columns of
+    [m; v], held as rows of _jacobi_tall's mvt, or two blocks of them."""
+    old = xi * s
+    xi *= c
+    xi -= xj * s
+    xj *= c
+    xj += old
 
 
 @functools.cache

@@ -427,15 +427,56 @@ def test_svd_bits_match_reference_loop(d, k, log_scale, seed, zero_col, repeat_c
         # (a tiny column), _jacobi_svd raises with the same measured error.
         assert got == want
         return
+    assert not isinstance(got, str), f"_jacobi_svd raised where the reference loop converges: {got}"
     for name in ("u", "sigma", "v"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.shape, a.strides, a.tobytes()) == (b.shape, b.strides, b.tobytes()), name
 
 
+def _strided(values: np.ndarray, step: int) -> np.ndarray:
+    """A copy of values whose last axis runs at a stride of step floats."""
+    buf = np.zeros(values.shape + (step,))
+    buf[..., 0] = values
+    return buf[..., 0]
+
+
+# _jacobi_tall holds each column of [m; v] as a row at a stride of two floats
+# and takes every Gram entry from ndarray.dot or a stacked np.matmul of
+# 1 x n . n x 1 items over such rows. Its bits equal the reference loop's only
+# if BLAS dots those as it dots a column of a plain array, at any other
+# non-unit stride: here k floats, as a column of an n x k array.
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    k=st.integers(3, 70),
+    log_scale=st.floats(-100.0, 100.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=300, k=64, log_scale=0.0, seed=0)
+def test_dots_at_a_stride_of_two_floats_keep_the_bits_of_column_dots(n, k, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    q = int(rng.integers(1, k + 1))
+    x, y = rng.standard_normal((2, q, n)) * 10.0 ** log_scale
+    x2, y2 = _strided(x, 2), _strided(y, 2)
+    # Columns of a C-order n x k array, as the items of a level's stack.
+    xk, yk = np.zeros((2, n, k))
+    xk[:, :q], yk[:, :q] = x.T, y.T
+    xk, yk = xk[:, :q].T, yk[:, :q].T
+    assert x2.strides == (16 * n, 16) and xk.strides == (8, 8 * k)
+    for i in range(q):
+        assert x2[i].dot(y2[i]).tobytes() == xk[i].dot(yk[i]).tobytes(), i
+    # A level pairs a forward slice with a backward one.
+    stacked = [np.matmul(a[:, None], b[::-1, :, None]).ravel() for a, b in ((x2, y2), (xk, yk))]
+    dots = np.array([xk[i].dot(yk[q - 1 - i]) for i in range(q)])
+    assert stacked[0].tobytes() == stacked[1].tobytes() == dots.tobytes()
+
+
 # sha256 of u, sigma and v bytes of the factors make_task keeps of the
 # teacher-student base weights, as the reference loop above factors them with
-# the float64 BLAS dot of numpy's bundled OpenBLAS on x86-64.
+# the float64 BLAS dot of numpy's bundled OpenBLAS on x86-64. At 8 x 8,
+# gradcheck_grid's shape, every level rotates per pair.
 SVD_DIGESTS = {
+    8: "6e52157ca6398f42ea113e1b680910d84fb24185411d59760f185c49f5242d61",
     16: "2bbfa68b9381f6b994257ccec3cde4d985d2ba12a16203e40a665f21092244f6",
     64: "daf427369851f333e0739335299f3c604b060b2c6be39e0a40a4350109a5c5f2",
 }
