@@ -45,10 +45,11 @@ JACOBI_TOL = 1e-12
 ORTHONORMAL_TOL = 1e-10
 
 # Levels of at most this many pairs take one strided dot and one rotation
-# per pair. A stacked np.matmul costs about 1.45 us against 0.7 us for one
-# dot, and a slice rotation's 2-D ufunc loops about 3 us each against 1 us on
-# one column: with 4-pair levels stacked (the longest at 8 columns), an
-# 8-column SVD ran 3 % slower than per pair, while 5 lost 12 x 12's gain.
+# per pair; longer ones one stacked np.matmul and one block rotation per run.
+# At one BLAS thread, every level stacked made 8 x 8 27 % and 16 x 16 7 %
+# slower, and every level per pair made 64 x 64 twice as slow. A limit of 2
+# or 3 moved 8 x 8 and 16 x 16 by under 10 % either way; 6 and 8 made
+# 16 x 16 12 % and 30 % slower.
 _PER_PAIR_MAX = 4
 
 
