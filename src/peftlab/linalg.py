@@ -2,14 +2,14 @@
 
 Everything operates on 2-D float64 numpy arrays. svd, which every caller but
 make_task uses, is LAPACK's (np.linalg.svd). _jacobi_svd, a hand-rolled cyclic
-one-sided Jacobi, serves make_task alone: the teacher weights and
-Task.w0_factors, and through them the benchmark's reference losses and the
-tests' factor digests, rest on its bits, so it stays until those are
-regenerated. It is also the oracle the tests hold svd to. Both share one
-wrapper: a power-of-two prescale, a fixed sign convention and an
-orthonormality check, so each gives bit-reproducible factors. Jacobi enters
-LAPACK only for an exactly rank-deficient input: one Householder QR completes
-the left singular vectors of its zero singular values.
+one-sided Jacobi, is make_task's portable factorization: Task.w0_factors keep
+their bits across OpenBLAS's CPU kernels, where LAPACK's do not, and the
+benchmark's reference losses move only by rounding. It is also the oracle the
+tests hold svd to. Both share one wrapper: a power-of-two prescale, a fixed
+sign convention and an orthonormality check, so each gives bit-reproducible
+factors on one machine. Jacobi enters LAPACK only for an exactly
+rank-deficient input: one Householder QR completes the left singular
+vectors of its zero singular values.
 
 The sweeps rotate the row-cyclic pairs a level of equal i + j at a time,
 with one stacked dot product and one rotation of whole rows per run of

@@ -288,7 +288,7 @@ def _xent_loss_gy(y: np.ndarray, labels: np.ndarray):
     return loss, gy / n
 
 
-def loss_and_grads(model: Model, batch) -> tuple[float, list[GradientSet]]:
+def loss_and_grads(model: Model, batch, *, out=None) -> tuple[float, list[GradientSet]]:
     """Mean batch loss and per-layer gradients.
 
     The backward pass sums each layer's gradients over the batch through the
@@ -298,20 +298,14 @@ def loss_and_grads(model: Model, batch) -> tuple[float, list[GradientSet]]:
     Each layer's direction (adapters.step_cache) is derived once, for the
     forward and the VJP both. The first layer's dx is None: nothing reads
     it. x must be a k x n block with n >= 1, and the targets are checked
-    against model.loss (ValueError).
+    against model.loss (ValueError). out, one GradientSet per layer, is each
+    layer's grad.param_grads out.
     """
     x, t = batch
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] < 1:
         raise ValueError(f"batch must be a k x n block with n >= 1, got shape {x.shape}")
-    return _loss_and_grads(model, x, _targets(model, t, x.shape[1]))
-
-
-def _loss_and_grads(model: Model, x: np.ndarray, t: np.ndarray,
-                    out: list[GradientSet] | None = None) -> tuple[float, list[GradientSet]]:
-    """loss_and_grads without its checks: x a float64 k x n block, t as
-    _targets returns it. out, one GradientSet per layer, is each layer's
-    grad.param_grads out."""
+    t = _targets(model, t, x.shape[1])
     acts, caches = [x], []
     for layer in model.layers:
         caches.append(step_cache(layer.state))
@@ -456,7 +450,8 @@ def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
 
     Every step records the pre-update batch loss, the global L2 norm over
     all trainable gradients, and the learning rate used; the held-out eval
-    score is recorded every cfg.eval_every steps (after the update). Raises
+    score is recorded every cfg.eval_every steps (after the update). Each
+    step is loss_and_grads, so a batch it rejects raises ValueError. Raises
     NumericError naming the step if the loss stops being finite.
     """
     rng = training_stream(task, cfg.seed)
@@ -472,11 +467,9 @@ def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
     opt = OptState(cfg.optimizer)
     base_lr = cfg.resolved_lr()
     records: list[MetricsRecord] = []
-    # Every batch of Task.batches passes loss_and_grads' checks, so a step
-    # takes the unchecked call.
-    for step, (x, t) in enumerate(task.batches(rng, cfg.batch_size, cfg.steps), 1):
+    for step, batch in enumerate(task.batches(rng, cfg.batch_size, cfg.steps), 1):
         try:
-            loss, _ = _loss_and_grads(model, x, t, grads)
+            loss, _ = loss_and_grads(model, batch, out=grads)
         except NumericError as e:
             raise NumericError(f"numeric failure at step {step}: {e}") from e
         grad_norm = math.sqrt(np.add.reduce(gflat * gflat))

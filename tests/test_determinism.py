@@ -1,10 +1,15 @@
 """Bits do not depend on the BLAS thread count: SVD factors, training
-records and CLI output hash the same at one and at two threads."""
+records and CLI output hash the same at one and at two threads. Across
+OpenBLAS CPU kernels, the Jacobi's factors keep their bits and the
+benchmark's reference numbers hold to 1e-13."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import peftlab
 
@@ -70,11 +75,17 @@ print(digest.hexdigest())
 """
 
 
-def digest_at(threads: int) -> str:
+def run_child(code: str, **env: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh python whose environment adds env and puts this
+    tree's peftlab first on the path."""
     src = str(Path(peftlab.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+    env = dict(os.environ, **env,
                PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", CHILD], capture_output=True, env=env, text=True)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True)
+
+
+def digest_at(threads: int) -> str:
+    proc = run_child(CHILD, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
@@ -83,3 +94,46 @@ def test_bits_do_not_depend_on_the_blas_thread_count():
     one = digest_at(1)
     assert len(one) == 64
     assert digest_at(2) == one
+
+
+# Runs every case of tests/test_reference.py with its tolerance tightened to
+# CI smoke's 1e-13 headroom, and test_svd_digest_of_task_weight_is_pinned of
+# tests/test_linalg.py for each of its SVD_DIGESTS, and prints one JSON line
+# naming each check that failed.
+KERNEL_CHILD = """
+import json
+import sys
+sys.path.insert(0, {tests!r})
+import test_linalg
+import test_reference
+
+test_reference.workloads.REL_TOL = 1e-13
+checks = [(test_reference.test_training_matches_the_benchmark_reference, case)
+          for case in test_reference.CASES]
+checks += [(test_linalg.test_svd_digest_of_task_weight_is_pinned, (d,))
+           for d in sorted(test_linalg.SVD_DIGESTS)]
+failed = []
+for check, args in checks:
+    try:
+        check(*args)
+    except AssertionError as e:
+        failed.append(f"{{check.__name__}}{{args}}: {{e}}")
+print(json.dumps({{"checks": len(checks), "failed": failed}}))
+"""
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge"])
+def test_reference_numbers_hold_on_another_blas_kernel(kernel):
+    # OPENBLAS_CORETYPE picks the kernel of a DYNAMIC_ARCH OpenBLAS, which
+    # OPENBLAS_VERBOSE=2 names on a "Core:" line of stderr as it loads.
+    proc = run_child(KERNEL_CHILD.format(tests=str(Path(__file__).resolve().parent)),
+                     OPENBLAS_CORETYPE=kernel, OPENBLAS_VERBOSE="2", OPENBLAS_NUM_THREADS="1")
+    assert proc.returncode == 0, proc.stderr
+    cores = [line.split(":", 1)[1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("Core:")]
+    if cores != [kernel]:
+        pytest.skip(f"OPENBLAS_CORETYPE={kernel} did not select that kernel of numpy's BLAS "
+                    f"(Core: lines {cores}); it needs a DYNAMIC_ARCH OpenBLAS")
+    report = json.loads(proc.stdout)
+    assert report["checks"] == 38
+    assert not report["failed"], "\n".join(report["failed"])
