@@ -11,9 +11,9 @@ factors on one machine. Jacobi enters LAPACK only for an exactly
 rank-deficient input: one Householder QR completes the left singular
 vectors of its zero singular values.
 
-The sweeps rotate the row-cyclic pairs a level of equal i + j at a time,
-with one stacked dot product and one rotation of whole rows per run of
-pairs: each column of the iterate is held as a row at a stride of two
+The sweeps rotate the row-cyclic pairs a level of equal i + j at a time, a
+long level with one stacked dot product and one rotation of whole rows per
+run of pairs: each column of the iterate is held as a row at a stride of two
 floats, which BLAS dots as it dots a column. _jacobi_tall says why that
 keeps every bit of the pair-at-a-time loop.
 """
@@ -46,10 +46,10 @@ ORTHONORMAL_TOL = 1e-10
 
 # Levels of at most this many pairs take one strided dot and one rotation
 # per pair; longer ones one stacked np.matmul and one block rotation per run.
-# At one BLAS thread, every level stacked made 8 x 8 27 % and 16 x 16 7 %
-# slower, and every level per pair made 64 x 64 twice as slow. A limit of 2
-# or 3 moved 8 x 8 and 16 x 16 by under 10 % either way; 6 and 8 made
-# 16 x 16 12 % and 30 % slower.
+# A stacked level's fixed array calls cost more than a few pairs' own calls
+# and less than many pairs'; the timings behind the limit (every level
+# stacked, every level per pair, other limits) are in CHANGES.md's entry for
+# 65e3e4f.
 _PER_PAIR_MAX = 4
 
 
@@ -230,15 +230,19 @@ def _jacobi_tall(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     dot stays at a non-unit stride, as a column of a plain rows x n array is,
     so BLAS takes it with the same strided ddot. A level's i-columns are a
     forward and its j-columns a backward slice of the rows of mt (m
-    transposed), so its dots are one np.matmul of 1 x rows . rows x 1 items,
-    which numpy computes with the routine of ndarray.dot. (A contiguous row
-    would take BLAS's vectorized kernel and change the bits.) Every factor
-    bit thus depends only on w. The diagonal Gram entries are cached and
-    recomputed, with the same dot, for the columns a level rotates. A level
-    of at most _PER_PAIR_MAX pairs rotates each pair's cached rows, a longer
-    one each run of consecutive rotating pairs as two blocks of rows, both
-    with _rotate's five ops. After the sweeps m is copied to C order once,
-    and the norms, u and the non-convergence message read that copy.
+    transposed), so a stacked level's dots are one np.matmul of
+    1 x rows . rows x 1 items, which numpy computes with the routine of
+    ndarray.dot. (A contiguous row would take BLAS's vectorized kernel and
+    change the bits.) Every factor bit thus depends only on w.
+
+    Every level runs one loop over its pairs, with one convergence test and
+    one angle. A level of at most _PER_PAIR_MAX pairs dots each pair's cached
+    rows, rotates the pair at once and recomputes its two diagonal Gram
+    entries, which are cached, with the same dot. A longer one takes its dots
+    from the stack and, after the loop, rotates each run of consecutive
+    rotating pairs as two blocks of rows and recomputes the entries of the
+    columns it spans. After the sweeps m is copied to C order once, and the
+    norms, u and the non-convergence message read that copy.
     """
     rows, n_cols = w.shape
     mvt = np.zeros((n_cols, rows + n_cols, 2))[..., 0]
@@ -251,45 +255,32 @@ def _jacobi_tall(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sqrt, hypot, copysign = math.sqrt, math.hypot, math.copysign
     for _ in range(MAX_SWEEPS):
         rotated = False
-        for l, lo, hi, pairs in _levels(n_cols):
-            if pairs is not None:
-                for i, j in pairs:
-                    gii = gram[i]
-                    gjj = gram[j]
-                    mi = m_rows[i]
-                    mj = m_rows[j]
-                    gij = float(mi.dot(mj))
-                    # A column whose Gram entry underflows to 0.0 is
-                    # converged: its gij can stay subnormal, so the relative
-                    # test below would never hold and the same pair would
-                    # rotate every sweep.
-                    if gii == 0.0 or gjj == 0.0 or abs(gij) <= JACOBI_TOL * sqrt(gii * gjj):
-                        continue
-                    rotated = True
-                    # Rotation angle from t^2 + 2*tau*t - 1 = 0; the smaller
-                    # root in magnitude avoids cancellation.
-                    tau = (gjj - gii) / (2.0 * gij)
-                    t = copysign(1.0, tau) / (abs(tau) + hypot(1.0, tau))
-                    c = 1.0 / sqrt(1.0 + t * t)
-                    _rotate(mv_rows[i], mv_rows[j], c, c * t)
-                    gram[i] = float(mi.dot(mi))
-                    gram[j] = float(mj.dot(mj))
-                continue
-            gijs = np.matmul(mt[lo:hi, None], mt[l - lo::-1][:hi - lo, :, None]).ravel().tolist()
-            runs = []  # [first i, c's, s's] of consecutive rotating pairs
+        for l, lo, hi, stacked in _levels(n_cols):
+            if stacked:
+                gijs = np.matmul(mt[lo:hi, None], mt[l - lo::-1][:hi - lo, :, None]).ravel().tolist()
+            runs = []  # [first i, c's, s's] of a stacked level's consecutive rotating pairs
             for i in range(lo, hi):
+                j = l - i
                 gii = gram[i]
-                gjj = gram[l - i]
-                gij = gijs[i - lo]
-                # The same test and angle as a per-pair level's.
+                gjj = gram[j]
+                gij = gijs[i - lo] if stacked else float(m_rows[i].dot(m_rows[j]))
+                # A column whose Gram entry underflows to 0.0 is converged:
+                # its gij can stay subnormal, so the relative test below
+                # would never hold and the same pair would rotate every sweep.
                 if gii == 0.0 or gjj == 0.0 or abs(gij) <= JACOBI_TOL * sqrt(gii * gjj):
                     continue
                 rotated = True
+                # Rotation angle from t^2 + 2*tau*t - 1 = 0; the smaller root
+                # in magnitude avoids cancellation.
                 tau = (gjj - gii) / (2.0 * gij)
                 t = copysign(1.0, tau) / (abs(tau) + hypot(1.0, tau))
                 c = 1.0 / sqrt(1.0 + t * t)
                 s = c * t
-                if runs and runs[-1][0] + len(runs[-1][1]) == i:
+                if not stacked:
+                    _rotate(mv_rows[i], mv_rows[j], c, s)
+                    gram[i] = float(m_rows[i].dot(m_rows[i]))
+                    gram[j] = float(m_rows[j].dot(m_rows[j]))
+                elif runs and runs[-1][0] + len(runs[-1][1]) == i:
                     runs[-1][1].append(c)
                     runs[-1][2].append(s)
                 else:
@@ -347,14 +338,13 @@ def _rotate(xi, xj, c, s) -> None:
 
 @functools.cache
 def _levels(n_cols: int) -> tuple:
-    """The sweep's levels (l, lo, hi, pairs), l = 1 .. 2n-3. Level l holds
-    the pairs (i, l - i) for i in range(lo, hi); pairs lists them for a
-    per-pair level and is None for a stacked one."""
+    """The sweep's levels (l, lo, hi, stacked), l = 1 .. 2n-3. Level l holds
+    the pairs (i, l - i) for i in range(lo, hi); stacked is whether it has
+    more than _PER_PAIR_MAX of them."""
     levels = []
     for l in range(1, 2 * n_cols - 2):
         lo, hi = max(0, l - n_cols + 1), (l + 1) // 2
-        pairs = tuple((i, l - i) for i in range(lo, hi)) if hi - lo <= _PER_PAIR_MAX else None
-        levels.append((l, lo, hi, pairs))
+        levels.append((l, lo, hi, hi - lo > _PER_PAIR_MAX))
     return tuple(levels)
 
 

@@ -451,8 +451,8 @@ def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
     Every step records the pre-update batch loss, the global L2 norm over
     all trainable gradients, and the learning rate used; the held-out eval
     score is recorded every cfg.eval_every steps (after the update). Each
-    step is loss_and_grads, so a batch it rejects raises ValueError. Raises
-    NumericError naming the step if the loss stops being finite.
+    step is loss_and_grads, so a batch it rejects raises ValueError, and a
+    loss that stops being finite NumericError, each naming the step.
     """
     rng = training_stream(task, cfg.seed)
     named = [(i, name, arr) for i, layer in enumerate(model.layers)
@@ -472,6 +472,8 @@ def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
             loss, _ = loss_and_grads(model, batch, out=grads)
         except NumericError as e:
             raise NumericError(f"numeric failure at step {step}: {e}") from e
+        except ValueError as e:
+            raise type(e)(f"batch at step {step}: {e}") from e
         grad_norm = math.sqrt(np.add.reduce(gflat * gflat))
         if cfg.scheduler == "cosine":
             lr = cosine_lr(step - 1, cfg.steps, cfg.warmup_frac, base_lr)

@@ -378,7 +378,9 @@ def _svd_or_error(w):
 
 # The examples give levels of up to 32 pairs; 257 x 32 is the transposed
 # shape of a 32 x 257 gradcheck weight. At 9 x 7 every level has at most
-# _PER_PAIR_MAX pairs, so each rotation is a per-pair one.
+# _PER_PAIR_MAX pairs, so each rotation is a per-pair one. per_pair_max
+# replaces _PER_PAIR_MAX: 0 stacks every level and 10**6 rotates every pair
+# on its own, so both kinds of level meet the reference at every shape.
 @settings(max_examples=60, deadline=None)
 @given(
     d=st.integers(1, 24),
@@ -389,19 +391,20 @@ def _svd_or_error(w):
     repeat_col=st.booleans(),
     negative_zeros=st.booleans(),
     tiny_col=st.none() | st.floats(100.0, 170.0),
+    per_pair_max=st.sampled_from((0, linalg._PER_PAIR_MAX, 10**6)),
 )
 @example(d=64, k=64, log_scale=0.0, seed=0, zero_col=False, repeat_col=False,
-         negative_zeros=False, tiny_col=None)
+         negative_zeros=False, tiny_col=None, per_pair_max=linalg._PER_PAIR_MAX)
 @example(d=40, k=33, log_scale=3.0, seed=1, zero_col=False, repeat_col=True,
-         negative_zeros=True, tiny_col=None)
+         negative_zeros=True, tiny_col=None, per_pair_max=linalg._PER_PAIR_MAX)
 @example(d=33, k=40, log_scale=-3.0, seed=2, zero_col=True, repeat_col=False,
-         negative_zeros=True, tiny_col=None)
+         negative_zeros=True, tiny_col=None, per_pair_max=linalg._PER_PAIR_MAX)
 @example(d=257, k=32, log_scale=0.0, seed=3, zero_col=False, repeat_col=False,
-         negative_zeros=False, tiny_col=None)
+         negative_zeros=False, tiny_col=None, per_pair_max=linalg._PER_PAIR_MAX)
 @example(d=9, k=7, log_scale=0.0, seed=4, zero_col=True, repeat_col=False,
-         negative_zeros=True, tiny_col=None)
+         negative_zeros=True, tiny_col=None, per_pair_max=linalg._PER_PAIR_MAX)
 def test_svd_bits_match_reference_loop(d, k, log_scale, seed, zero_col, repeat_col,
-                                       negative_zeros, tiny_col):
+                                       negative_zeros, tiny_col, per_pair_max):
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((d, k)) * 10.0 ** log_scale
     if zero_col:
@@ -419,7 +422,13 @@ def test_svd_bits_match_reference_loop(d, k, log_scale, seed, zero_col, repeat_c
         w[r, c] = 10.0 ** log_scale
     if tiny_col is not None:
         w[:, rng.integers(k)] *= 10.0 ** -tiny_col
-    got = _svd_or_error(w)
+    # _levels caches the schedule of the patched limit; no other test sees it.
+    linalg._levels.cache_clear()
+    try:
+        with mock.patch.object(linalg, "_PER_PAIR_MAX", per_pair_max):
+            got = _svd_or_error(w)
+    finally:
+        linalg._levels.cache_clear()
     with mock.patch.object(linalg, "_jacobi_tall", _reference_jacobi_tall):
         want = _svd_or_error(w)
     if isinstance(want, str):

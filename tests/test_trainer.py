@@ -238,6 +238,23 @@ def test_train_rejects_a_batch_that_fails_the_checks(kind, corrupt, message):
     assert [arr.tobytes() for _, arr in _all_params(model)] == before
 
 
+def test_train_names_the_step_of_a_batch_that_fails_the_checks():
+    # Only the third batch carries a bad label, so the first two steps
+    # update the model and the error names step 3.
+    relabel, seen = _relabel(-1), []
+
+    def third_batch(x, t):
+        seen.append(None)
+        return relabel(x, t) if len(seen) == 3 else (x, t)
+
+    task = make_task("cluster_classify", 4, 4, sigma=0.5, seed=1)
+    model = make_model(task, "lora", rank=2, seed=1)
+    with pytest.raises(ValueError, match=r"step 3\b.*labels must lie in \[0, 4\), got -1\."):
+        train(model, _CorruptedTask(**vars(task), corrupt=third_batch),
+              TrainConfig(steps=5, batch_size=4, seed=1))
+    assert len(seen) == 3
+
+
 def test_task_loss_follows_its_kind():
     task = make_task("teacher_student", 4, 4, seed=0)
     assert make_model(task, "lora", 2).loss == "mse"
