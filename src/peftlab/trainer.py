@@ -241,15 +241,22 @@ def make_model(task: Task, method: str, rank: int, scaling: float = 1.0,
     )
 
 
-def model_forward(model: Model, x: np.ndarray) -> np.ndarray:
-    """Apply every layer to a k x n input block, each with the direction
-    adapters.step_cache derives for it."""
-    cur = x
+def _walk(model: Model, x: np.ndarray):
+    """The forward of training and evaluation: every layer applied to the
+    k x n block x with the direction adapters.step_cache derives once for it,
+    then its ReLU in place, so no pre-activation outlives its layer. Returns
+    the activations (x first) and the directions."""
+    acts, caches = [x], []
     for layer in model.layers:
-        cur = layer_forward(layer.state, cur, step_cache(layer.state))
-        if layer.relu:
-            cur = np.maximum(cur, 0.0)
-    return cur
+        caches.append(step_cache(layer.state))
+        z = layer_forward(layer.state, acts[-1], caches[-1])
+        acts.append(np.maximum(z, 0.0, out=z) if layer.relu else z)
+    return acts, caches
+
+
+def model_forward(model: Model, x: np.ndarray) -> np.ndarray:
+    """Every layer applied to a k x n input block, as loss_and_grads applies them."""
+    return _walk(model, x)[0][-1]
 
 
 def _mse_loss_gy(y: np.ndarray, t: np.ndarray):
@@ -306,11 +313,7 @@ def loss_and_grads(model: Model, batch, *, out=None) -> tuple[float, list[Gradie
     if x.ndim != 2 or x.shape[1] < 1:
         raise ValueError(f"batch must be a k x n block with n >= 1, got shape {x.shape}")
     t = _targets(model, t, x.shape[1])
-    acts, caches = [x], []
-    for layer in model.layers:
-        caches.append(step_cache(layer.state))
-        z = layer_forward(layer.state, acts[-1], caches[-1])
-        acts.append(np.maximum(z, 0.0) if layer.relu else z)
+    acts, caches = _walk(model, x)
     loss, gy = (_mse_loss_gy if model.loss == "mse" else _xent_loss_gy)(acts[-1], t)
     if not math.isfinite(loss):
         raise NumericError("non-finite loss")
