@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ConfigError, NumericError, SvdFactors, _check_choice, _check_int
-from .linalg import _check_number, as_matrix, column_norms, svd, truncate_svd
+from .linalg import _check_number, _column_squares, as_matrix, column_norms, svd, truncate_svd
 
 __all__ = [
     "METHODS",
@@ -42,8 +42,8 @@ __all__ = [
 
 METHODS = ("full", "lora", "dora", "pissa", "dude", "dude_a", "dude_b")
 
-# Added to every column norm of the direction, n_j = ||v_j|| + NORM_EPSILON,
-# so a zero column stays defined; also a zero column's initial magnitude.
+# Added to every column norm of the direction by _guarded_norm, so a zero
+# column stays defined; also a zero column's initial magnitude.
 NORM_EPSILON = 1e-12
 
 # How initialize builds each method but full: (b_power, magnitude).
@@ -80,11 +80,11 @@ class StepCache:
     """The direction of a dora/dude* weight at given trainables, the one
     thing a step derives besides products with the factors, since
     layer_forward and grad.param_grads never form W', g = dL/dW' or
-    h = dL/dv: v = base + scaling * b @ a, sq = ||v_j||^2,
-    n = ||v_j|| + NORM_EPSILON and mn = m / n. step_cache derives it once per
-    layer and step as a new value, which both kernels take; nothing keeps it
-    on the state. effective_weight and the finite-difference oracle derive
-    theirs through the same formula (_direction).
+    h = dL/dv: v = base + scaling * b @ a, sq = ||v_j||^2 (as column_norms
+    sums), n = _guarded_norm(sq) and mn = m / n. step_cache derives it once
+    per layer and step as a new value, which both kernels take; nothing
+    keeps it on the state. effective_weight and the finite-difference oracle
+    derive theirs through the same formula (_direction).
     """
 
     v: np.ndarray | None = None
@@ -225,18 +225,25 @@ def effective_weight(state: AdapterState) -> np.ndarray:
 
 def _direction(base, b, a, m, cfg: AdapterConfig) -> StepCache:
     """v = base + scaling * b @ a and, when m is given, its column sums of
-    squares sq (of v * v, summed as numpy.linalg.norm sums them),
-    n = sqrt(sq) + NORM_EPSILON and mn = m / n, in new arrays."""
+    squares sq (linalg._column_squares, which column_norms sums by too),
+    n = _guarded_norm(sq) and mn = m / n, in new arrays."""
     # s * (b @ a) + base has the bits of base + s * (b @ a): both operations
     # commute.
     v = _scaled(np.matmul(b, a), cfg.scaling)
     v += base
     if m is None:
         return StepCache(v=v)
-    sq = np.add.reduce(v * v, axis=-2)
-    n = np.sqrt(sq)
-    n += NORM_EPSILON
+    sq = _column_squares(v)
+    n = _guarded_norm(sq)
     return StepCache(v, sq, n, m / n)
+
+
+def _guarded_norm(sq: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sqrt(sq) + NORM_EPSILON, the guarded norm of direction columns whose
+    sums of squares are sq; in out when given (it may be sq), else new."""
+    n = np.sqrt(sq, out=out)
+    n += NORM_EPSILON
+    return n
 
 
 def _weight(base, b, a, m, cfg: AdapterConfig) -> np.ndarray:

@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapters import AdapterConfig, initialize
+from .adapters import METHODS, AdapterConfig, initialize
 from .grad import GRAD_CHECK_TOLERANCE, grad_check
-from .linalg import ConfigError, NumericError, _check_int, _check_number
+from .linalg import ConfigError, NumericError, _check_choice, _check_int, _check_number
 from .linalg import as_matrix, frobenius_norm, svd, truncate_svd
 from .trainer import (
     DEFAULT_SEEDS,
@@ -206,6 +206,7 @@ def _load_summary_runs(dir_path: Path) -> tuple[Path, list[dict]]:
             raise ConfigError(f"corrupt summary file {path}: run entry lacks "
                               "method/seed/final_loss")
         try:
+            _check_choice("method", entry["method"], METHODS)
             _check_int("seed", entry["seed"], 0)
             _check_number("final_loss", entry["final_loss"])
         except ConfigError as e:
@@ -223,7 +224,7 @@ def compare(run_dirs: list[str | Path], out_path: str | Path) -> list[dict]:
     for d in run_dirs:
         path, runs = _load_summary_runs(Path(d))
         for entry in runs:
-            method, seed = str(entry["method"]), int(entry["seed"])
+            method, seed = entry["method"], int(entry["seed"])
             if (method, seed) in seen:
                 raise ConfigError(f"method {method!r} seed {seed} appears in both "
                                   f"{seen[method, seed]} and {path}")

@@ -11,8 +11,8 @@ h = dL/dv. For lora/pissa, z = base x + s b (a x) with s the scaling, and
 
 For the magnitude/direction methods the backward pass differentiates
 through the column norms (no frozen-norm shortcut). With v_j the j-th column
-of base + s b a, n_j = ||v_j|| + eps (eps = adapters.NORM_EPSILON) and
-mn_j = m_j / n_j, the forward is z = v x_m with x_m = mn * x (row j of x
+of base + s b a, n_j = ||v_j|| + eps its guarded norm (adapters._guarded_norm)
+and mn_j = m_j / n_j, the forward is z = v x_m with x_m = mn * x (row j of x
 scaled by mn_j), and
 
     h_j  = mn_j g_j - c_j v_j,   c_j = mn_j <v_j, g_j> / ||v_j||^2,
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import NORM_EPSILON, AdapterState, StepCache, _as_vector, _direction, _scaled
+from .adapters import AdapterState, StepCache, _as_vector, _direction, _guarded_norm, _scaled
 from .adapters import _weight, forward, step_cache, trainable_params
 from .linalg import NumericError
 
@@ -247,16 +247,15 @@ def _central_differences(state: AdapterState, name: str, arr: np.ndarray, x: np.
         elif name == "b":
             ys = _weight(part["base"][:, None], part["b"][:, None], state.a, None, cfg)[:, 0]
             if m is not None:
-                # In place: delta in ys, sqrt(sq + delta (2 v_i + delta)) + eps
-                # in the gathered rows v_i, then q in ys.
+                # In place: delta in ys, the guarded norm of sq + delta
+                # (2 v_i + delta) in the gathered rows v_i, then q in ys.
                 ys -= part["v"]
                 den = part["v"]
                 den *= 2.0
                 den += ys
                 den *= ys
                 den += whole.sq
-                np.sqrt(den, out=den)
-                den += NORM_EPSILON
+                _guarded_norm(den, out=den)
                 ys *= gy[unit][:, None]
                 ys += g
                 ys /= den

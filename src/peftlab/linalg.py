@@ -112,8 +112,14 @@ def column_norms(w) -> np.ndarray:
     """Euclidean norm of every column of w."""
     # Not prescaled: initialize raises on a non-finite m, and that keeps a
     # state whose step would square v's entries to inf from training.
-    w = np.asarray(w, dtype=np.float64)
-    return np.linalg.norm(w, axis=0)
+    return np.sqrt(_column_squares(np.asarray(w, dtype=np.float64)))
+
+
+def _column_squares(w: np.ndarray) -> np.ndarray:
+    """Sum of squares of every column of w (axis -2, so stacked ones too):
+    the one such sum, behind column_norms, the Jacobi's sigma and
+    adapters._direction."""
+    return np.add.reduce(w * w, axis=-2)
 
 
 def frobenius_norm(w) -> float:
@@ -308,7 +314,7 @@ def _jacobi_tall(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         )
     m = mt.T.copy()
 
-    norms = np.linalg.norm(m, axis=0)
+    norms = np.sqrt(_column_squares(m))
     order = np.argsort(-norms, kind="stable")
     sigma = norms[order]
     v = mvt[order, rows:].T

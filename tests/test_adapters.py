@@ -82,6 +82,23 @@ def test_dora_zero_column_gets_epsilon_guard():
     assert np.allclose(effective_weight(state)[:, 1], 0.0)
 
 
+@pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+@pytest.mark.parametrize("d, k", [(7, 4), (4, 7), (5, 5)])
+def test_dora_init_magnitudes_are_the_norms_of_the_first_step(d, k, scale):
+    # At init b = 0, so the step's direction v is w0: its sums of squares
+    # and guarded norms, summed by the one column sum of squares behind
+    # column_norms too, must give m's bits.
+    w0 = np.random.default_rng(d * k).standard_normal((d, k)) * scale
+    w0[:, 1] = 0.0
+    state = initialize(w0, AdapterConfig("dora", 2, scaling=0.5, seed=1))
+    cache = step_cache(state)
+    live = cache.sq > 0.0
+    assert np.array_equal(live, np.arange(k) != 1)
+    assert state.m[live].tobytes() == np.sqrt(cache.sq[live]).tobytes()
+    assert state.m[1] == NORM_EPSILON and cache.sq[1] == 0.0
+    assert cache.n[live].tobytes() == (state.m[live] + NORM_EPSILON).tobytes()
+
+
 def test_pissa_init_diagonal_by_hand():
     state = initialize(np.diag([3.0, 2.0]), AdapterConfig("pissa", 1, seed=0))
     root3 = math.sqrt(3.0)

@@ -391,7 +391,11 @@ def test_compare_missing_summary_names_path(tmp_path, capsys):
     (lambda s: s["runs"][0].update(final_loss="abc"), "'final_loss' must be a number"),
     (lambda s: s["runs"][0].pop("seed"), "lacks method/seed/final_loss"),
     (lambda s: s["runs"][0].update(seed=[1]), "'seed' must be an integer"),
-], ids=["format-version", "nan-loss", "string-loss", "no-seed", "list-seed"])
+    (lambda s: s["runs"][0].update(method=["lora"]), "'method' must be one of"),
+    (lambda s: s["runs"][0].update(method=None), "'method' must be one of"),
+    (lambda s: s["runs"][0].update(method="lorax"), "'method' must be one of"),
+], ids=["format-version", "nan-loss", "string-loss", "no-seed", "list-seed", "list-method",
+        "null-method", "unknown-method"])
 def test_compare_rejects_bad_summary_naming_file(tmp_path, capsys, mutate, message):
     write_summary(tmp_path / "r", "lora", [1.0])
     path = tmp_path / "r" / "summary.json"

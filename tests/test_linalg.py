@@ -46,6 +46,30 @@ def test_column_norms_zero_matrix():
     assert np.array_equal(column_norms(np.zeros((3, 4))), np.zeros(4))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(1, 70),
+    k=st.integers(1, 70),
+    log_scale=st.floats(-150.0, 150.0),
+    seed=st.integers(0, 2**32 - 1),
+    zero_col=st.booleans(),
+    negative_zero_col=st.booleans(),
+)
+@example(d=1, k=1, log_scale=150.0, seed=0, zero_col=False, negative_zero_col=False)
+@example(d=70, k=70, log_scale=-150.0, seed=1, zero_col=True, negative_zero_col=True)
+def test_column_norms_are_the_bytes_of_numpys_norm(d, k, log_scale, seed, zero_col,
+                                                   negative_zero_col):
+    # column_norms, the Jacobi's singular values and the step's direction
+    # norms share one column sum of squares; its public output must keep
+    # the bits it had as numpy's norm.
+    w = np.random.default_rng(seed).standard_normal((d, k)) * 10.0 ** log_scale
+    if zero_col:
+        w[:, 0] = 0.0
+    if negative_zero_col:
+        w[:, -1] = -0.0
+    assert column_norms(w).tobytes() == np.linalg.norm(w, axis=0).tobytes()
+
+
 def test_frobenius_norm_values():
     assert frobenius_norm(np.zeros((2, 5))) == 0.0
     assert frobenius_norm(np.eye(3)) == pytest.approx(math.sqrt(3.0), rel=1e-15)
