@@ -225,7 +225,7 @@ def effective_weight(state: AdapterState) -> np.ndarray:
 
 def _direction(base, b, a, m, cfg: AdapterConfig) -> StepCache:
     """v = base + scaling * b @ a and, when m is given, its column sums of
-    squares sq (linalg._column_squares, which column_norms sums by too),
+    squares sq (linalg._column_squares, as column_norms sums them),
     n = _guarded_norm(sq) and mn = m / n, in new arrays."""
     # s * (b @ a) + base has the bits of base + s * (b @ a): both operations
     # commute.

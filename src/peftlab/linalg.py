@@ -117,7 +117,7 @@ def column_norms(w) -> np.ndarray:
 
 def _column_squares(w: np.ndarray) -> np.ndarray:
     """Sum of squares of every column of w (axis -2, so stacked ones too):
-    the one such sum, behind column_norms, the Jacobi's sigma and
+    the one such sum, behind column_norms (so the Jacobi's sigma too) and
     adapters._direction."""
     return np.add.reduce(w * w, axis=-2)
 
@@ -314,7 +314,7 @@ def _jacobi_tall(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         )
     m = mt.T.copy()
 
-    norms = np.sqrt(_column_squares(m))
+    norms = column_norms(m)
     order = np.argsort(-norms, kind="stable")
     sigma = norms[order]
     v = mvt[order, rows:].T
