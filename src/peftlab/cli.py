@@ -70,12 +70,21 @@ _CONFIG_DEFAULTS = {
 _REQUIRED_FIELDS = ("task", "method", "out_dir")
 
 
+def _read_text(path: Path, missing: str) -> str:
+    """The text of the UTF-8 file at path. ConfigError naming the path when
+    it is not a file (the message begins with missing) or not UTF-8."""
+    if not path.is_file():
+        raise ConfigError(f"{missing}: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path} is not UTF-8 text: {e}") from None
+
+
 def load_config(path: str | Path) -> dict:
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(_read_text(path, "config file not found"))
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
@@ -188,10 +197,8 @@ def run_experiment(config_path: str | Path, overrides: dict | None = None) -> Ru
 
 def _load_summary_runs(dir_path: Path) -> tuple[Path, list[dict]]:
     path = dir_path / "summary.json"
-    if not path.is_file():
-        raise ConfigError(f"missing summary file: {path}")
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(_read_text(path, "missing summary file"))
     except json.JSONDecodeError as e:
         raise ConfigError(f"corrupt summary file {path}: {e}") from e
     runs = data.get("runs") if isinstance(data, dict) else None
@@ -251,27 +258,25 @@ def _compare_line(row: dict, spec: str) -> str:
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"matrix file not found: {path}")
     rows: list[list[float]] = []
-    with open(path, encoding="utf-8") as f:
-        for i, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            vals = []
-            for j, cell in enumerate(line.split(","), start=1):
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise ConfigError(
-                        f"non-numeric value at row {i}, column {j}: {cell.strip()!r}"
-                    ) from None
-            if rows and len(vals) != len(rows[0]):
+    # read_text ends lines as iterating the open file does: at \n, \r\n or \r.
+    for i, line in enumerate(_read_text(path, "matrix file not found").split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        vals = []
+        for j, cell in enumerate(line.split(","), start=1):
+            try:
+                vals.append(float(cell))
+            except ValueError:
                 raise ConfigError(
-                    f"ragged csv at row {i}: {len(vals)} values, expected {len(rows[0])}"
-                )
-            rows.append(vals)
+                    f"non-numeric value at row {i}, column {j}: {cell.strip()!r}"
+                ) from None
+        if rows and len(vals) != len(rows[0]):
+            raise ConfigError(
+                f"ragged csv at row {i}: {len(vals)} values, expected {len(rows[0])}"
+            )
+        rows.append(vals)
     if not rows:
         raise ConfigError(f"matrix file is empty: {path}")
     return as_matrix(rows, name=str(path))

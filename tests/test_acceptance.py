@@ -7,11 +7,12 @@ elsewhere in the suite.
 """
 
 import json
-import math
 import time
 
 import numpy as np
 
+from layer_oracle import ADAPTER_METHODS, direction, direction_from_coefficients, projection_gaps
+from layer_oracle import rel_frob
 from peftlab.adapters import (
     METHODS,
     NORM_EPSILON,
@@ -20,15 +21,13 @@ from peftlab.adapters import (
     forward,
     initialize,
     merge,
-    step_cache,
     trainable_params,
 )
 from peftlab.cli import compare, main
-from peftlab.grad import GRAD_CHECK_TOLERANCE, direction_gradient, grad_check
+from peftlab.grad import GRAD_CHECK_TOLERANCE, grad_check
 from peftlab.linalg import frobenius_norm, svd, truncate_svd
 from peftlab.trainer import DEFAULT_SEEDS, TrainConfig, make_model, make_task, train
 
-ADAPTER_METHODS = tuple(m for m in METHODS if m != "full")
 GRAD_SHAPES = ((2, 2), (5, 4), (4, 7), (16, 16))
 
 
@@ -38,10 +37,6 @@ def report(number: int, label: str, ok: bool, started: float, budget: float | No
     if budget is not None:
         assert elapsed < budget, f"criterion {number} exceeded {budget}s budget ({elapsed:.2f}s)"
     return elapsed
-
-
-def rel_frob(a, b):
-    return frobenius_norm(a - b) / max(1.0, frobenius_norm(b))
 
 
 def test_criterion_1_svd_correctness():
@@ -113,14 +108,6 @@ def test_criterion_3_gradient_oracle():
     assert ok
 
 
-def _direction_gradient(state, v, g):
-    """h = dL/dv for g = dL/dW', built column by column from the coefficients
-    c that direction_gradient returns: h_j = (m_j / n_j) g_j - c_j v_j."""
-    n = np.linalg.norm(v, axis=0) + NORM_EPSILON
-    c = direction_gradient(step_cache(state), (v * g).sum(axis=0))
-    return (state.m / n) * g - c * v
-
-
 def test_criterion_4_projection_property():
     started = time.perf_counter()
     rng = np.random.default_rng(1004)
@@ -136,17 +123,7 @@ def test_criterion_4_projection_property():
             arr += 0.1 * rng.standard_normal(arr.shape)
         x = rng.standard_normal(k)
         gy = rng.standard_normal(d)
-        g = np.outer(gy, x)
-        v = state.base + state.config.scaling * (state.b @ state.a)
-        h = _direction_gradient(state, v, g)
-        for j in range(k):
-            # Relative to (m_j / n_j) * ||g_j||, the scale of h_j's rounding
-            # error: at d = 1 the exact h_j is 0, so ||h_j|| is that error.
-            n_j = np.linalg.norm(v[:, j]) + NORM_EPSILON
-            scale = abs(state.m[j]) / n_j * np.linalg.norm(g[:, j])
-            bound = 1e-10 * np.linalg.norm(v[:, j]) * scale
-            if abs(float(v[:, j] @ h[:, j])) > max(bound, 1e-30):
-                ok = False
+        ok &= all(gap <= bound for gap, bound in projection_gaps(state, np.outer(gy, x), 1e-10))
     report(4, "direction gradients orthogonal to their columns", ok, started, 5.0)
     assert ok
 
@@ -207,9 +184,9 @@ def test_criterion_7_variant_equivalence():
             ok &= rel_frob(state.b @ state.a, reference) <= 1e-10
             ok &= rel_frob(effective_weight(state), w0) <= 1e-10  # criterion 2
             ok &= grad_check(state, seed=i).passed  # criterion 3
-            v = state.base + state.b @ state.a
+            v = direction(state).v
             g = np.outer(rng.standard_normal(d), rng.standard_normal(k))
-            h = _direction_gradient(state, v, g)
+            h = direction_from_coefficients(state, g)
             for j in range(k):  # criterion 4
                 bound = 1e-10 * np.linalg.norm(v[:, j]) * np.linalg.norm(h[:, j])
                 ok &= abs(float(v[:, j] @ h[:, j])) <= max(bound, 1e-30)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layer_oracle import direction, guarded_norm, rel_frob
 from peftlab.adapters import (
     METHODS,
     NORM_EPSILON,
@@ -20,12 +21,6 @@ from peftlab.adapters import (
     trainable_params,
 )
 from peftlab.linalg import ConfigError, NumericError, SvdFactors, frobenius_norm, svd
-
-ADAPTER_METHODS = tuple(m for m in METHODS if m != "full")
-
-
-def rel_frob(a, b):
-    return frobenius_norm(a - b) / max(1.0, frobenius_norm(b))
 
 
 def random_state(method, d, k, r, seed, scaling=1.0):
@@ -96,7 +91,7 @@ def test_dora_init_magnitudes_are_the_norms_of_the_first_step(d, k, scale):
     assert np.array_equal(live, np.arange(k) != 1)
     assert state.m[live].tobytes() == np.sqrt(cache.sq[live]).tobytes()
     assert state.m[1] == NORM_EPSILON and cache.sq[1] == 0.0
-    assert cache.n[live].tobytes() == (state.m[live] + NORM_EPSILON).tobytes()
+    assert cache.n[live].tobytes() == guarded_norm(state.m[live]).tobytes()
 
 
 def test_pissa_init_diagonal_by_hand():
@@ -112,7 +107,7 @@ def test_pissa_residual_norm_is_dropped_singular_value():
     state = initialize(w0, AdapterConfig("pissa", 1, seed=0))
     sigma2 = math.sqrt(15.0 - math.sqrt(221.0))
     assert frobenius_norm(state.base) == pytest.approx(sigma2, rel=1e-10)
-    assert rel_frob(state.base + state.b @ state.a, w0) <= 1e-10
+    assert rel_frob(direction(state).v, w0) <= 1e-10
 
 
 def test_dude_init_diagonal_by_hand():
@@ -159,7 +154,7 @@ def test_init_equivalence_all_methods_random():
             state = initialize(w0, cfg)
             assert rel_frob(effective_weight(state), w0) <= 1e-10, method
             if method in ("pissa", "dude", "dude_a", "dude_b"):
-                assert rel_frob(state.base + state.b @ state.a, w0) <= 1e-10, method
+                assert rel_frob(direction(state).v, w0) <= 1e-10, method
             if state.m is not None:
                 assert np.all(state.m > 0.0)
 
@@ -189,12 +184,12 @@ def test_initialize_properties(d, k, data, scaling, log_scale, seed):
         expected = w0
         if state.m is not None:
             assert np.all(state.m > 0.0), method
-            # NORM_EPSILON in the denominator of the normalization scales
-            # column j by ||w0_j|| / (||w0_j|| + NORM_EPSILON).
-            expected = w0 * (norms / (norms + NORM_EPSILON))
+            # The guard in the denominator of the normalization scales
+            # column j by ||w0_j|| / guarded_norm(||w0_j||).
+            expected = w0 * (norms / guarded_norm(norms))
         assert rel(effective_weight(state), expected) <= 1e-10, method
         if method in ("pissa", "dude", "dude_a", "dude_b"):
-            assert rel(state.base + scaling * (state.b @ state.a), w0) <= 1e-10, method
+            assert rel(direction(state).v, w0) <= 1e-10, method
         if method.startswith("dude"):
             updates[method] = state.b @ state.a
         assert state.base.flags.writeable == (method == "full"), method
@@ -377,9 +372,7 @@ def test_merge_matches_layer_forward_at_extreme_input_scales(method, d, k, data,
     x = rng.standard_normal((k, n)) * 10.0 ** exponent
     x_abs = np.abs(x)
     if state.m is not None:
-        v = state.base + scaling * (state.b @ state.a)
-        norms = np.linalg.norm(v, axis=0) + NORM_EPSILON
-        x_abs = x_abs * (np.abs(state.m) / norms)[:, None]
+        x_abs = x_abs * np.abs(direction(state).mn)[:, None]
     size = np.abs(state.base) @ x_abs
     if method != "full":
         size += scaling * (np.abs(state.b) @ (np.abs(state.a) @ x_abs))

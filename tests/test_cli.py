@@ -325,6 +325,17 @@ def test_run_missing_config_exits_1(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("config.json", "run --config {path}"), ("summary.json", "compare {dir} --out {dir}/c.csv"),
+    ("m.csv", "svd --in {path} --rank 1 --out {dir}/f")], ids=["run", "compare", "svd"])
+def test_input_file_not_utf8_exits_1_naming_it(tmp_path, capsys, name, argv):
+    path = tmp_path / name
+    path.write_bytes(b"\xff1\n")
+    assert main([arg.format(path=path, dir=tmp_path) for arg in argv.split()]) == 1
+    assert f"error: {path} is not UTF-8 text" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
 def test_cli_usage_error_exits_1():
     assert main(["run"]) == 1  # missing --config
     assert main(["frobnicate"]) == 1

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from layer_oracle import ADAPTER_METHODS, MAGNITUDE_METHODS, direction, guarded_norm
+from layer_oracle import projection_gaps
 from peftlab import grad
 from peftlab.adapters import (
     METHODS,
-    NORM_EPSILON,
     AdapterConfig,
     effective_weight,
     forward,
@@ -53,14 +54,6 @@ def max_rel(a, f):
     return float((np.abs(a - f) / scale).max())
 
 
-def direction_from_coefficients(state, v, g):
-    """h = dL/dv for g = dL/dW', built column by column from the coefficients
-    c that direction_gradient returns: h_j = (m_j / n_j) g_j - c_j v_j."""
-    n = np.linalg.norm(v, axis=0) + NORM_EPSILON
-    c = direction_gradient(step_cache(state), (v * g).sum(axis=0))
-    return (state.m / n) * g - c * v
-
-
 # ---------------------------------------------------------------------------
 # analytic backward
 
@@ -74,21 +67,13 @@ def test_zero_output_gradient_gives_zero_grads():
 
 
 def test_direction_gradient_orthogonal_to_columns():
-    # h = dL/dv projects onto the orthogonal complement of each column. The
-    # bound is relative to (m_j / n_j) * ||g_j||, the scale of h_j's rounding
-    # error: at d = 1 the exact h_j is 0, so ||h_j|| is that error.
+    # h = dL/dv projects onto the orthogonal complement of each column, to
+    # the bound projection_gaps states.
     for seed in range(12):
         d = 1 + seed % 6
         state, x, gy = random_case("dude", d, 5, min(2, d), seed=seed)
-        g = np.outer(gy, x)
-        v = state.base + state.config.scaling * (state.b @ state.a)
-        h = direction_from_coefficients(state, v, g)
-        for j in range(v.shape[1]):
-            inner = abs(float(v[:, j] @ h[:, j]))
-            n_j = np.linalg.norm(v[:, j]) + NORM_EPSILON
-            scale = abs(state.m[j]) / n_j * np.linalg.norm(g[:, j])
-            bound = 1e-10 * np.linalg.norm(v[:, j]) * scale
-            assert inner <= max(bound, 1e-30)
+        for inner, bound in projection_gaps(state, np.outer(gy, x), 1e-10):
+            assert inner <= bound
 
 
 def with_zero_column(state):
@@ -125,11 +110,6 @@ def assert_reused_cache_gives_fresh_bytes(method, d, k, r, scaling, zero_column,
         arr[...] = old
     fresh = dataclasses.replace(state)
     cache, fresh_cache = step_cache(state), step_cache(fresh)
-
-    def bits(gs):
-        arrays = [gs] if isinstance(gs, np.ndarray) else [gs.db, gs.da, gs.dm, gs.dx, gs.dbase]
-        return [None if a is None else (a.shape, a.tobytes()) for a in arrays]
-
     assert bits(layer_forward(state, x, cache)) == bits(layer_forward(fresh, x, fresh_cache))
     assert bits(param_grads(state, gz, x, cache)) == bits(param_grads(fresh, gz, x, fresh_cache))
     if state.m is not None:
@@ -181,10 +161,10 @@ def test_backward_results_outlive_later_calls():
     assert not np.array_equal(second.dbase, kept)
 
 
-def gradient_bits(gs):
-    """(shape, bytes) of each array of a GradientSet, None where absent."""
-    return [None if a is None else (a.shape, a.tobytes())
-            for a in (gs.db, gs.da, gs.dm, gs.dx, gs.dbase)]
+def bits(gs):
+    """(shape, bytes) of an array, or of each array of a GradientSet (None where absent)."""
+    arrays = [gs] if isinstance(gs, np.ndarray) else [gs.db, gs.da, gs.dm, gs.dx, gs.dbase]
+    return [None if a is None else (a.shape, a.tobytes()) for a in arrays]
 
 
 def test_grad_check_leaves_the_dbase_loss_and_grads_returned():
@@ -209,9 +189,9 @@ def test_param_grads_reads_only_the_block_it_is_given(method):
     gz = rng.standard_normal((6, 3))
     cache = step_cache(state)
     layer_forward(state, x2, cache)
-    want = gradient_bits(param_grads(state, gz, x2, cache))
+    want = bits(param_grads(state, gz, x2, cache))
     layer_forward(state, x1, cache)
-    assert gradient_bits(param_grads(state, gz, x2, cache)) == want
+    assert bits(param_grads(state, gz, x2, cache)) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -254,7 +234,7 @@ def test_param_grads_into_out_gives_the_bits_of_new_arrays(method, d, k, rank, n
     got = param_grads(state, gz, x, cache, input_grad=input_grad, out=out)
     for name, _ in params:
         assert getattr(got, "d" + name) is getattr(out, "d" + name), name
-    assert gradient_bits(got) == gradient_bits(want)
+    assert bits(got) == bits(want)
     assert (got.dx is None) == (not input_grad)
     if input_grad:
         assert got.dx.base is None and not np.shares_memory(got.dx, flat)
@@ -379,9 +359,11 @@ def test_fd_restores_state_bit_exact():
     assert [state.base.tobytes(), state.b.tobytes(), state.a.tobytes(), state.m.tobytes()] == snapshots
 
 
-def _writable_copy(state):
-    return dataclasses.replace(state, base=state.base.copy(), b=state.b.copy(), a=state.a.copy(),
+def _writable_copies(state, x, gy):
+    """A copy of state with writable arrays of its own, a copy of x, and gy."""
+    work = dataclasses.replace(state, base=state.base.copy(), b=state.b.copy(), a=state.a.copy(),
                                m=None if state.m is None else state.m.copy())
+    return work, np.asarray(x, dtype=np.float64).copy(), np.asarray(gy, dtype=np.float64)
 
 
 def _displaced_losses(loss, flat, at):
@@ -416,28 +398,21 @@ def _column_layer(state, x, j):
 # Scalar idx of a (r x k), base (d x k), m or x sits in column idx % k, at
 # entry idx // k of that column's slice; b_il = b.flat[idx] in row idx // r.
 def _reference_finite_diff_grads(state, x, gy):
-    work = _writable_copy(state)
-    xs = np.asarray(x, dtype=np.float64).copy()
-    gy = np.asarray(gy, dtype=np.float64)
+    work, xs, gy = _writable_copies(state, x, gy)
     k = work.base.shape[1]
-    # The unperturbed v = base + s * b @ a (full: base) and its column sums of
-    # squares.
-    v = work.base
-    if work.method != "full":
-        v = work.config.scaling * (work.b @ work.a) + work.base
-    sq = (v * v).sum(axis=0)
+    v, sq, n, _ = direction(work)  # unperturbed
 
     def row_loss(layer, i):
         if work.m is None:
             return gy[i] * forward(layer, xs)[0]
         delta = effective_weight(layer)[0] - v[i]
-        q = (gy @ v + gy[i] * delta) / (np.sqrt(sq + delta * (2.0 * v[i] + delta)) + NORM_EPSILON)
+        q = (gy @ v + gy[i] * delta) / guarded_norm(np.sqrt(sq + delta * (2.0 * v[i] + delta)))
         return (work.m * xs) @ q
 
     def whole_column_loss(j):
         col = v[:, j]
         if work.m is not None:
-            col = col * (work.m[j] / (np.sqrt(sq[j]) + NORM_EPSILON))
+            col = col * (work.m[j] / n[j])
         return float(gy @ (col * xs[j]))
 
     grads = {}
@@ -465,9 +440,7 @@ def _reference_finite_diff_grads(state, x, gy):
 # A second, dense oracle: one forward of the whole layer per displaced scalar
 # of every array. finite_diff_grads must match it to rounding.
 def _dense_finite_diff_grads(state, x, gy):
-    work = _writable_copy(state)
-    xs = np.asarray(x, dtype=np.float64).copy()
-    gy = np.asarray(gy, dtype=np.float64)
+    work, xs, gy = _writable_copies(state, x, gy)
     grads = {}
     for name, arr in trainable_params(work) + [("x", xs)]:
         flat = arr.reshape(-1)
@@ -613,15 +586,15 @@ def test_one_column_layers_give_the_columns_of_the_weight(method, d, k, data, sc
     env = np.abs(state.base) + scaling * (np.abs(state.b) @ np.abs(state.a))
     bound = (r + 2) * eps * env
     if state.m is not None:
-        n = np.linalg.norm(state.base + scaling * (state.b @ state.a), axis=0) + NORM_EPSILON
-        bound = np.abs(state.m) / n * (bound + (d + r + 4) * eps * np.linalg.norm(env, axis=0))
+        mn = np.abs(direction(state).mn)
+        bound = mn * (bound + (d + r + 4) * eps * np.linalg.norm(env, axis=0))
     assert np.all(np.abs(got[..., 0].T - want) <= bound)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     # full has no b, and its W' is base alone.
-    method=st.sampled_from([m for m in METHODS if m != "full"]),
+    method=st.sampled_from(ADAPTER_METHODS),
     d=st.integers(1, 12),
     k=st.integers(1, 12),
     data=st.data(),
@@ -643,7 +616,7 @@ def test_one_row_layers_give_the_rows_of_the_direction(method, d, k, data, scali
     rows = dataclasses.replace(state, base=state.base[:, None, :], b=state.b[:, None, :], m=None)
     got = effective_weight(rows)
     assert got.shape == (d, 1, k)
-    want = state.base + scaling * (state.b @ state.a)
+    want = direction(state).v
     env = np.abs(state.base) + scaling * (np.abs(state.b) @ np.abs(state.a))
     assert np.all(np.abs(got[:, 0] - want) <= (r + 2) * np.finfo(float).eps * env)
 
@@ -673,8 +646,8 @@ def test_fd_magnitude_and_input_grads_match_backward_at_a_cancelling_column(
     state = with_zero_column(state)
     ana = backward(state, x, gy)
     fd = finite_diff_grads(state, x, gy)
-    v = state.base + scaling * (state.b @ state.a)
-    t = np.abs(gy) @ np.abs(v) / (np.linalg.norm(v, axis=0) + NORM_EPSILON)
+    v, _, n, _ = direction(state)
+    t = np.abs(gy) @ np.abs(v) / n
     assert t[0] == 0.0
     for name, own, other in (("m", state.m, x), ("x", x, state.m)):
         h = grad.FD_BASE_STEP * (1.0 + np.abs(own))
@@ -862,17 +835,30 @@ def test_gradient_and_merge_properties(method, d, k, data, scaling, seed):
     report = grad_check(state, seed=seed)
     assert report.passed, report.errors
     if state.m is not None:
-        v = state.base + scaling * (state.b @ state.a)
-        g = np.outer(gy, x)
-        h = direction_from_coefficients(state, v, g)
-        inner = np.abs((v * h).sum(axis=0))
-        # Relative to the projected vector (m_j / n_j) g_j, not to h_j: at
-        # d = 1 the exact h_j is zero and the computed one is rounding noise
-        # parallel to v_j.
-        norms = np.linalg.norm(v, axis=0)
-        scale = np.abs(state.m) / (norms + NORM_EPSILON) * np.linalg.norm(g, axis=0)
-        assert np.all(inner <= np.maximum(1e-10 * norms * scale, 1e-30))
+        for inner, bound in projection_gaps(state, np.outer(gy, x), 1e-10):
+            assert inner <= bound
     assert np.allclose(merge(state) @ x, forward(state, x), rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    method=st.sampled_from(MAGNITUDE_METHODS),
+    d=st.integers(1, 12),
+    k=st.integers(1, 12),
+    rank=st.integers(1, 12),
+    scaling=st.sampled_from([0.5, 1.0, 3.0]),
+    exponent=st.sampled_from([0, 100, -100]),
+    zero_column=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_cache_has_the_bytes_of_the_oracle_direction(method, d, k, rank, scaling, exponent,
+                                                          zero_column, seed):
+    # The direction the bit-for-bit oracles share has step_cache's bytes.
+    state, _, _ = scaled_case(method, d, k, min(rank, d, k), scaling, exponent, seed)
+    state = with_zero_column(state) if zero_column else state
+    cache, want = step_cache(state), direction(state)
+    assert not zero_column or cache.sq[0] == 0.0
+    assert [bits(getattr(cache, name)) for name in want._fields] == [bits(a) for a in want]
 
 
 # ---------------------------------------------------------------------------
@@ -883,36 +869,23 @@ def test_gradient_and_merge_properties(method, d, k, data, scaling, seed):
 # direction gradient h = dL/dv, and maps g to the parameter gradients.
 
 def _ref_weight(state):
-    if state.method == "full":
-        return state.base.copy()
-    v = state.base + state.config.scaling * (state.b @ state.a)
-    if state.m is None:
-        return v
-    n = np.linalg.norm(v, axis=-2) + NORM_EPSILON
-    return v * (state.m / n)[..., None, :]
-
-
-def _ref_direction_gradient(state, g):
-    v = state.base + state.config.scaling * (state.b @ state.a)
-    norms = np.linalg.norm(v, axis=0)
-    n = norms + NORM_EPSILON
-    proj = (v * g).sum(axis=0)
-    denom = np.where(norms > 0.0, norms * norms, 1.0)
-    return (state.m / n) * (g - v * (proj / denom))
+    v, _, _, mn = direction(state)
+    return v if mn is None else v * mn
 
 
 def _ref_param_grads(state, g):
-    """Gradients in trainable_params order."""
+    """Gradients in trainable_params order; for dora/dude* through
+    h = dL/dv = (m_j / n_j) (g_j - v_j (v_j . g_j) / ||v_j||^2)."""
     if state.method == "full":
         return [g.copy()]
     s = state.config.scaling
     if state.m is None:
         return [s * (g @ state.a.T), s * (state.b.T @ g)]
-    v = state.base + s * (state.b @ state.a)
-    n = np.linalg.norm(v, axis=0) + NORM_EPSILON
-    dm = (v * g).sum(axis=0) / n
-    h = _ref_direction_gradient(state, g)
-    return [s * (h @ state.a.T), s * (state.b.T @ h), dm]
+    v, sq, n, mn = direction(state)
+    norms = np.sqrt(sq)
+    proj = (v * g).sum(axis=0)
+    h = mn * (g - v * (proj / np.where(norms > 0.0, norms * norms, 1.0)))
+    return [s * (h @ state.a.T), s * (state.b.T @ h), proj / n]
 
 
 def _term_sizes(state, gz, x):
@@ -927,15 +900,13 @@ def _term_sizes(state, gz, x):
     if state.method == "full":
         return [g_abs, np.abs(state.base).T @ np.abs(gz)]
     v_abs = np.abs(state.base) + s * (np.abs(state.b) @ np.abs(state.a))
-    mn = np.ones(k)
-    if state.m is not None:
-        norms = np.linalg.norm(state.base + state.config.scaling * (state.b @ state.a), axis=0)
-        mn = np.abs(state.m) / (norms + NORM_EPSILON)
+    _, sq, n, mn = direction(state)
+    mn = np.ones(k) if mn is None else np.abs(mn)
     h_col = mn * col
     sizes = [s * np.broadcast_to(np.abs(state.a) @ h_col, (d, state.a.shape[0])),
              s * np.abs(state.b).sum(axis=0)[:, None] * h_col]
     if state.m is not None:
-        sizes.append(norms * col / (norms + NORM_EPSILON))
+        sizes.append(np.sqrt(sq) * col / n)
     return sizes + [mn[:, None] * (v_abs.T @ np.abs(gz))]
 
 
@@ -990,8 +961,6 @@ EPS = np.finfo(np.float64).eps
 # scale, the largest ratios were 1.13 for param_grads' rescaling identity,
 # 1.36 for a two-layer loss_and_grads' and 0.94 for homogeneity.
 IDENTITY_EPS = 4.0
-ADAPTER_METHODS = [m for m in METHODS if m != "full"]
-MAGNITUDE_METHODS = ["dora", "dude", "dude_a", "dude_b"]
 
 
 def _eps_ratio(gap, bound):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from layer_oracle import direction
 from peftlab.adapters import (
     METHODS,
-    NORM_EPSILON,
     AdapterConfig,
     effective_weight,
     initialize,
@@ -672,25 +672,17 @@ def test_convergence_trend_dude_vs_lora_three_seeds():
 # A training step without step_cache or the flat buffer, kept as the
 # oracle train must match bit for bit. It follows the factored formulas of
 # grad.param_grads (see the grad module docstring) operation for operation;
-# the forward, the gradients and the eval each compute v = base + s * b @ a
-# and its column norms afresh, and the optimizer updates one trainable array
-# at a time with numpy's temporaries.
-
-def _ref_direction(state):
-    """v, ||v_j||^2, n = ||v_j|| + eps and m / n as a column."""
-    v = state.base + state.config.scaling * (state.b @ state.a)
-    sq = (v * v).sum(axis=0)
-    n = np.sqrt(sq) + NORM_EPSILON
-    return v, sq, n, (state.m / n)[:, None]
-
+# the forward, the gradients and the eval each take the direction afresh
+# from layer_oracle, and the optimizer updates one trainable array at a time
+# with numpy's temporaries.
 
 def _ref_forward(state, x):
     if state.method == "full":
         return state.base @ x
     if state.m is None:
         return state.base @ x + state.config.scaling * (state.b @ (state.a @ x))
-    v, _, _, mn = _ref_direction(state)
-    return v @ (x * mn)
+    v, _, _, mn = direction(state)
+    return v @ (x * mn[:, None])
 
 
 def _ref_param_grads(state, gz, x):
@@ -701,14 +693,14 @@ def _ref_param_grads(state, gz, x):
     if state.m is None:
         return ([s * (gz @ (a @ x).T), s * ((b.T @ gz) @ x.T)],
                 state.base.T @ gz + s * (a.T @ (b.T @ gz)))
-    v, sq, n, mn = _ref_direction(state)
-    x_m = x * mn
+    v, sq, n, mn = direction(state)
+    x_m = x * mn[:, None]
     p = v.T @ gz
     proj = (x * p).sum(axis=1)
-    c = mn[:, 0] * proj / np.where(sq > 0.0, sq, 1.0)
+    c = mn * proj / np.where(sq > 0.0, sq, 1.0)
     db = s * (gz @ (a @ x_m).T - v @ (a * c).T)
     da = s * ((b.T @ gz) @ x_m.T - (b.T @ v) * c)
-    return [db, da, proj / n], p * mn
+    return [db, da, proj / n], p * mn[:, None]
 
 
 def _ref_loss_and_grads(model, x, t):
