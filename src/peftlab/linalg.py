@@ -12,10 +12,11 @@ rank-deficient input: one Householder QR completes the left singular
 vectors of its zero singular values.
 
 The sweeps rotate the row-cyclic pairs a level of equal i + j at a time, a
-long level with one stacked dot product and one rotation of whole rows per
-run of pairs: each column of the iterate is held as a row at a stride of two
-floats, which BLAS dots as it dots a column. _jacobi_tall says why that
-keeps every bit of the pair-at-a-time loop.
+long level with one stacked dot product and one rotation of its rotating
+pairs' rows, gathered into one contiguous block: each column of the iterate
+is held as a row at a stride of two floats, which BLAS dots as it dots a
+column. _jacobi_tall says why that keeps every bit of the pair-at-a-time
+loop.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ JACOBI_TOL = 1e-12
 ORTHONORMAL_TOL = 1e-10
 
 # Levels of at most this many pairs take one strided dot and one rotation
-# per pair; longer ones one stacked np.matmul and one block rotation per run.
+# per pair; longer ones one stacked np.matmul and one gathered block rotation.
 # A stacked level's fixed array calls cost more than a few pairs' own calls
 # and less than many pairs'; the timings behind the limit (every level
 # stacked, every level per pair, other limits) are in CHANGES.md's entry for
@@ -245,10 +246,13 @@ def _jacobi_tall(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     one angle. A level of at most _PER_PAIR_MAX pairs dots each pair's cached
     rows, rotates the pair at once and recomputes its two diagonal Gram
     entries, which are cached, with the same dot. A longer one takes its dots
-    from the stack and, after the loop, rotates each run of consecutive
-    rotating pairs as two blocks of rows and recomputes the entries of the
-    columns it spans. After the sweeps m is copied to C order once, and the
-    norms, u and the non-convergence message read that copy.
+    from the stack and, after the loop, gathers its rotating pairs' rows with
+    one fancy index into a contiguous block (i-rows, then j-rows), rotates
+    the two halves at once, scatters the block back and recomputes the
+    entries of the columns they span. The rotation is elementwise, so each
+    entry rounds in the block as in its strided row; the dots never read the
+    block. After the sweeps m is copied to C order once, and the norms, u and
+    the non-convergence message read that copy.
     """
     rows, n_cols = w.shape
     mvt = np.zeros((n_cols, rows + n_cols, 2))[..., 0]
@@ -264,7 +268,7 @@ def _jacobi_tall(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         for l, lo, hi, stacked in _levels(n_cols):
             if stacked:
                 gijs = np.matmul(mt[lo:hi, None], mt[l - lo::-1][:hi - lo, :, None]).ravel().tolist()
-            runs = []  # [first i, c's, s's] of a stacked level's consecutive rotating pairs
+            rotating, cs, ss = [], [], []  # a stacked level's rotating pairs
             for i in range(lo, hi):
                 j = l - i
                 gii = gram[i]
@@ -286,23 +290,25 @@ def _jacobi_tall(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                     _rotate(mv_rows[i], mv_rows[j], c, s)
                     gram[i] = float(m_rows[i].dot(m_rows[i]))
                     gram[j] = float(m_rows[j].dot(m_rows[j]))
-                elif runs and runs[-1][0] + len(runs[-1][1]) == i:
-                    runs[-1][1].append(c)
-                    runs[-1][2].append(s)
                 else:
-                    runs.append([i, [c], [s]])
-            if not runs:
+                    rotating.append(i)
+                    cs.append(c)
+                    ss.append(s)
+            if not rotating:
                 continue
-            # A run rotates its columns as two blocks of rows, with c and s
-            # as columns. A skipped pair is left alone: rotating it by c = 1,
-            # s = 0 would turn -0.0 - 0.0*b into +0.0 for b < 0.
-            for a, c, s in runs:
-                q = len(c)
-                _rotate(mvt[a:a + q], mvt[l - a:l - a - q:-1],
-                        np.array(c)[:, None], np.array(s)[:, None])
+            # The rotating pairs' columns, gathered into one contiguous block
+            # (i-columns, then j-columns), rotate at once with c and s as
+            # columns and are scattered back. A skipped pair is left alone:
+            # rotating it by c = 1, s = 0 would turn -0.0 - 0.0*b into +0.0
+            # for b < 0.
+            q = len(rotating)
+            picked = np.array(rotating + [l - i for i in rotating])
+            block = mvt[picked]
+            _rotate(block[:q], block[q:], np.array(cs)[:, None], np.array(ss)[:, None])
+            mvt[picked] = block
             # Every rotated column lies in [a, l - a]; an unrotated one gets
             # its cached entry back.
-            a = runs[0][0]
+            a = rotating[0]
             span = mt[a:l - a + 1]
             gram[a:l - a + 1] = np.matmul(span[:, None], span[:, :, None]).ravel().tolist()
         if not rotated:
@@ -334,7 +340,8 @@ def _jacobi_tall(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _rotate(xi, xj, c, s) -> None:
     """xi, xj = c*old - s*xj, s*old + c*xj in place, where old is xi before
     the update; each product rounds on its own. xi and xj are columns of
-    [m; v], held as rows of _jacobi_tall's mvt, or two blocks of them."""
+    [m; v], held as rows of _jacobi_tall's mvt, or the two halves of a
+    stacked level's gathered block of them."""
     old = xi * s
     xi *= c
     xi -= xj * s

@@ -334,11 +334,18 @@ def loss_and_grads(model: Model, batch, *, out=None) -> tuple[float, list[Gradie
 def evaluate(model: Model, task: Task) -> float:
     """Held-out score: mean squared error for regression (lower is better),
     accuracy for classification (higher is better). The targets are checked
-    against model.loss (ValueError)."""
+    against model.loss (ValueError). A non-finite output block or mean
+    squared error raises NumericError: finite outputs can still square past
+    the float64 range."""
     t = _targets(model, task.eval_t, task.eval_x.shape[1])
     y = model_forward(model, task.eval_x)
+    if not np.isfinite(y).all():
+        raise NumericError("non-finite eval output")
     if model.loss == "mse":
-        return _mse_loss_gy(y, t)[0]
+        score = _mse_loss_gy(y, t)[0]
+        if not math.isfinite(score):
+            raise NumericError("non-finite eval score")
+        return score
     pred = y.argmax(axis=0)
     return float((pred == t).mean())
 
@@ -460,7 +467,8 @@ def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
     all trainable gradients, and the learning rate used; the held-out eval
     score is recorded every cfg.eval_every steps (after the update). Each
     step is loss_and_grads, so a batch it rejects raises ValueError, and a
-    loss that stops being finite NumericError, each naming the step.
+    loss or eval score that stops being finite NumericError, each naming the
+    step.
     """
     rng = training_stream(task, cfg.seed)
     named = [(i, name, arr) for i, layer in enumerate(model.layers)
@@ -488,7 +496,12 @@ def train(model: Model, task: Task, cfg: TrainConfig) -> list[MetricsRecord]:
         else:
             lr = base_lr
         optimizer_step(flat, gflat, opt, lr)
-        score = evaluate(model, task) if step % cfg.eval_every == 0 else None
+        score = None
+        if step % cfg.eval_every == 0:
+            try:
+                score = evaluate(model, task)
+            except NumericError as e:
+                raise NumericError(f"numeric failure at step {step}: {e}") from e
         records.append(MetricsRecord(step, loss, grad_norm, lr, score))
     return records
 

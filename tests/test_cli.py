@@ -168,6 +168,19 @@ def test_run_numeric_failure_exits_2_naming_step(tmp_path, capsys):
     assert "step" in capsys.readouterr().err
 
 
+def test_run_diverging_last_eval_exits_2_naming_step(tmp_path, capsys):
+    # The one step's loss is finite, and so are the eval outputs after its
+    # update; only their squared error overflows, and that score must not
+    # reach metrics_1.csv or summary.json as inf.
+    path = write_config(tmp_path, d=4, k=4, r_true=1, method="lora", rank=1, optimizer="sgd",
+                        scheduler="constant", lr=1e200, steps=1, eval_every=1, seeds=[1])
+    with np.errstate(all="ignore"):
+        code = main(["run", "--config", str(path)])
+    assert code == 2
+    assert "numeric failure at step 1: non-finite eval score" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 @pytest.mark.parametrize("overrides, argv, field", [
     ({"sigma": math.inf}, [], "sigma"),
     ({"scaling": math.inf}, [], "scaling"),

@@ -404,7 +404,9 @@ def _svd_or_error(w):
 # shape of a 32 x 257 gradcheck weight. At 9 x 7 every level has at most
 # _PER_PAIR_MAX pairs, so each rotation is a per-pair one. per_pair_max
 # replaces _PER_PAIR_MAX: 0 stacks every level and 10**6 rotates every pair
-# on its own, so both kinds of level meet the reference at every shape.
+# on its own, so both kinds of level meet the reference at every shape. The
+# two per_pair_max=0 examples with -0.0 rows and columns give stacked levels
+# that gather rotating pairs on both sides of a skipped one.
 @settings(max_examples=60, deadline=None)
 @given(
     d=st.integers(1, 24),
@@ -427,6 +429,10 @@ def _svd_or_error(w):
          negative_zeros=False, tiny_col=None, per_pair_max=linalg._PER_PAIR_MAX)
 @example(d=9, k=7, log_scale=0.0, seed=4, zero_col=True, repeat_col=False,
          negative_zeros=True, tiny_col=None, per_pair_max=linalg._PER_PAIR_MAX)
+@example(d=24, k=24, log_scale=0.0, seed=5, zero_col=False, repeat_col=False,
+         negative_zeros=True, tiny_col=None, per_pair_max=0)
+@example(d=40, k=33, log_scale=0.0, seed=6, zero_col=False, repeat_col=False,
+         negative_zeros=True, tiny_col=None, per_pair_max=0)
 def test_svd_bits_match_reference_loop(d, k, log_scale, seed, zero_col, repeat_col,
                                        negative_zeros, tiny_col, per_pair_max):
     rng = np.random.default_rng(seed)

@@ -306,6 +306,16 @@ def test_targets_that_do_not_fit_the_loss_are_rejected():
         loss_and_grads(make_model(reg, "lora", 2), (x, np.zeros((3, 4))))
 
 
+@pytest.mark.parametrize("task_name", ["teacher_student", "cluster_classify"])
+def test_evaluate_rejects_non_finite_outputs(task_name):
+    # An accuracy would read a nan block as some argmax; an mse as inf.
+    task = make_task(task_name, 3, 4, sigma=0.5, seed=0)
+    model = make_model(task, "full", 2)
+    model.layers[0].state.base[0, 0] = np.inf
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-finite eval output"):
+        evaluate(model, task)
+
+
 @pytest.mark.parametrize("labels", [[0, 1, -1], [0, 3, 1], [0, 1], [0.0, 1.0, 2.0],
                                     [[0, 1, 2]], [True, False, True]])
 def test_cross_entropy_rejects_bad_labels(labels):
