@@ -296,11 +296,8 @@ def _jacobi_tall(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                     ss.append(s)
             if not rotating:
                 continue
-            # The rotating pairs' columns, gathered into one contiguous block
-            # (i-columns, then j-columns), rotate at once with c and s as
-            # columns and are scattered back. A skipped pair is left alone:
-            # rotating it by c = 1, s = 0 would turn -0.0 - 0.0*b into +0.0
-            # for b < 0.
+            # Only rotating pairs are gathered: rotating a skipped pair by
+            # c = 1, s = 0 would turn -0.0 - 0.0*b into +0.0 for b < 0.
             q = len(rotating)
             picked = np.array(rotating + [l - i for i in rotating])
             block = mvt[picked]
